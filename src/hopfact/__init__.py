@@ -9,10 +9,11 @@ series.  Desk-scale brute-force oracles double-check every computed route.
 """
 
 from .linalg import (QQ, GF, Field, Matrix, Subspace, rref, kernel, solve,
-                     subspace_sum, subspace_intersect, enumerate_subspaces,
+                     subspace_sum, subspace_intersect, is_stable, closure,
+                     largest_stable_inside, pull_back, enumerate_subspaces,
                      gaussian_binomial, subspace_count, EnumerationBound)
-from .hopf import (FiniteAlgebra, HopfAlgebra, LinearMap, verify_algebra,
-                   verify_hopf, is_cocommutative, group_algebra, dual_hopf,
+from .hopf import (FiniteAlgebra, HopfAlgebra, verify_algebra, verify_hopf,
+                   is_cocommutative, is_group_basis, group_algebra, dual_hopf,
                    tensor_hopf, tensor_algebra_prod, is_grouplike,
                    enumerate_grouplikes, primitives, sweedler_hopf,
                    restricted_line_hopf, ideal_closure)

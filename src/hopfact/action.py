@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import Matrix, Subspace, kernel
-from .hopf import FiniteAlgebra, HopfAlgebra, LinearMap, dual_hopf
+from .linalg import Matrix, Subspace, closure, is_stable, kernel
+from .hopf import FiniteAlgebra, HopfAlgebra, dual_hopf, is_group_basis
 from .report import Report
 
 
@@ -67,8 +67,7 @@ class ModuleAlgebraAction:
         return out
 
     def subspace_stable(self, sub: Subspace) -> bool:
-        return all(sub.contains(self.act_basis(i, list(row)))
-                   for i in range(self.hopf.dim) for row in sub.rows)
+        return is_stable(sub, self.operator_matrices)
 
     def to_json(self):
         F = self.field
@@ -200,7 +199,7 @@ def invariants(act: ModuleAlgebraAction) -> Subspace:
     return kernel(Matrix.from_rows(F, rows, nA))
 
 
-def comodule_map(act: ModuleAlgebraAction) -> LinearMap:
+def comodule_map(act: ModuleAlgebraAction) -> Matrix:
     """The coaction A -> A (x) H* determined by evaluation against the action.
 
     Target coordinates are (p, q) -> p * dim(A) + q; the defining identity
@@ -214,7 +213,7 @@ def comodule_map(act: ModuleAlgebraAction) -> LinearMap:
         for p in range(nH):
             for q in range(nA):
                 m.data[p * nA + q][j] = act.tensor[p][j][q]
-    return LinearMap(nA, nH * nA, m)
+    return m
 
 
 def reconstruction_report(act: ModuleAlgebraAction) -> Report:
@@ -222,7 +221,7 @@ def reconstruction_report(act: ModuleAlgebraAction) -> Report:
     rep = Report("comodule-reconstruction", details={"name": act.name})
     F = act.field
     nH, nA = act.hopf.dim, act.alg.dim
-    dmat = comodule_map(act).matrix
+    dmat = comodule_map(act)
     for i in range(nH):
         for j in range(nA):
             recon = [dmat.data[i * nA + q][j] for q in range(nA)]
@@ -307,28 +306,14 @@ def coefficient_subalgebra(h: HopfAlgebra, coeffs) -> Subspace:
     """Smallest dual subspace containing the counit, the given functionals
     and their antipode images, closed under the convolution product.
 
-    Closure by span-and-multiply; the dimension can only grow, so at most
-    dim H* rounds are needed.
+    The counit is the unit of H*, so this is the span of all products of
+    generators: the closure under left multiplication by each generator.
     """
-    F = h.field
-    n = h.dim
     gens = [list(h.counit)] + [list(c) for c in coeffs]
     gens += [star_antipode(h, c) for c in coeffs]
-    space = Subspace.from_vectors(F, n, gens)
-    while True:
-        basis = space.basis_vectors()
-        prods = [dual_product(h, f, g) for f in basis for g in basis]
-        bigger = Subspace.from_vectors(F, n, basis + prods)
-        if bigger.dim == space.dim:
-            return bigger
-        space = bigger
-
-
-def action_is_locally_finite(act: ModuleAlgebraAction) -> bool:
-    """Always true here: every element of a finite-dimensional module
-    algebra has a finite-dimensional orbit, so the locally finite part is
-    the whole algebra.  Exposed because several hypotheses quote it."""
-    return True
+    dual = dual_hopf(h).alg
+    return closure(Subspace.from_vectors(h.field, h.dim, gens),
+                   [dual.left_mult_matrix(g) for g in gens])
 
 
 def verify_sub_hopf(h: HopfAlgebra, sub: Subspace) -> "Report":
@@ -422,13 +407,10 @@ def group_coeff_antipode_check(rep: Representation) -> Report:
     h = rep.hopf
     F = h.field
     n = h.dim
-    # group algebra in its group basis: every basis element grouplike
-    for j in range(n):
-        terms = h.comul_sparse[j]
-        if terms != [(j, j, F.one)] or h.counit[j] != F.one:
-            out.status = "error"
-            out.details["reason"] = "hopf algebra basis is not grouplike"
-            return out
+    if not is_group_basis(h):
+        out.status = "error"
+        out.details["reason"] = "hopf algebra basis is not grouplike"
+        return out
     coeffs = matrix_coefficients(rep)
     nv = rep.dim_v
     for g in range(n):

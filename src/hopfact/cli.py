@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .linalg import EnumerationBound
@@ -137,7 +136,7 @@ def cmd_stratum_algebra(ws, args):
 def cmd_strat_bijection(ws, args):
     act = _action(ws, args.action)
     ideal = _ideal(ws, args.ideal, act.alg)
-    return verify_strat_bijection(act, ideal, bound=None)
+    return verify_strat_bijection(act, ideal, bound=args.bound)
 
 
 def cmd_transport(ws, args):
@@ -154,7 +153,7 @@ def cmd_transport(ws, args):
 
 def cmd_stability_scan(ws, args):
     act = _action(ws, args.action)
-    return stability_scan(ConvolutionAlgebra(act))
+    return stability_scan(ConvolutionAlgebra(act), bound=args.bound)
 
 
 def cmd_dotinv(ws, args):
@@ -182,6 +181,10 @@ def cmd_lie_transfer(ws, args):
 
 
 def cmd_series_phi(ws, args):
+    if args.nvars < 1:
+        raise InputError(f"--nvars must be at least 1, got {args.nvars}")
+    if args.degree < 0:
+        raise InputError(f"--degree must be at least 0, got {args.degree}")
     field = _field_for(args.prime)
     trunc = args.degree
     pairs = []
@@ -270,7 +273,8 @@ def build_parser():
                        help="fixture directory (default: bundled corpus)")
         p.add_argument("--json", action="store_true", help="emit JSON reports")
         p.add_argument("--bound", type=int, default=None,
-                       help="enumeration cap on p**dim")
+                       help="enumeration cap on p**dim for stability-scan "
+                            "and strat-bijection")
         if "action" in needs:
             p.add_argument("--action", required=True)
         if "algebra" in needs:
@@ -293,8 +297,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.bound is not None:
-        os.environ["HOPFACT_ENUM_BOUND"] = str(args.bound)
     try:
         fixture_dirs = [args.fixtures] if args.fixtures else [bundled_fixture_dir()]
         ws = Workspace.load(fixture_dirs)

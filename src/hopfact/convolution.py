@@ -15,13 +15,19 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import (Matrix, Subspace, kernel, subspace_intersect, solve,
+from .linalg import (Matrix, Subspace, kernel, is_stable, pull_back,
                      stable_subspaces, subspace_count)
-from .hopf import FiniteAlgebra
-from .action import ModuleAlgebraAction, hit_action
+from .hopf import FiniteAlgebra, ideal_closure, subspace_is_ideal
+from .action import ModuleAlgebraAction, hit_action, trivial_action
 from .report import Report
 
 DEFAULT_DIM_CAP = 64
+
+
+def _nonzero_terms(F, tensor):
+    """terms[i][j] = [(k, c)] with c = tensor[i][j][k] nonzero."""
+    return [[[(k, c) for k, c in enumerate(row) if not F.is_zero(c)]
+             for row in plane] for plane in tensor]
 
 
 class ConvElement:
@@ -39,10 +45,6 @@ class ConvElement:
         """dim(A) x dim(H) matrix: column p = value at the p-th Hopf basis."""
         nA, nH = self.conv.alg.dim, self.conv.hopf.dim
         return [[self.coords[p * nA + q] for p in range(nH)] for q in range(nA)]
-
-    def value_at(self, p):
-        nA = self.conv.alg.dim
-        return self.coords[p * nA: (p + 1) * nA]
 
     def __eq__(self, other):
         return (isinstance(other, ConvElement) and self.conv is other.conv
@@ -160,54 +162,43 @@ class ConvolutionAlgebra:
 
     # -- the twist automorphisms ------------------------------------------------
 
-    @cached_property
-    def phi_matrix(self) -> Matrix:
-        """b -> (h -> h_1 . b(h_2)) on coordinates."""
+    def _twist(self, tensor) -> Matrix:
+        """b -> (h -> h_1 . b(h_2)) on coordinates, for the action ``tensor``."""
         F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        cols = self.hopf.comul_sparse
+        terms = _nonzero_terms(F, tensor)
         m = Matrix.zeros(F, self.dim, self.dim)
-        for p in range(nH):
-            for q in range(nA):
-                col = self.index(p, q)
-                for l in range(nH):
-                    for (u, v, c) in cols[l]:
-                        if v != p:
-                            continue
-                        for mm in range(nA):
-                            t = self.action.tensor[u][q][mm]
-                            if not F.is_zero(t):
-                                row = self.index(l, mm)
-                                m.data[row][col] = F.add(m.data[row][col], F.mul(c, t))
+        for l, coproduct in enumerate(self.hopf.comul_sparse):
+            for (u, p, c) in coproduct:
+                for q in range(self.alg.dim):
+                    col = self.index(p, q)
+                    for mm, t in terms[u][q]:
+                        row = self.index(l, mm)
+                        m.data[row][col] = F.add(m.data[row][col], F.mul(c, t))
         return m
 
     @cached_property
+    def phi_matrix(self) -> Matrix:
+        """b -> (h -> h_1 . b(h_2)) on coordinates."""
+        return self._twist(self.action.tensor)
+
+    @cached_property
     def psi_matrix(self) -> Matrix:
-        """b -> (h -> S(h_1) . b(h_2)) on coordinates."""
+        """b -> (h -> S(h_1) . b(h_2)): the twist of the action composed
+        with the antipode, tensor T'[u] = sum_w S[w][u] T[w]."""
         F = self.field
+        S = self.hopf.antipode.data
+        tensor = self.action.tensor
         nH, nA = self.hopf.dim, self.alg.dim
-        cols = self.hopf.comul_sparse
-        S = self.hopf.antipode
-        m = Matrix.zeros(F, self.dim, self.dim)
-        for p in range(nH):
-            for q in range(nA):
-                col = self.index(p, q)
-                for l in range(nH):
-                    for (u, v, c) in cols[l]:
-                        if v != p:
-                            continue
-                        for w in range(nH):
-                            sc = S.data[w][u]
-                            if F.is_zero(sc):
-                                continue
-                            csc = F.mul(c, sc)
-                            for mm in range(nA):
-                                t = self.action.tensor[w][q][mm]
-                                if not F.is_zero(t):
-                                    row = self.index(l, mm)
-                                    m.data[row][col] = F.add(m.data[row][col],
-                                                             F.mul(csc, t))
-        return m
+        composed = [[[F.zero] * nA for _ in range(nA)] for _ in range(nH)]
+        for u in range(nH):
+            for w in range(nH):
+                if F.is_zero(S[w][u]):
+                    continue
+                for q in range(nA):
+                    row = composed[u][q]
+                    for mm, t in enumerate(tensor[w][q]):
+                        row[mm] = F.add(row[mm], F.mul(S[w][u], t))
+        return self._twist(composed)
 
     def phi(self, b: ConvElement) -> ConvElement:
         return ConvElement(self, self.phi_matrix.vec_mul(b.coords))
@@ -217,53 +208,38 @@ class ConvolutionAlgebra:
 
     # -- the two H-actions on B -------------------------------------------------
 
-    @cached_property
-    def rh_operators(self):
-        """Right-translation operators: (h -> b)(k) = b(k h), one per basis."""
+    def _dot_operators_of(self, tensor):
+        """Operators (h . b)(k) = h_1 . b(k h_2), one per basis, for the
+        action ``tensor``."""
         F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        multH = self.hopf.alg.mult
+        terms = _nonzero_terms(F, tensor)
+        multH = self.hopf.alg.mult_sparse
         ops = []
-        for i in range(nH):
+        for coproduct in self.hopf.comul_sparse:
             m = Matrix.zeros(F, self.dim, self.dim)
-            for l in range(nH):
-                for j in range(nH):
-                    c = multH[l][i][j]
-                    if F.is_zero(c):
-                        continue
-                    for q in range(nA):
-                        m.data[self.index(l, q)][self.index(j, q)] = \
-                            F.add(m.data[self.index(l, q)][self.index(j, q)], c)
+            for (u, v, c) in coproduct:
+                for l in range(self.hopf.dim):
+                    for j, d in multH[l][v]:
+                        cd = F.mul(c, d)
+                        for q in range(self.alg.dim):
+                            col = self.index(j, q)
+                            for mm, t in terms[u][q]:
+                                row = self.index(l, mm)
+                                m.data[row][col] = F.add(m.data[row][col],
+                                                         F.mul(cd, t))
             ops.append(m)
         return ops
 
     @cached_property
+    def rh_operators(self):
+        """Right-translation operators: (h -> b)(k) = b(k h), one per basis;
+        the twisted operators of the trivial action h . a = eps(h) a."""
+        return self._dot_operators_of(trivial_action(self.hopf, self.alg).tensor)
+
+    @cached_property
     def dot_operators(self):
         """Twisted operators: (h . b)(k) = h_1 . b(k h_2), one per basis."""
-        F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        multH = self.hopf.alg.mult
-        cols = self.hopf.comul_sparse
-        ops = []
-        for i in range(nH):
-            m = Matrix.zeros(F, self.dim, self.dim)
-            for (u, v, c) in cols[i]:
-                for l in range(nH):
-                    for j in range(nH):
-                        d = multH[l][v][j]
-                        if F.is_zero(d):
-                            continue
-                        cd = F.mul(c, d)
-                        for q in range(nA):
-                            for mm in range(nA):
-                                t = self.action.tensor[u][q][mm]
-                                if not F.is_zero(t):
-                                    row = self.index(l, mm)
-                                    colx = self.index(j, q)
-                                    m.data[row][colx] = F.add(m.data[row][colx],
-                                                              F.mul(cd, t))
-            ops.append(m)
-        return ops
+        return self._dot_operators_of(self.action.tensor)
 
     def rh_act(self, hvec, b: ConvElement) -> ConvElement:
         return ConvElement(self, self._apply_ops(self.rh_operators, hvec, b.coords))
@@ -295,48 +271,30 @@ class ConvolutionAlgebra:
 
     @cached_property
     def iota_image(self) -> Subspace:
-        return Subspace.from_vectors(
-            self.field, self.dim,
-            [[self.iota_matrix.data[r][j] for r in range(self.dim)]
-             for j in range(self.alg.dim)])
+        return Subspace.from_vectors(self.field, self.dim,
+                                     self.iota_matrix.transpose().data)
+
+    @cached_property
+    def psi_iota_matrix(self) -> Matrix:
+        """a -> psi(iota a): A onto the invariant subalgebra of B."""
+        return self.psi_matrix.mat_mul(self.iota_matrix)
 
     @cached_property
     def psi_iota_image(self) -> Subspace:
-        m = self.psi_matrix.mat_mul(self.iota_matrix)
-        return Subspace.from_vectors(
-            self.field, self.dim,
-            [[m.data[r][j] for r in range(self.dim)] for j in range(self.alg.dim)])
+        return Subspace.from_vectors(self.field, self.dim,
+                                     self.psi_iota_matrix.transpose().data)
 
-    def tensor_with_dual(self, sub_a: Subspace, dual_sub: Subspace = None) -> Subspace:
-        """W (x) O as a subspace of B, for W a subspace of A.
-
-        O defaults to the whole dual; a smaller coefficient subalgebra may
-        be passed explicitly as a subspace certified by
-        :func:`hopfact.action.verify_sub_hopf`.
-        """
+    def tensor_with_dual(self, sub_a: Subspace) -> Subspace:
+        """W (x) H* as a subspace of B, for W a subspace of A."""
         F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        if dual_sub is None:
-            duals = [[F.one if t == p else F.zero for t in range(nH)]
-                     for p in range(nH)]
-        else:
-            duals = dual_sub.basis_vectors()
         vecs = []
         for row in sub_a.rows:
-            for f in duals:
+            for p in range(self.hopf.dim):
                 v = [F.zero] * self.dim
-                for p, fp in enumerate(f):
-                    if F.is_zero(fp):
-                        continue
-                    for q, x in enumerate(row):
-                        if not F.is_zero(x):
-                            v[self.index(p, q)] = F.mul(fp, x)
+                for q, x in enumerate(row):
+                    v[self.index(p, q)] = x
                 vecs.append(v)
         return Subspace.from_vectors(F, self.dim, vecs)
-
-    def pull_back_iota(self, vec):
-        """Coordinates a with iota(a) = vec, or None."""
-        return solve(self.iota_matrix, vec)
 
 
 # -- identity batteries --------------------------------------------------------
@@ -570,45 +528,22 @@ def restrict_subspace(conv: ConvolutionAlgebra, sub_b: Subspace) -> Subspace:
         raise ValueError("restrict: subspace must live in B")
     vecs = [conv.phi_matrix.vec_mul(list(r)) for r in sub_b.rows]
     img = Subspace.from_vectors(conv.field, conv.dim, vecs)
-    inter = subspace_intersect(img, conv.iota_image)
-    pulled = []
-    for r in inter.rows:
-        a = conv.pull_back_iota(list(r))
-        if a is None:
-            raise RuntimeError("intersection escaped the embedded copy of A")
-        pulled.append(a)
-    return Subspace.from_vectors(conv.field, conv.alg.dim, pulled)
+    return pull_back(conv.iota_matrix, conv.iota_image, img)
 
 
 def invariant_contract(conv: ConvolutionAlgebra, sub_b: Subspace) -> Subspace:
     """Intersect with the invariant subalgebra copy of A; A-coordinates."""
-    inter = subspace_intersect(sub_b, conv.psi_iota_image)
-    psi_iota = conv.psi_matrix.mat_mul(conv.iota_matrix)
-    pulled = []
-    for r in inter.rows:
-        a = solve(psi_iota, list(r))
-        if a is None:
-            raise RuntimeError("intersection escaped the invariant copy of A")
-        pulled.append(a)
-    return Subspace.from_vectors(conv.field, conv.alg.dim, pulled)
+    return pull_back(conv.psi_iota_matrix, conv.psi_iota_image, sub_b)
 
 
 def invariant_extend(conv: ConvolutionAlgebra, sub_a: Subspace) -> Subspace:
     """Two-sided ideal of B generated by the invariant-subalgebra image."""
-    from .hopf import ideal_closure
-    psi_iota = conv.psi_matrix.mat_mul(conv.iota_matrix)
-    vecs = [psi_iota.vec_mul(list(r)) for r in sub_a.rows]
+    vecs = [conv.psi_iota_matrix.vec_mul(list(r)) for r in sub_a.rows]
     return ideal_closure(conv.algebra, vecs)
-
-
-def subspace_dot_stable(conv: ConvolutionAlgebra, sub: Subspace) -> bool:
-    return all(sub.contains(op.vec_mul(list(r)))
-               for op in conv.dot_operators for r in sub.rows)
 
 
 def check_transport(conv: ConvolutionAlgebra, sub_a: Subspace) -> Report:
     """Round-trip of the three-corner ideal maps on one ideal of A."""
-    from .hopf import subspace_is_ideal
     rep = Report("ideal-transport", details={"fixture": conv.action.name,
                                              "ideal-dim": sub_a.dim})
     if not subspace_is_ideal(conv.alg, sub_a):
@@ -618,7 +553,7 @@ def check_transport(conv: ConvolutionAlgebra, sub_a: Subspace) -> Report:
     t = transport_subspace(conv, sub_a)
     if not subspace_is_ideal(conv.algebra, t):
         rep.fail({"identity": "transport-is-ideal"})
-    if not subspace_dot_stable(conv, t):
+    if not is_stable(t, conv.dot_operators):
         rep.fail({"identity": "transport-is-stable"})
     if t.dim != sub_a.dim * conv.hopf.dim:
         rep.fail({"identity": "transport-dim"})
@@ -637,13 +572,8 @@ def check_transport(conv: ConvolutionAlgebra, sub_a: Subspace) -> Report:
 def enumerate_h_ideals(conv: ConvolutionAlgebra, bound=None):
     """All twist-stable two-sided ideals of B by exhaustion (prime fields)."""
     B = conv.algebra
-    ops = []
-    for i in range(B.dim):
-        e = B.basis_vector(i)
-        ops.append(B.left_mult_matrix(e))
-        ops.append(B.right_mult_matrix(e))
-    ops.extend(conv.dot_operators)
-    return stable_subspaces(conv.field, B.dim, ops, bound)
+    return stable_subspaces(conv.field, B.dim,
+                            B.ideal_operators + conv.dot_operators, bound)
 
 
 def check_dotinv_lattice(conv: ConvolutionAlgebra, bound=None) -> Report:
@@ -653,15 +583,9 @@ def check_dotinv_lattice(conv: ConvolutionAlgebra, bound=None) -> Report:
     verifies that transport is a bijection between them commuting with the
     restriction and invariant-corner maps.
     """
-    from .hopf import subspace_is_ideal
     rep = Report("ideal-lattice-bijection", details={"fixture": conv.action.name})
     A = conv.alg
-    ops_a = []
-    for i in range(A.dim):
-        e = A.basis_vector(i)
-        ops_a.append(A.left_mult_matrix(e))
-        ops_a.append(A.right_mult_matrix(e))
-    ideals_a = stable_subspaces(conv.field, A.dim, ops_a, bound)
+    ideals_a = stable_subspaces(conv.field, A.dim, A.ideal_operators, bound)
     rep.details["ideals-of-A"] = len(ideals_a)
     transported = {}
     for ia in ideals_a:

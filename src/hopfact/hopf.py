@@ -15,24 +15,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .linalg import GF, Field, Matrix, Subspace, kernel, enum_bound, EnumerationBound
+from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, is_stable,
+                     enum_bound, EnumerationBound)
 from .report import Report
-
-
-class LinearMap:
-    """A linear map between coordinate spaces, column-convention matrix."""
-
-    __slots__ = ("source_dim", "target_dim", "matrix")
-
-    def __init__(self, source_dim, target_dim, matrix: Matrix):
-        if matrix.nrows != target_dim or matrix.ncols != source_dim:
-            raise ValueError("LinearMap shape mismatch")
-        self.source_dim = source_dim
-        self.target_dim = target_dim
-        self.matrix = matrix
-
-    def apply(self, v):
-        return self.matrix.vec_mul(v)
 
 
 class FiniteAlgebra:
@@ -108,6 +93,17 @@ class FiniteAlgebra:
                 for k, c in self.mult_sparse[i][j]:
                     m.data[k][i] = F.add(m.data[k][i], F.mul(a, c))
         return m
+
+    @cached_property
+    def ideal_operators(self):
+        """Left and right multiplication by every basis element: the two-sided
+        ideals are exactly the subspaces these operators stabilize."""
+        ops = []
+        for i in range(self.dim):
+            e = self.basis_vector(i)
+            ops.append(self.left_mult_matrix(e))
+            ops.append(self.right_mult_matrix(e))
+        return ops
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i]
@@ -239,10 +235,6 @@ def verify_algebra(a: FiniteAlgebra) -> Report:
         if a.multiply(ej, a.unit) != ej:
             rep.fail({"axiom": "right-unit", "basis": j})
     return rep
-
-
-def _tensor_index(n2, i, j):
-    return i * n2 + j
 
 
 def verify_hopf(h: HopfAlgebra) -> Report:
@@ -536,6 +528,13 @@ def tensor_hopf(h1: HopfAlgebra, h2: HopfAlgebra, name=None) -> HopfAlgebra:
     return HopfAlgebra(alg, comul, counit, antipode, name=tname)
 
 
+def is_group_basis(h: HopfAlgebra) -> bool:
+    """Every basis element is grouplike: a group algebra in its group basis."""
+    F = h.field
+    return all(h.comul_sparse[j] == [(j, j, F.one)] and h.counit[j] == F.one
+               for j in range(h.dim))
+
+
 def is_grouplike(h: HopfAlgebra, x) -> bool:
     """delta x = x (x) x and eps(x) = 1."""
     F = h.field
@@ -722,35 +721,14 @@ def dual_number_plane_algebra(field: Field, name="plane-jet") -> FiniteAlgebra:
 
 
 def ideal_closure(alg: FiniteAlgebra, vectors) -> Subspace:
-    """Smallest subspace containing the vectors and closed under left and
-    right multiplication by all basis elements (the two-sided ideal span)."""
-    span = Subspace.from_vectors(alg.field, alg.dim, vectors)
-    while True:
-        extra = []
-        for row in span.rows:
-            v = list(row)
-            for i in range(alg.dim):
-                e = alg.basis_vector(i)
-                for w in (alg.multiply(e, v), alg.multiply(v, e)):
-                    if not span.contains(w):
-                        extra.append(w)
-        if not extra:
-            return span
-        span = Subspace.from_vectors(alg.field, alg.dim,
-                                     list(span.rows) + extra)
+    """The two-sided ideal generated by the vectors."""
+    return closure(Subspace.from_vectors(alg.field, alg.dim, vectors),
+                   alg.ideal_operators)
 
 
 def subspace_is_ideal(alg: FiniteAlgebra, sub: Subspace) -> bool:
     """Closed under left and right multiplication by every basis element."""
-    for row in sub.rows:
-        v = list(row)
-        for i in range(alg.dim):
-            e = alg.basis_vector(i)
-            if not sub.contains(alg.multiply(e, v)):
-                return False
-            if not sub.contains(alg.multiply(v, e)):
-                return False
-    return True
+    return is_stable(sub, alg.ideal_operators)
 
 
 def restricted_line_hopf(p, name=None) -> HopfAlgebra:

@@ -22,9 +22,11 @@ from dataclasses import dataclass, field as dc_field
 import sympy
 
 from .linalg import (Field, Matrix, Subspace, kernel, solve, subspace_intersect,
-                     subspace_sum, stable_subspaces, EnumerationBound)
+                     subspace_sum, stable_subspaces, projection_matrix, closure,
+                     largest_stable_inside, pull_back, EnumerationBound)
 from .hopf import (FiniteAlgebra, ideal_closure, subspace_is_ideal,
-                   is_cocommutative, dual_hopf, tensor_algebra_prod)
+                   is_cocommutative, is_group_basis, dual_hopf,
+                   tensor_algebra_prod)
 from .action import ModuleAlgebraAction, hit_action, verify_action
 from .convolution import ConvolutionAlgebra, transport_subspace
 from .report import Report, PASS, FAIL, ERROR, COUNTEREXAMPLE
@@ -113,17 +115,6 @@ def _same_alg(i, j):
 
 # -- quotients and subalgebras -------------------------------------------------
 
-def projection_matrix(sub: Subspace) -> Matrix:
-    """Linear map v -> coordinates of v modulo sub (non-pivot residuals)."""
-    F = sub.field
-    n = sub.ambient_dim
-    rows = [sub.residual_coords([F.one if t == j else F.zero for t in range(n)])
-            for j in range(n)]
-    # rows currently hold columns; transpose into (n - d) x n
-    d = n - sub.dim
-    return Matrix(F, d, n, [[rows[j][r] for j in range(n)] for r in range(d)])
-
-
 def quotient_algebra(alg: FiniteAlgebra, sub: Subspace, name=None):
     """(A / I, projection, lift) with basis the non-pivot coordinates."""
     F = alg.field
@@ -172,11 +163,9 @@ def center_subspace(alg: FiniteAlgebra) -> Subspace:
     """Solutions of x e_i = e_i x for all basis elements."""
     F = alg.field
     n = alg.dim
+    ops = alg.ideal_operators
     rows = []
-    for i in range(n):
-        e = alg.basis_vector(i)
-        L = alg.left_mult_matrix(e)
-        R = alg.right_mult_matrix(e)
+    for L, R in zip(ops[0::2], ops[1::2]):
         for r in range(n):
             rows.append([F.sub(L.data[r][c], R.data[r][c]) for c in range(n)])
     return kernel(Matrix.from_rows(F, rows, n))
@@ -334,7 +323,7 @@ def poly_eval_in_algebra(alg: FiniteAlgebra, coeffs, x, unit=None):
 def _trace_form_kernel(alg: FiniteAlgebra) -> Subspace:
     F = alg.field
     n = alg.dim
-    L = [alg.left_mult_matrix(alg.basis_vector(i)) for i in range(n)]
+    L = alg.ideal_operators[0::2]
     gram = Matrix.zeros(F, n, n)
     for i in range(n):
         for j in range(i, n):
@@ -612,67 +601,22 @@ def core_via_psi(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
     convolution algebra and intersect with the constant-value copy of A."""
     conv = ConvolutionAlgebra(act)
     t = transport_subspace(conv, ideal.space)
-    inter = subspace_intersect(t, conv.iota_image)
-    pulled = []
-    for r in inter.rows:
-        a = conv.pull_back_iota(list(r))
-        if a is None:
-            raise RuntimeError("intersection escaped the embedded copy of A")
-        pulled.append(a)
-    space = Subspace.from_vectors(act.field, act.alg.dim, pulled)
+    space = pull_back(conv.iota_matrix, conv.iota_image, t)
     return Ideal(act.alg, space, check=True, h_stable=True, name="core-via-twist")
 
 
 def group_core_by_intersection(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
     """For group-algebra actions: the intersection of the translates g.I."""
-    H = act.hopf
-    F = act.field
-    for j in range(H.dim):
-        if H.comul_sparse[j] != [(j, j, F.one)] or H.counit[j] != F.one:
-            raise ValueError("intersection core needs a group algebra "
-                             "in its grouplike basis")
+    if not is_group_basis(act.hopf):
+        raise ValueError("intersection core needs a group algebra "
+                         "in its grouplike basis")
     space = ideal.space
-    for i in range(H.dim):
+    for i in range(act.hopf.dim):
         translate = Subspace.from_vectors(
-            F, act.alg.dim,
+            act.field, act.alg.dim,
             [act.act_basis(i, list(r)) for r in ideal.space.rows])
         space = subspace_intersect(space, translate)
     return Ideal(act.alg, space, check=True, name="intersection-core")
-
-
-def h_ideal_generated(act: ModuleAlgebraAction, vectors) -> Ideal:
-    """Span closure under both the multiplication and the Hopf operators."""
-    alg = act.alg
-    F = act.field
-    span = Subspace.from_vectors(F, alg.dim, vectors)
-    while True:
-        extra = []
-        for row in span.rows:
-            v = list(row)
-            for i in range(alg.dim):
-                e = alg.basis_vector(i)
-                for w in (alg.multiply(e, v), alg.multiply(v, e)):
-                    if not span.contains(w):
-                        extra.append(w)
-            for i in range(act.hopf.dim):
-                w = act.act_basis(i, v)
-                if not span.contains(w):
-                    extra.append(w)
-        if not extra:
-            return Ideal(alg, span, check=True, h_stable=True)
-        span = Subspace.from_vectors(F, alg.dim, list(span.rows) + extra)
-
-
-def enumerate_h_ideals_of_algebra(act: ModuleAlgebraAction, bound=None):
-    """All action-stable two-sided ideals of A by exhaustion (prime fields)."""
-    alg = act.alg
-    ops = []
-    for i in range(alg.dim):
-        e = alg.basis_vector(i)
-        ops.append(alg.left_mult_matrix(e))
-        ops.append(alg.right_mult_matrix(e))
-    ops.extend(act.operator_matrices)
-    return stable_subspaces(act.field, alg.dim, ops, bound)
 
 
 def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Report:
@@ -692,7 +636,9 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
     except UnsupportedComputation:
         pass
     try:
-        lattice = enumerate_h_ideals_of_algebra(act, bound)
+        lattice = stable_subspaces(act.field, act.alg.dim,
+                                   act.alg.ideal_operators + act.operator_matrices,
+                                   bound)
     except EnumerationBound:
         rep.status = ERROR
         rep.details["reason"] = "no certificate route available (enumeration bound)"
@@ -785,7 +731,9 @@ def reformulation_check(act: ModuleAlgebraAction, ideal: Ideal) -> Report:
     acted = [act.act_basis(i, list(r))
              for i in range(act.hopf.dim) for r in sqrt_i.space.rows]
     acted_span = Subspace.from_vectors(F, alg.dim, acted)
-    j = h_ideal_generated(act, [list(r) for r in ideal.space.rows])
+    # the smallest action-stable ideal containing I
+    j_space = closure(ideal.space, alg.ideal_operators + act.operator_matrices)
+    j = Ideal(alg, j_space, check=True, h_stable=True)
     # with a bijective antipode the plain acted span is already that ideal
     hi_span = Subspace.from_vectors(
         F, alg.dim, [act.act_basis(i, list(r))
@@ -813,17 +761,9 @@ def composite_core(lie_act, act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
     step = lie_core(lie_act, ideal)
     out = core(act, step)
     # joint fixed-point oracle: refine by all operators simultaneously
-    ops = list(lie_act.derivations) + list(act.operator_matrices)
-    space = ideal.space
-    while True:
-        proj = projection_matrix(space)
-        nxt = space
-        for op in ops:
-            nxt = subspace_intersect(nxt, kernel(proj.mat_mul(op)))
-        if nxt == space:
-            break
-        space = nxt
-    if space != out.space:
+    joint = largest_stable_inside(ideal.space,
+                                  lie_act.derivations + act.operator_matrices)
+    if joint != out.space:
         raise RuntimeError("composite core disagrees with the joint fixed point")
     return out
 
@@ -866,10 +806,8 @@ def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal):
         raise ValueError("stratum base must be an action-stable ideal")
     bar, q, proj, lift = induced_action(act, ideal.space)
     zsub = center_subspace(q)
-    for i in range(act.hopf.dim):
-        for row in zsub.rows:
-            if not zsub.contains(bar.act_basis(i, list(row))):
-                raise ValueError("induced action does not stabilize the center")
+    if not bar.subspace_stable(zsub):
+        raise ValueError("induced action does not stabilize the center")
     zalg, zembed = subalgebra_structure(q, zsub, name="center")
     # action restricted to the center, in center coordinates
     nz = zalg.dim
@@ -1014,9 +952,8 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
 
     proj = pieces["proj"]
     bar = pieces["bar"]
-    c_embed_space = Subspace.from_vectors(
-        act.field, conv.dim,
-        [[embed.data[r][c] for r in range(conv.dim)] for c in range(c_alg.dim)])
+    c_embed_space = Subspace.from_vectors(act.field, conv.dim,
+                                          embed.transpose().data)
 
     c_map = []
     hearts_ok = True
@@ -1048,14 +985,7 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
             notes.append("primality of the transported ideal undecidable "
                          "(radical refusal)")
             transfer_gap = True
-        inter = subspace_intersect(transported, c_embed_space)
-        pulled = []
-        for r in inter.rows:
-            sol = solve(embed, list(r))
-            if sol is None:
-                raise RuntimeError("intersection escaped the stratum algebra")
-            pulled.append(sol)
-        c_p = Subspace.from_vectors(act.field, c_alg.dim, pulled)
+        c_p = pull_back(embed, c_embed_space, transported)
         if not subspace_is_ideal(c_alg, c_p):
             rep.fail({"check": "image-not-ideal"})
         if not c_act.subspace_stable(c_p):

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import Field, Matrix, kernel, subspace_intersect, stable_subspaces
+from .linalg import Field, Matrix, is_stable, largest_stable_inside
 from .hopf import FiniteAlgebra
 from .report import Report, ERROR
-from .ideals import (Ideal, projection_matrix, is_prime, is_semiprime,
-                     is_completely_prime, UnsupportedComputation)
+from .ideals import (Ideal, is_prime, is_semiprime, is_completely_prime,
+                     UnsupportedComputation)
 
 
 class LieAction:
@@ -118,41 +118,15 @@ def verify_lie_action(act: LieAction) -> Report:
 
 
 def lie_core(act: LieAction, ideal: Ideal) -> Ideal:
-    """Largest derivation-stable ideal inside the given ideal.
-
-    Fixed-point refinement: intersect with the preimage of the current
-    stage under every derivation, simultaneously, until stable.  Dimensions
-    strictly decrease until the fixed point, so at most dim(A) rounds run.
-    """
+    """Largest derivation-stable ideal inside the given ideal, as the fixed
+    point of refining by the preimages under every derivation."""
     if ideal.alg is not act.alg:
         raise ValueError("ideal does not live on the derived algebra")
-    space = ideal.space
-    while True:
-        proj = projection_matrix(space)
-        nxt = space
-        for D in act.derivations:
-            nxt = subspace_intersect(nxt, kernel(proj.mat_mul(D)))
-        if nxt == space:
-            break
-        space = nxt
+    space = largest_stable_inside(ideal.space, act.derivations)
     out = Ideal(act.alg, space, check=True, name="derivation-core")
-    for D in act.derivations:
-        for row in out.space.rows:
-            if not out.space.contains(D.vec_mul(list(row))):
-                raise RuntimeError("refinement fixed point is not stable")
+    if not is_stable(out.space, act.derivations):
+        raise RuntimeError("refinement fixed point is not stable")
     return out
-
-
-def enumerate_stable_ideals(act: LieAction, bound=None):
-    """All derivation-stable two-sided ideals by exhaustion (prime fields)."""
-    alg = act.alg
-    ops = []
-    for i in range(alg.dim):
-        e = alg.basis_vector(i)
-        ops.append(alg.left_mult_matrix(e))
-        ops.append(alg.right_mult_matrix(e))
-    ops.extend(act.derivations)
-    return stable_subspaces(act.field, alg.dim, ops, bound)
 
 
 def lie_semiprime_transfer_check(act: LieAction, ideal: Ideal) -> Report:
@@ -235,30 +209,6 @@ def pbw_comul(n, trunc):
     return out
 
 
-class ScalarRing:
-    """Coefficient adapter: the base field itself."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.zero = field.zero
-        self.one = field.one
-
-    def add(self, a, b):
-        return self.field.add(a, b)
-
-    def mul(self, a, b):
-        return self.field.mul(a, b)
-
-    def neg(self, a):
-        return self.field.neg(a)
-
-    def is_zero(self, a):
-        return self.field.is_zero(a)
-
-    def render(self, a):
-        return self.field.render(a)
-
-
 class AlgebraRing:
     """Coefficient adapter: a finite-dimensional algebra (vectors as values)."""
 
@@ -291,7 +241,7 @@ class AlgebraRing:
 class TruncatedSeries:
     """Power series support truncated at a total degree.
 
-    Coefficients live in a ScalarRing or AlgebraRing; keys are exponent
+    Coefficients live in a Field or an AlgebraRing; keys are exponent
     tuples.  Zero coefficients are never stored.
     """
 
@@ -460,12 +410,11 @@ def phi_multiplicativity_report(field: Field, nvars, trunc, pairs) -> Report:
     """phi(f * g) = phi(f) phi(g) up to the truncation, for given pairs."""
     rep = Report("series-iso-multiplicative",
                  details={"nvars": nvars, "trunc": trunc, "pairs": len(pairs)})
-    ring = ScalarRing(field)
     for idx, (f, g) in enumerate(pairs):
-        conv = conv_mult_functionals(f, g, nvars, trunc, ring)
-        lhs = series_iso_phi(conv, nvars, trunc, ring)
-        rhs = series_iso_phi(f, nvars, trunc, ring) * \
-            series_iso_phi(g, nvars, trunc, ring)
+        conv = conv_mult_functionals(f, g, nvars, trunc, field)
+        lhs = series_iso_phi(conv, nvars, trunc, field)
+        rhs = series_iso_phi(f, nvars, trunc, field) * \
+            series_iso_phi(g, nvars, trunc, field)
         if lhs != rhs:
             rep.fail({"pair": idx})
     return rep
@@ -486,10 +435,9 @@ def charp_grouplike_demo(p: int) -> Report:
     rep = Report("charp-grouplike", details={"p": p})
     field = GF(p)
     trunc = p - 1
-    ring = ScalarRing(field)
     f = algebra_map_functional(field, 1, trunc, [1])
     eps = counit_functional(field, 1, trunc)
-    fp = convolution_power(f, p, 1, trunc, ring)
+    fp = convolution_power(f, p, 1, trunc, field)
     if fp != eps:
         rep.fail({"identity": "p-th-power-is-counit", "got": sorted(fp)})
     # (f - eps) as a functional
@@ -501,10 +449,10 @@ def charp_grouplike_demo(p: int) -> Report:
     if not diff:
         rep.details["difference"] = "zero"
         return rep
-    dp = convolution_power(diff, p, 1, trunc, ring)
+    dp = convolution_power(diff, p, 1, trunc, field)
     if dp:
         rep.fail({"identity": "difference-p-nilpotent", "support": sorted(dp)})
-    series = series_iso_phi(diff, 1, trunc, ring)
+    series = series_iso_phi(diff, 1, trunc, field)
     if series.power(p).coeffs:
         rep.fail({"identity": "series-power-vanishes"})
     rep.details["nilpotent-support"] = sorted(diff)

@@ -88,9 +88,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return (a % self.p == 0) if self.p is not None else a == 0
 
@@ -438,6 +435,68 @@ def solve(m: Matrix, b) -> list | None:
     return x
 
 
+def projection_matrix(sub: Subspace) -> Matrix:
+    """Linear map v -> coordinates of v modulo sub (non-pivot residuals)."""
+    F = sub.field
+    n = sub.ambient_dim
+    rows = [sub.residual_coords([F.one if t == j else F.zero for t in range(n)])
+            for j in range(n)]
+    # rows currently hold columns; transpose into (n - d) x n
+    d = n - sub.dim
+    return Matrix(F, d, n, [[rows[j][r] for j in range(n)] for r in range(d)])
+
+
+def is_stable(space: Subspace, ops) -> bool:
+    """Whether every operator matrix in ``ops`` maps ``space`` into itself."""
+    return all(space.contains(op.vec_mul(list(row)))
+               for op in ops for row in space.rows)
+
+
+def closure(space: Subspace, ops) -> Subspace:
+    """Smallest subspace containing ``space`` and mapped into itself by
+    every operator matrix in ``ops``."""
+    while True:
+        extra = []
+        for row in space.rows:
+            for op in ops:
+                w = op.vec_mul(list(row))
+                if not space.contains(w):
+                    extra.append(w)
+        if not extra:
+            return space
+        space = Subspace.from_vectors(space.field, space.ambient_dim,
+                                      list(space.rows) + extra)
+
+
+def largest_stable_inside(space: Subspace, ops) -> Subspace:
+    """Largest subspace of ``space`` mapped into itself by every operator.
+
+    Fixed-point refinement: intersect with the preimage of the current stage
+    under every operator until nothing changes.  Dimensions strictly
+    decrease until the fixed point, so at most dim(space) rounds run.
+    """
+    while True:
+        proj = projection_matrix(space)
+        nxt = space
+        for op in ops:
+            nxt = subspace_intersect(nxt, kernel(proj.mat_mul(op)))
+        if nxt == space:
+            return space
+        space = nxt
+
+
+def pull_back(embed: Matrix, image: Subspace, sub: Subspace) -> Subspace:
+    """Coordinates, through the injective ``embed``, of ``sub`` intersected
+    with ``image`` (the column span of ``embed``)."""
+    pulled = []
+    for r in subspace_intersect(sub, image).rows:
+        x = solve(embed, list(r))
+        if x is None:
+            raise RuntimeError("intersection escaped the image of the embedding")
+        pulled.append(x)
+    return Subspace.from_vectors(embed.field, embed.ncols, pulled)
+
+
 def gaussian_binomial(n, k, p):
     """Number of k-dimensional subspaces of F_p**n."""
     num = den = 1
@@ -566,17 +625,6 @@ def stable_subspaces(field: Field, n, operators, bound=None):
     if field.characteristic() == 2:
         return gf2_stable_subspaces(n, [gf2_column_masks(m) for m in operators],
                                     bound)
-    found = []
-    for sub in enumerate_subspaces(field, n, bound):
-        ok = True
-        for op in operators:
-            for row in sub.rows:
-                if not sub.contains(op.vec_mul(list(row))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(sub)
-    return found
+    return [sub for sub in enumerate_subspaces(field, n, bound)
+            if is_stable(sub, operators)]
 

@@ -13,20 +13,19 @@ import random
 import time
 from fractions import Fraction
 
-from .linalg import QQ, GF, Subspace, subspace_intersect
+from .linalg import QQ, GF, Subspace, subspace_intersect, stable_subspaces
 from .hopf import (group_algebra, dual_hopf, sweedler_hopf, tensor_hopf,
                    cyclic_group_table, symmetric_group_table, verify_hopf,
-                   is_cocommutative)
+                   is_cocommutative, is_group_basis)
 from .convolution import (ConvolutionAlgebra, identity_report, check_dotinv,
                           check_dotinv_lattice, stability_scan)
 from .ideals import (Ideal, core, core_via_psi, group_core_by_intersection,
                      spectrum, strata, semiprime_core_check,
                      reformulation_check, verify_strat_bijection,
                      UnsupportedComputation)
-from .lie import (lie_core, lie_semiprime_transfer_check, enumerate_stable_ideals,
-                  indices_up_to, pbw_comul, phi_multiplicativity_report,
-                  charp_grouplike_demo, TruncatedSeries, ScalarRing,
-                  AlgebraRing, lowest_coefficient, monomial_cmp)
+from .lie import (lie_core, lie_semiprime_transfer_check, indices_up_to,
+                  pbw_comul, phi_multiplicativity_report, charp_grouplike_demo,
+                  TruncatedSeries, AlgebraRing, lowest_coefficient, monomial_cmp)
 from .report import Report, PASS, FAIL, COUNTEREXAMPLE
 from .workspace import load_bundled
 
@@ -49,12 +48,6 @@ def _test_ideals(ws, alg):
         if ideal.alg is alg:
             out[name] = ideal
     return out
-
-
-def _is_group_basis(hopf):
-    F = hopf.field
-    return all(hopf.comul_sparse[j] == [(j, j, F.one)] and hopf.counit[j] == F.one
-               for j in range(hopf.dim))
 
 
 @_timed
@@ -173,7 +166,7 @@ def criterion_core_oracles(ws) -> Report:
             if c1.space != c2.space:
                 rep.fail({"fixture": name, "ideal": iname,
                           "direct": c1.dim, "via-twist": c2.dim})
-            if _is_group_basis(act.hopf):
+            if is_group_basis(act.hopf):
                 c3 = group_core_by_intersection(act, ideal)
                 if c1.space != c3.space:
                     rep.fail({"fixture": name, "ideal": iname,
@@ -254,7 +247,9 @@ def criterion_lie(ws) -> Report:
                     rep.fail({"fixture": name, "ideal": iname})
                     rep.witnesses.extend(sub.witnesses[:2])
         else:
-            lattice = enumerate_stable_ideals(lact, bound=4096)
+            lattice = stable_subspaces(lact.field, lact.alg.dim,
+                                       lact.alg.ideal_operators + lact.derivations,
+                                       bound=4096)
             rep.details[f"{name}-stable-ideals"] = len(lattice)
             for iname, ideal in sorted(ideals.items()):
                 c = lie_core(lact, ideal)
@@ -289,7 +284,6 @@ def criterion_pbw(ws) -> Report:
             if got != brute:
                 rep.fail({"check": "coproduct-splittings", "index": n})
     # multiplicativity: exhaustive delta-functional basis in degree <= 2
-    ring = ScalarRing(QQ)
     for nvars in (1, 2):
         deg2 = indices_up_to(nvars, 2)
         basis = [{idx: QQ.one} for idx in deg2]

@@ -39,7 +39,7 @@ def test_comodule_map_reconstruction(ws):
 
 def test_comodule_map_values(ws):
     act = ws.actions["swap"]
-    dm = comodule_map(act).matrix
+    dm = comodule_map(act)
     # invariant vector (1,1): coaction is (1,1) (x) eps
     col = dm.vec_mul([1, 1])
     assert col == [1, 1, 1, 1]  # (p,q) index: eps has both dual coords one
@@ -152,11 +152,6 @@ def test_group_coeff_check_rejects_singular(ws):
 def test_representation_verifier(ws):
     rep = Representation(ws.hopfs["qc2"], [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])
     assert rep.verify().status == "fail"   # that matrix has infinite order
-
-
-def test_locally_finite_predicate(ws):
-    from hopfact.action import action_is_locally_finite
-    assert all(action_is_locally_finite(a) for a in ws.actions.values())
 
 
 def test_verify_sub_hopf(ws):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfact.linalg import QQ, GF, Subspace
+from hopfact.linalg import QQ, GF, Subspace, closure, stable_subspaces
 from hopfact.hopf import (matrix_algebra, truncated_poly_algebra,
                           product_field_algebra, upper_triangular_algebra,
                           poly_quotient_algebra, group_algebra,
@@ -12,8 +12,7 @@ from hopfact.ideals import (Ideal, ideal_sum, ideal_intersect, ideal_product,
                             factor_irreducible, radical,
                             is_semiprime, is_prime, is_completely_prime, spectrum,
                             heart, core, core_via_psi, group_core_by_intersection,
-                            h_spectrum, strata, h_ideal_generated,
-                            enumerate_h_ideals_of_algebra, certify_h_prime,
+                            h_spectrum, strata, certify_h_prime,
                             semiprime_core_check, reformulation_check,
                             composite_core, UnsupportedComputation)
 
@@ -197,7 +196,9 @@ def test_core_idempotent_and_maximal(ws):
     assert core(act, c).space == c.space
     assert c.space.le(aug.space)
     # maximality against the enumerated action-stable ideal lattice
-    lattice = enumerate_h_ideals_of_algebra(act, bound=4096)
+    lattice = stable_subspaces(act.field, act.alg.dim,
+                               act.alg.ideal_operators + act.operator_matrices,
+                               bound=4096)
     for stable in lattice:
         if stable.le(aug.space):
             assert stable.le(c.space)
@@ -205,7 +206,8 @@ def test_core_idempotent_and_maximal(ws):
 
 def test_h_ideal_generated(ws):
     act = ws.actions["grading2"]
-    out = h_ideal_generated(act, [[1, 1]])
+    out = closure(Subspace.from_vectors(act.field, 2, [[1, 1]]),
+                  act.alg.ideal_operators + act.operator_matrices)
     # acting by the grading projections splits 1+g into components
     assert out.dim == 2
 

@@ -200,3 +200,33 @@ def test_group_table_fixture_form(tmp_path):
     assert ws2.hopfs["c4"].dim == 4
     from hopfact.hopf import is_cocommutative
     assert is_cocommutative(ws2.hopfs["c4"])
+
+
+def test_cli_bound_does_not_leak_into_environment(monkeypatch, capsys):
+    monkeypatch.delenv("HOPFACT_ENUM_BOUND", raising=False)
+    # 2**4 vectors exceed the bound of 7: a refusal, exit 2
+    assert main(["stability-scan", "--action", "swap2", "--bound", "7", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)[0]["status"] == "error"
+    assert "HOPFACT_ENUM_BOUND" not in os.environ
+    # the next call runs under the default bound again
+    assert main(["stability-scan", "--action", "swap2", "--json"]) == 0
+
+
+def test_cli_bound_reaches_strat_bijection(capsys):
+    # both stratum images are certified through the enumerated lattice,
+    # which a bound of one vector refuses
+    argv = ["strat-bijection", "--action", "swap2", "--ideal", "zero-f2xf2", "--json"]
+    assert main(argv) == 0
+    default = json.loads(capsys.readouterr().out)[0]["details"]
+    assert main(argv + ["--bound", "1"]) == 0
+    capped = json.loads(capsys.readouterr().out)[0]["details"]
+    assert (default["certified-h-prime"], capped["certified-h-prime"]) == (2, 0)
+
+
+@pytest.mark.parametrize("flags", [["--nvars", "0"], ["--nvars", "-1"],
+                                   ["--degree", "-1"]])
+def test_cli_series_phi_rejects_bad_sizes(flags, capsys):
+    assert main(["series-phi", "--json"] + flags) == 2
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "error"
+    assert flags[0] in report["reason"]
