@@ -12,11 +12,9 @@ _spec.loader.exec_module(goldens)
 
 def test_golden_reports(ws, monkeypatch):
     monkeypatch.delenv("HOPFACT_ENUM_BOUND", raising=False)
-    all_cases = goldens.cases(ws)
-    assert sorted(all_cases) == sorted(goldens.COMMANDS)
     mismatched = []
     with goldens.shared_workspace(ws):
-        for command, argvs in all_cases.items():
+        for command, argvs in goldens.cases(ws).items():
             with open(goldens.golden_path(command)) as fh:
                 want = fh.read()
             if goldens.render(argvs) != want:
