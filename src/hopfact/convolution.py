@@ -16,9 +16,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, kernel, is_stable, pull_back,
-                     stable_subspaces, subspace_count)
-from .hopf import FiniteAlgebra, ideal_closure, subspace_is_ideal
-from .action import ModuleAlgebraAction, hit_action, trivial_action
+                     enumerate_subspaces, stable_subspaces, subspace_count)
+from .hopf import (FiniteAlgebra, ideal_closure, is_cocommutative,
+                   subspace_is_ideal, verify_algebra)
+from .action import ModuleAlgebraAction, dual_product, hit_action, trivial_action
 from .report import Report
 
 DEFAULT_DIM_CAP = 64
@@ -321,7 +322,6 @@ def embedding_report(conv: ConvolutionAlgebra) -> Report:
                 rhs = conv.mul(emb(A.basis_vector(i)), emb(A.basis_vector(j))).coords
                 if lhs != rhs:
                     rep.fail({"map": tag, "pair": [i, j]})
-    from .action import dual_product
     nH = H.dim
     for i in range(nH):
         fi = [F.one if t == i else F.zero for t in range(nH)]
@@ -389,7 +389,6 @@ def identity_report(conv: ConvolutionAlgebra) -> Report:
     F = conv.field
     A, H = conv.alg, conv.hopf
     nA, nH, nB = A.dim, H.dim, conv.dim
-    from .hopf import verify_algebra
     base = verify_algebra(conv.algebra)
     if not base.ok:
         rep.fail({"identity": "convolution-associativity"})
@@ -472,7 +471,6 @@ def check_dotinv(conv: ConvolutionAlgebra) -> Report:
     nontrivial action; the verdict is recorded, not asserted, so suites can
     pair it with the fixture's cocommutativity flag.
     """
-    from .hopf import is_cocommutative
     rep = Report("twist-multiplicativity", details={"fixture": conv.action.name})
     F = conv.field
     nB = conv.dim
@@ -626,7 +624,6 @@ def stability_scan(conv: ConvolutionAlgebra, bound=None) -> Report:
     stable = stable_subspaces(F, conv.dim, ops, bound)
     rep.details["stable-count"] = len(stable)
     expected = {}
-    from .linalg import enumerate_subspaces
     for w in enumerate_subspaces(F, conv.alg.dim, bound):
         expected[conv.tensor_with_dual(w).rows] = w
     rep.details["expected-count"] = len(expected)

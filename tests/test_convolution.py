@@ -225,3 +225,35 @@ def test_stability_scan_degenerate_hopf(ws):
 def test_dim_cap(ws):
     with pytest.raises(ValueError):
         ConvolutionAlgebra(ws.actions["conj"], dim_cap=4)
+
+
+def test_f3_sweedler_lattice_at_full_bound(ws):
+    # 3**8 = 6561 vectors: the old subspace scan faced 127,902,864 subspaces.
+    # Sweedler's H is not cocommutative, so the transport of the middle ideal
+    # of A is no ideal of B and the bijection genuinely fails.
+    conv = conv_of(ws, "f3sweedler-act")
+    h_ideals = enumerate_h_ideals(conv, bound=6561)
+    assert [s.dim for s in h_ideals] == [0, conv.dim]
+    rep = check_dotinv_lattice(conv, bound=6561)
+    assert rep.status == "fail"
+    assert rep.details["ideals-of-A"] == 3
+    assert rep.details["h-ideals-of-B"] == 2
+    assert {"identity": "transport-is-ideal"} in rep.witnesses
+
+
+def test_lattice_bijection_c2_on_five_points():
+    # C2 by two 2-cycles on 5 points, over F_2^5: dim B = 10, and the ideals
+    # of k^X are the 2^5 coordinate subspaces; F_2^10 has 229,755,605
+    # subspaces, out of reach of a scan.
+    from hopfact.hopf import group_algebra, cyclic_group_table, product_field_algebra
+    from hopfact.action import ModuleAlgebraAction
+    from hopfact.linalg import GF
+    f2 = GF(2)
+    perms = [(0, 1, 2, 3, 4), (1, 0, 3, 2, 4)]
+    tensor = [[[1 if g[x] == y else 0 for y in range(5)] for x in range(5)]
+              for g in perms]
+    act = ModuleAlgebraAction(group_algebra(cyclic_group_table(2), f2),
+                              product_field_algebra(f2, 5), tensor, name="c2-on5")
+    rep = check_dotinv_lattice(ConvolutionAlgebra(act), bound=2 ** 10)
+    assert rep.status == "pass", rep.witnesses
+    assert rep.details["ideals-of-A"] == rep.details["h-ideals-of-B"] == 2 ** 5

@@ -7,7 +7,8 @@ from hopfact.linalg import (QQ, GF, Matrix, Subspace, rref, kernel,
                             solve, subspace_sum, subspace_intersect,
                             enumerate_subspaces, gaussian_binomial,
                             subspace_count, EnumerationBound, annihilator,
-                            gf2_stable_subspaces, gf2_column_masks)
+                            is_stable, stable_subspaces)
+from hopfact.convolution import ConvolutionAlgebra
 
 
 def test_field_descriptor():
@@ -128,14 +129,86 @@ def test_enumeration_bound():
         list(enumerate_subspaces(QQ, 2))
 
 
-def test_gf2_fast_path_agrees_with_generic():
-    # stability under one operator: bitmask route vs generic filtering
+def test_stable_subspaces_swap_matches_filter():
+    # stability under one operator: the lattice builder vs generic filtering
     f2 = GF(2)
     op = Matrix.from_rows(f2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    fast = gf2_stable_subspaces(3, [gf2_column_masks(op)])
+    fast = stable_subspaces(f2, 3, [op])
     slow = [s for s in enumerate_subspaces(f2, 3)
             if all(s.contains(op.vec_mul(list(r))) for r in s.rows)]
     assert sorted(s.rows for s in fast) == sorted(s.rows for s in slow)
+
+
+# -- stable_subspaces against the exhaustive scan --------------------------------
+#
+# Every (p, n) with p**n <= 256, except F_2^8: its 417,199 subspaces take the
+# scan 6-27 s per operator set.  When every subspace is stable (no operators,
+# a scalar) the builder pays |lattice| x |lines| joins, so those sets stop at
+# lattices of a few hundred subspaces.
+
+ORACLE_DIMS = [(p, n) for p, top in ((2, 7), (3, 5), (5, 3)) for n in range(1, top + 1)]
+ALL_STABLE_DIMS = [(p, n) for p, top in ((2, 5), (3, 4), (5, 3)) for n in range(1, top + 1)]
+
+
+def assert_matches_scan(field, n, ops):
+    got = stable_subspaces(field, n, ops, bound=field.p ** n)
+    want = [s for s in enumerate_subspaces(field, n, field.p ** n) if is_stable(s, ops)]
+    assert [(s.rows, s.pivots) for s in got] == [(s.rows, s.pivots) for s in want]
+    return got
+
+
+@pytest.mark.parametrize("p,n", ALL_STABLE_DIMS)
+def test_stable_subspaces_all_stable(p, n):
+    field = GF(p)
+    assert len(assert_matches_scan(field, n, [])) == subspace_count(p, n)
+    scalar = Matrix(field, n, n, [[p - 1 if i == j else 0 for j in range(n)]
+                                  for i in range(n)])
+    assert len(assert_matches_scan(field, n, [scalar])) == subspace_count(p, n)
+
+
+@pytest.mark.parametrize("p,n", ORACLE_DIMS)
+def test_stable_subspaces_jordan_block(p, n):
+    field = GF(p)
+    jordan = Matrix(field, n, n, [[1 if j == i + 1 else 0 for j in range(n)]
+                                  for i in range(n)])
+    # a nilpotent Jordan block has exactly the n + 1 flag subspaces
+    assert len(assert_matches_scan(field, n, [jordan])) == n + 1
+
+
+@pytest.mark.parametrize("p,n", ORACLE_DIMS)
+@pytest.mark.parametrize("seed", range(2))
+def test_stable_subspaces_random(p, n, seed):
+    field = GF(p)
+    rng = random.Random(f"lattice/{p}/{n}/{seed}")
+    ops = [Matrix(field, n, n, [[rng.randrange(p) if rng.random() < 0.4 else 0
+                                 for _ in range(n)] for _ in range(n)])
+           for _ in range(rng.randint(1, 2))]
+    assert_matches_scan(field, n, ops)
+
+
+def test_stable_subspaces_bundled_actions(ws):
+    checked = 0
+    for act in ws.actions.values():
+        p = act.field.characteristic()
+        if p == 0:
+            continue
+        conv = ConvolutionAlgebra(act)
+        A, B = act.alg, conv.algebra
+        for n, ops in ((A.dim, A.ideal_operators),
+                       (B.dim, B.ideal_operators + conv.dot_operators),
+                       (B.dim, conv.rh_operators)):
+            if (p, n) in ORACLE_DIMS:
+                assert_matches_scan(act.field, n, ops)
+                checked += 1
+    assert checked >= 8
+
+
+def test_stable_subspaces_bound():
+    with pytest.raises(EnumerationBound):
+        stable_subspaces(QQ, 2, [])
+    with pytest.raises(EnumerationBound):
+        stable_subspaces(GF(3), 3, [], bound=26)
+    assert len(stable_subspaces(GF(3), 3, [], bound=27)) == subspace_count(3, 3)
 
 
 def test_enumeration_order_deterministic():
