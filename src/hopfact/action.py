@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import Matrix, Subspace, closure, is_stable, kernel
+from .linalg import (Matrix, Subspace, apply_combination, closure, combine,
+                     is_stable, kernel)
 from .hopf import FiniteAlgebra, HopfAlgebra, dual_hopf, is_group_basis
 from .report import Report
 
@@ -56,16 +57,6 @@ class ModuleAlgebraAction:
     def act_basis(self, i, avec):
         return self.operator_matrices[i].vec_mul(avec)
 
-    def apply(self, hvec, avec):
-        F = self.field
-        out = [F.zero] * self.alg.dim
-        for i, c in enumerate(hvec):
-            if F.is_zero(c):
-                continue
-            img = self.act_basis(i, avec)
-            out = [F.add(out[k], F.mul(c, img[k])) for k in range(self.alg.dim)]
-        return out
-
     def subspace_stable(self, sub: Subspace) -> bool:
         return is_stable(sub, self.operator_matrices)
 
@@ -102,15 +93,7 @@ class Representation:
         self.name = name
 
     def of(self, hvec) -> Matrix:
-        F = self.hopf.field
-        out = Matrix.zeros(F, self.dim_v, self.dim_v)
-        for i, c in enumerate(hvec):
-            if F.is_zero(c):
-                continue
-            for a in range(self.dim_v):
-                for b in range(self.dim_v):
-                    out.data[a][b] = F.add(out.data[a][b], F.mul(c, self.rho[i].data[a][b]))
-        return out
+        return combine(hvec, self.rho)
 
     def verify(self) -> Report:
         rep = Report("representation-axioms", details={"name": self.name})
@@ -138,23 +121,14 @@ def verify_action(act: ModuleAlgebraAction) -> Report:
     # unit of H acts as identity
     for j in range(nA):
         ej = A.basis_vector(j)
-        if act.apply(H.alg.unit, ej) != ej:
+        if apply_combination(H.alg.unit, ops, ej) != ej:
             rep.fail({"axiom": "unit-acts-trivially", "basis": j})
 
     # associativity of the module structure on basis pairs
     for i in range(nH):
         for j in range(nH):
             prod = H.alg.basis_product(i, j)
-            comp = ops[i].mat_mul(ops[j])
-            direct = Matrix.zeros(F, nA, nA)
-            for l, c in enumerate(prod):
-                if F.is_zero(c):
-                    continue
-                for rr in range(nA):
-                    for cc in range(nA):
-                        direct.data[rr][cc] = F.add(direct.data[rr][cc],
-                                                    F.mul(c, ops[l].data[rr][cc]))
-            if comp != direct:
+            if ops[i].mat_mul(ops[j]) != combine(prod, ops):
                 rep.fail({"axiom": "module-associativity", "pair": [i, j]})
 
     # h . 1 = eps(h) 1
@@ -181,22 +155,18 @@ def verify_action(act: ModuleAlgebraAction) -> Report:
     return rep
 
 
+def invariants_of(ops, counit) -> Subspace:
+    """Joint eigenspace {v : op_i v = eps_i v}: the kernel of the stacked
+    op_i - eps_i I, one operator per Hopf basis element."""
+    F = ops[0].field
+    rows = [[F.sub(x, e) if r == c else x for c, x in enumerate(row)]
+            for op, e in zip(ops, counit) for r, row in enumerate(op.data)]
+    return kernel(Matrix.from_rows(F, rows, ops[0].ncols))
+
+
 def invariants(act: ModuleAlgebraAction) -> Subspace:
     """{a : h.a = eps(h) a for every Hopf basis element h}."""
-    F = act.field
-    nH, nA = act.hopf.dim, act.alg.dim
-    rows = []
-    for i in range(nH):
-        eps_i = act.hopf.counit[i]
-        for k in range(nA):
-            row = []
-            for j in range(nA):
-                c = act.tensor[i][j][k]
-                if j == k:
-                    c = F.sub(c, eps_i)
-                row.append(c)
-            rows.append(row)
-    return kernel(Matrix.from_rows(F, rows, nA))
+    return invariants_of(act.operator_matrices, act.hopf.counit)
 
 
 def comodule_map(act: ModuleAlgebraAction) -> Matrix:
@@ -273,35 +243,6 @@ def coefficient_comul_report(rep: Representation) -> Report:
     return out
 
 
-def dual_product(h: HopfAlgebra, f, g):
-    """Convolution product of two functionals in dual-basis coordinates."""
-    F = h.field
-    n = h.dim
-    out = [F.zero] * n
-    for l in range(n):
-        acc = F.zero
-        for (i, k, c) in h.comul_sparse[l]:
-            if not (F.is_zero(f[i]) or F.is_zero(g[k])):
-                acc = F.add(acc, F.mul(c, F.mul(f[i], g[k])))
-        out[l] = acc
-    return out
-
-
-def star_antipode(h: HopfAlgebra, f):
-    """f composed with the antipode, in dual-basis coordinates."""
-    F = h.field
-    n = h.dim
-    return [sum_scalars(F, (F.mul(f[k], h.antipode.data[k][j]) for k in range(n)))
-            for j in range(n)]
-
-
-def sum_scalars(F, it):
-    out = F.zero
-    for x in it:
-        out = F.add(out, x)
-    return out
-
-
 def coefficient_subalgebra(h: HopfAlgebra, coeffs) -> Subspace:
     """Smallest dual subspace containing the counit, the given functionals
     and their antipode images, closed under the convolution product.
@@ -309,19 +250,17 @@ def coefficient_subalgebra(h: HopfAlgebra, coeffs) -> Subspace:
     The counit is the unit of H*, so this is the span of all products of
     generators: the closure under left multiplication by each generator.
     """
+    dual = dual_hopf(h)
     gens = [list(h.counit)] + [list(c) for c in coeffs]
-    gens += [star_antipode(h, c) for c in coeffs]
-    dual = dual_hopf(h).alg
+    gens += [dual.s_apply(c) for c in coeffs]
     return closure(Subspace.from_vectors(h.field, h.dim, gens),
-                   [dual.left_mult_matrix(g) for g in gens])
+                   [dual.alg.left_mult_matrix(g) for g in gens])
 
 
 def verify_sub_hopf(h: HopfAlgebra, sub: Subspace) -> "Report":
     """Certify a subspace of the dual as a Hopf subalgebra: contains the
     counit, closed under the convolution product and the antipode image,
     and its coproduct lands in the tensor square of the subspace."""
-    from .report import Report
-    from .hopf import dual_hopf
     rep = Report("sub-hopf-certificate", details={"dim": sub.dim})
     F = h.field
     n = h.dim
@@ -331,14 +270,14 @@ def verify_sub_hopf(h: HopfAlgebra, sub: Subspace) -> "Report":
         return rep
     if not sub.contains(list(h.counit)):
         rep.fail({"axiom": "contains-counit"})
+    dual = dual_hopf(h)
     basis = sub.basis_vectors()
     for f in basis:
-        if not sub.contains(star_antipode(h, f)):
+        if not sub.contains(dual.s_apply(f)):
             rep.fail({"axiom": "antipode-stable"})
         for g in basis:
-            if not sub.contains(dual_product(h, f, g)):
+            if not sub.contains(dual.alg.multiply(f, g)):
                 rep.fail({"axiom": "product-closed"})
-    dual = dual_hopf(h)
     pair_span = Subspace.from_vectors(
         F, n * n, [[F.mul(a, b) for a in f for b in g]
                    for f in basis for g in basis])
@@ -411,6 +350,7 @@ def group_coeff_antipode_check(rep: Representation) -> Report:
         out.status = "error"
         out.details["reason"] = "hopf algebra basis is not grouplike"
         return out
+    dual = dual_hopf(h)
     coeffs = matrix_coefficients(rep)
     nv = rep.dim_v
     for g in range(n):
@@ -423,7 +363,7 @@ def group_coeff_antipode_check(rep: Representation) -> Report:
         dinv = F.inv(det)
         for i in range(nv):
             for j in range(nv):
-                srho = star_antipode(h, coeffs[i * nv + j])
+                srho = dual.s_apply(coeffs[i * nv + j])
                 lhs = srho[g]
                 rhs = F.mul(cofactor(mat, j, i), dinv)
                 if lhs != rhs:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .linalg import EnumerationBound
+from .linalg import GF, QQ, EnumerationBound
 from .report import Report, FAIL, ERROR
 from .workspace import Workspace, WorkspaceError, bundled_fixture_dir
 from .convolution import (ConvolutionAlgebra, check_dotinv, check_intertwining,
@@ -233,7 +233,6 @@ def cmd_suite(ws, args):
 
 
 def _field_for(prime):
-    from .linalg import QQ, GF
     return QQ if not prime else GF(prime)
 
 

@@ -1,9 +1,11 @@
 """The convolution algebra of an action, its embeddings and automorphisms.
 
 For a finite-dimensional Hopf algebra every linear map H -> A has finite
-rank, so the convolution algebra is A (x) H* in its entirety.  Elements are
-stored on the basis E_{p,q} = (h_p -> a_q), row-major index p * dim(A) + q,
-equivalently as the dim(A) x dim(H) matrix of values.
+rank, so the convolution algebra is H* (x) A in its entirety, and it is
+built as that tensor product of algebras, with the Hopf index major: the
+basis E_{p,q} = (h_p -> a_q) has row-major index p * dim(A) + q.  Elements
+are stored on it, equivalently as the dim(A) x dim(H) matrix of values, and
+the embedding a -> (h -> h.a) is the coaction A -> A (x) H*.
 
 The two H-module structures (right-translation and the twisted action that
 uses the given action on values) and the mutually inverse automorphisms
@@ -15,11 +17,15 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import (Matrix, Subspace, kernel, is_stable, pull_back,
-                     enumerate_subspaces, stable_subspaces, subspace_count)
-from .hopf import (FiniteAlgebra, ideal_closure, is_cocommutative,
-                   subspace_is_ideal, verify_algebra)
-from .action import ModuleAlgebraAction, dual_product, hit_action, trivial_action
+# ``kernel`` is unused here but stays bound: bench/tests/test_tracer.py checks
+# that the tracer patches this module's copy of it.
+from .linalg import (Matrix, Subspace, apply_combination, is_stable, kernel,
+                     pull_back, enumerate_subspaces, stable_subspaces,
+                     subspace_count)
+from .hopf import (FiniteAlgebra, dual_hopf, ideal_closure, is_cocommutative,
+                   subspace_is_ideal, tensor_algebra_prod, verify_algebra)
+from .action import (ModuleAlgebraAction, comodule_map, hit_action,
+                     invariants_of, trivial_action)
 from .report import Report
 
 DEFAULT_DIM_CAP = 64
@@ -77,38 +83,9 @@ class ConvolutionAlgebra:
 
     @cached_property
     def algebra(self) -> FiniteAlgebra:
-        """Structure constants of B on the E_{p,q} basis."""
-        F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        n = self.dim
-        comul = self.hopf.comul
-        mult = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
-        for p in range(nH):
-            for r in range(nH):
-                row = p * nH + r
-                lcol = [comul.data[row][l] for l in range(nH)]
-                nz = [(l, c) for l, c in enumerate(lcol) if not F.is_zero(c)]
-                if not nz:
-                    continue
-                for q in range(nA):
-                    for s in range(nA):
-                        sp = self.alg.mult_sparse[q][s]
-                        if not sp:
-                            continue
-                        target = mult[self.index(p, q)][self.index(r, s)]
-                        for l, c in nz:
-                            for m, d in sp:
-                                idx = self.index(l, m)
-                                target[idx] = F.add(target[idx], F.mul(c, d))
-        unit = [F.zero] * n
-        for p in range(nH):
-            e = self.hopf.counit[p]
-            if not F.is_zero(e):
-                for q, u in enumerate(self.alg.unit):
-                    if not F.is_zero(u):
-                        unit[self.index(p, q)] = F.mul(e, u)
+        """B = H* (x) A: structure constants on the E_{p,q} basis."""
         name = f"conv:{self.action.name}" if self.action.name else None
-        return FiniteAlgebra(F, n, mult, unit, name=name)
+        return tensor_algebra_prod(dual_hopf(self.hopf).alg, self.alg, name=name)
 
     # -- embeddings -----------------------------------------------------------
 
@@ -125,15 +102,8 @@ class ConvolutionAlgebra:
 
     @cached_property
     def del_matrix(self) -> Matrix:
-        """a -> (h -> h.a)."""
-        F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        m = Matrix.zeros(F, self.dim, nA)
-        for j in range(nA):
-            for p in range(nH):
-                for q in range(nA):
-                    m.data[self.index(p, q)][j] = self.action.tensor[p][j][q]
-        return m
+        """a -> (h -> h.a): the coaction."""
+        return comodule_map(self.action)
 
     @cached_property
     def ustar_matrix(self) -> Matrix:
@@ -243,32 +213,14 @@ class ConvolutionAlgebra:
         return self._dot_operators_of(self.action.tensor)
 
     def rh_act(self, hvec, b: ConvElement) -> ConvElement:
-        return ConvElement(self, self._apply_ops(self.rh_operators, hvec, b.coords))
+        return ConvElement(self, apply_combination(hvec, self.rh_operators, b.coords))
 
     def dot_act(self, hvec, b: ConvElement) -> ConvElement:
-        return ConvElement(self, self._apply_ops(self.dot_operators, hvec, b.coords))
-
-    def _apply_ops(self, ops, hvec, coords):
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, c in enumerate(hvec):
-            if F.is_zero(c):
-                continue
-            img = ops[i].vec_mul(coords)
-            out = [F.add(out[k], F.mul(c, img[k])) for k in range(self.dim)]
-        return out
+        return ConvElement(self, apply_combination(hvec, self.dot_operators, b.coords))
 
     def invariants_of(self, ops) -> Subspace:
         """Joint eigenspace: op_i b = eps(h_i) b for all basis operators."""
-        F = self.field
-        rows = []
-        for i, op in enumerate(ops):
-            e = self.hopf.counit[i]
-            for r in range(self.dim):
-                row = list(op.data[r])
-                row[r] = F.sub(row[r], e)
-                rows.append(row)
-        return kernel(Matrix.from_rows(F, rows, self.dim))
+        return invariants_of(ops, self.hopf.counit)
 
     @cached_property
     def iota_image(self) -> Subspace:
@@ -304,7 +256,6 @@ def embedding_report(conv: ConvolutionAlgebra) -> Report:
     """The three canonical maps into B are unital algebra embeddings, and
     the constant-value copy of A commutes with the dual copy of H*."""
     rep = Report("embeddings", details={"fixture": conv.action.name})
-    F = conv.field
     A, H = conv.alg, conv.hopf
     B = conv.algebra
     if conv.iota(A.unit).coords != B.unit:
@@ -323,19 +274,19 @@ def embedding_report(conv: ConvolutionAlgebra) -> Report:
                 if lhs != rhs:
                     rep.fail({"map": tag, "pair": [i, j]})
     nH = H.dim
+    dual = dual_hopf(H).alg
     for i in range(nH):
-        fi = [F.one if t == i else F.zero for t in range(nH)]
+        fi = dual.basis_vector(i)
         for j in range(nH):
-            fj = [F.one if t == j else F.zero for t in range(nH)]
-            lhs = conv.ustar(dual_product(H, fi, fj)).coords
-            rhs = conv.mul(conv.ustar(fi), conv.ustar(fj)).coords
+            lhs = conv.ustar(dual.basis_product(i, j)).coords
+            rhs = conv.mul(conv.ustar(fi), conv.ustar(dual.basis_vector(j))).coords
             if lhs != rhs:
                 rep.fail({"map": "ustar", "pair": [i, j]})
     # iota(A) commutes with ustar(H*)
     for i in range(A.dim):
         a = conv.iota(A.basis_vector(i))
         for j in range(nH):
-            f = conv.ustar([F.one if t == j else F.zero for t in range(nH)])
+            f = conv.ustar(dual.basis_vector(j))
             if conv.mul(a, f).coords != conv.mul(f, a).coords:
                 rep.fail({"identity": "iota-ustar-commute", "pair": [i, j]})
     return rep

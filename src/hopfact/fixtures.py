@@ -8,6 +8,7 @@ the files cannot drift from the builders.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -144,7 +145,6 @@ def build_corpus():
     representations["rot3f7"] = Representation(
         hopfs["f7c3"], [[[1, 0], [0, 1]], [[0, 6], [1, 6]], [[6, 1], [6, 0]]],
         name="rot3f7")
-    import itertools
     perms = sorted(itertools.permutations(range(3)))
     mats = []
     for perm in perms:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from math import comb
 
 from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, is_stable,
-                     enum_bound, EnumerationBound)
+                     _enumerable_prime)
 from .report import Report
 
 
@@ -552,13 +553,7 @@ def is_grouplike(h: HopfAlgebra, x) -> bool:
 def enumerate_grouplikes(h: HopfAlgebra, bound=None):
     """All grouplikes by exhaustion over F_p**n (prime fields, small dims)."""
     F = h.field
-    p = F.characteristic()
-    if p == 0:
-        raise EnumerationBound("grouplike enumeration needs a prime field; "
-                               "over Q use is_grouplike on candidates")
-    cap = enum_bound(bound)
-    if p ** h.dim > cap:
-        raise EnumerationBound(f"{p}**{h.dim} exceeds enumeration bound {cap}")
+    p = _enumerable_prime(F, h.dim, bound)
     out = []
     for coords in itertools.product(range(p), repeat=h.dim):
         x = [F.from_int(c) for c in coords]
@@ -741,7 +736,6 @@ def restricted_line_hopf(p, name=None) -> HopfAlgebra:
     F = GF(p)
     n = p
     alg = truncated_poly_algebra(F, n, name=name or f"line{p}")
-    from math import comb
     comul = Matrix.zeros(F, n * n, n)
     for k in range(n):
         for i in range(k + 1):

@@ -3,21 +3,28 @@
 Primes of a finite-dimensional algebra are computed as preimages of the
 "kill one simple block" maximal ideals after the radical quotient; blocks
 come from splitting the center of the semisimple quotient into primitive
-idempotents by minimal-polynomial factorization.  Center factors that are
-irreducible over the base field are kept as entries flagged inert (their
-heart is a proper field extension that is never constructed).
+idempotents.  sympy does all the polynomial arithmetic of the splitting: it
+factors the minimal polynomial m of a splitting element x, and for each
+factor f it gives s with s (m / f) = 1 mod f, so that the block idempotent
+is ((s m / f) rem m)(x).  Center factors that are irreducible over the base
+field are kept as entries flagged inert (their heart is a proper field
+extension that is never constructed).
 
-The radical is computed by one of three exact routes and refuses anything
+The radical is computed by one of two exact routes and refuses anything
 else: the trace-form kernel (characteristic zero, or p > dim), or the
-kernel of an iterated Frobenius power map (commutative over F_p).  A wrong
-radical in small characteristic would silently corrupt the characteristic-2
-counterexamples, so there is no fallback heuristic.
+kernel of the Frobenius map x -> x^p iterated until p^m > dim (commutative
+over F_p).  A wrong radical in small characteristic would silently corrupt
+the characteristic-2 counterexamples, so there is no fallback heuristic.
+
+The H-primes reached by the core map are the bases of the strata: the
+distinct cores of the primes, each with its fiber of the spectrum.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import sympy
 
@@ -171,109 +178,40 @@ def center_subspace(alg: FiniteAlgebra) -> Subspace:
     return kernel(Matrix.from_rows(F, rows, n))
 
 
-# -- exact polynomial helpers --------------------------------------------------
-
-def _poly_trim(F, c):
-    c = list(c)
-    while c and F.is_zero(c[-1]):
-        c.pop()
-    return c
-
-
-def _poly_mul(F, a, b):
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if F.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _poly_trim(F, out)
-
-
-def _poly_divmod(F, a, b):
-    a = _poly_trim(F, a)
-    b = _poly_trim(F, b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [F.zero] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = F.inv(b[-1])
-    while len(r) >= len(b) and r:
-        coef = F.mul(r[-1], inv_lead)
-        deg = len(r) - len(b)
-        q[deg] = coef
-        for i, x in enumerate(b):
-            r[deg + i] = F.sub(r[deg + i], F.mul(coef, x))
-        r = _poly_trim(F, r)
-    return q, r
-
-
-def _poly_monic(F, a):
-    a = _poly_trim(F, a)
-    if not a:
-        return a
-    inv = F.inv(a[-1])
-    return [F.mul(inv, x) for x in a]
-
-
-def _poly_xgcd(F, a, b):
-    """(g, s, t) monic with s a + t b = g."""
-    r0, r1 = _poly_trim(F, a), _poly_trim(F, b)
-    s0, s1 = [F.one], []
-    t0, t1 = [], [F.one]
-    while r1:
-        q, r = _poly_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(F, s0, _poly_mul(F, q, s1))
-        t0, t1 = t1, _poly_sub(F, t0, _poly_mul(F, q, t1))
-    if not r0:
-        return [], s0, t0
-    inv = F.inv(r0[-1])
-    scale = lambda p: [F.mul(inv, x) for x in p]
-    return scale(r0), scale(s0), scale(t0)
-
-
-def _poly_sub(F, a, b):
-    out = [F.zero] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = F.sub(out[i], y)
-    return _poly_trim(F, out)
-
+# -- polynomials through sympy ---------------------------------------------------
 
 _T = sympy.Symbol("t")
+
+
+def _to_poly(F, coeffs):
+    """sympy polynomial in t over F from ascending coefficients."""
+    if F.p is None:
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(coeffs)], _T, domain="QQ")
+    return sympy.Poly([int(c) for c in reversed(coeffs)], _T, modulus=F.p)
+
+
+def _from_poly(F, poly):
+    """Ascending coefficients over F of a sympy polynomial."""
+    cs = reversed(poly.all_coeffs())
+    if F.p is None:
+        return [sympy_rat_to_fraction(c) for c in cs]
+    return [int(c) % F.p for c in cs]
 
 
 def factor_irreducible(field: Field, coeffs):
     """Monic irreducible factors with multiplicities, exactly, via sympy."""
     F = field
-    coeffs = _poly_trim(F, coeffs)
-    if len(coeffs) <= 1:
+    poly = _to_poly(F, coeffs)
+    if poly.degree() < 1:
         raise ValueError("factoring a constant polynomial")
-    if F.p is None:
-        expr = sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * _T ** i
-                           for i, c in enumerate(coeffs)])
-        poly = sympy.Poly(expr, _T, domain="QQ")
-    else:
-        poly = sympy.Poly(list(reversed([int(c) for c in coeffs])), _T,
-                          modulus=F.p)
-    out = []
-    for fac, mult in poly.factor_list()[1]:
-        cs = list(reversed(fac.all_coeffs()))
-        if F.p is None:
-            mine = [sympy_rat_to_fraction(c) for c in cs]
-        else:
-            mine = [int(c) % F.p for c in cs]
-        out.append((_poly_monic(F, mine), int(mult)))
+    out = [(_from_poly(F, fac.monic()), int(mult))
+           for fac, mult in poly.factor_list()[1]]
     out.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
     return out
 
 
 def sympy_rat_to_fraction(c):
-    from fractions import Fraction
     r = sympy.Rational(c)
     return Fraction(int(r.p), int(r.q))
 
@@ -297,8 +235,7 @@ def minimal_polynomial(alg: FiniteAlgebra, x, unit=None):
         coeffs = solve(mat, nxt)
         if coeffs is not None:
             # x^k = sum coeffs_i x^i  ->  minpoly = t^k - sum coeffs_i t^i
-            mp = [F.neg(c) for c in coeffs] + [F.one]
-            return _poly_trim(F, mp)
+            return [F.neg(c) for c in coeffs] + [F.one]
         powers.append(nxt)
         if len(powers) > n + 1:
             raise RuntimeError("minimal polynomial search exceeded dimension")
@@ -341,35 +278,18 @@ def _trace_form_kernel(alg: FiniteAlgebra) -> Subspace:
 
 
 def _frobenius_kernel(alg: FiniteAlgebra) -> Subspace:
-    """Nilpotents of a commutative algebra over F_p: kernel of x -> x^(p^m)."""
+    """Nilpotents of a commutative algebra over F_p: kernel of x -> x^(p^m)
+    with p^m > dim, the m-th power of the (linear) Frobenius map."""
     F = alg.field
     p = F.p
     n = alg.dim
     m = 1
     while p ** m <= n:
         m += 1
-    frob = Matrix.zeros(F, n, n)
-    for j in range(n):
-        img = alg.power(alg.basis_vector(j), p)
-        for i in range(n):
-            frob.data[i][j] = img[i]
-    total = frob
-    for _ in range(m - 1):
-        total = frob_compose(alg, total, p)
-    return kernel(total)
-
-
-def frob_compose(alg, mat, p):
-    """One more Frobenius application: column j -> (mat e_j)^p."""
-    F = alg.field
-    n = alg.dim
-    out = Matrix.zeros(F, n, n)
-    for j in range(n):
-        col = [mat.data[i][j] for i in range(n)]
-        img = alg.power(col, p)
-        for i in range(n):
-            out.data[i][j] = img[i]
-    return out
+    cols = [alg.basis_vector(j) for j in range(n)]
+    for _ in range(m):
+        cols = [alg.power(c, p) for c in cols]
+    return kernel(Matrix.from_rows(F, zip(*cols), n))
 
 
 def radical_subspace(alg: FiniteAlgebra) -> Subspace:
@@ -418,24 +338,18 @@ def _splitter_candidates(Z: FiniteAlgebra, corner_basis):
     p = F.characteristic()
     d = len(corner_basis)
     if p and p ** d <= 65536:
-        for coords in itertools.product(range(p), repeat=d):
-            v = [F.zero] * Z.dim
-            for c, vec in zip(coords, corner_basis):
-                if c:
-                    v = [F.add(v[k], F.mul(F.from_int(c), vec[k]))
-                         for k in range(Z.dim)]
-            yield v
+        grid = itertools.product(range(p), repeat=d)
     else:
-        for radius in (2, 3, 5):
-            for coords in itertools.product(range(-radius, radius + 1), repeat=d):
-                if all(c == 0 for c in coords):
-                    continue
-                v = [F.zero] * Z.dim
-                for c, vec in zip(coords, corner_basis):
-                    if c:
-                        v = [F.add(v[k], F.mul(F.from_int(c), vec[k]))
-                             for k in range(Z.dim)]
-                yield v
+        grid = (coords for radius in (2, 3, 5)
+                for coords in itertools.product(range(-radius, radius + 1), repeat=d)
+                if any(coords))
+    for coords in grid:
+        v = [F.zero] * Z.dim
+        for c, vec in zip(coords, corner_basis):
+            if c:
+                v = [F.add(v[k], F.mul(F.from_int(c), vec[k]))
+                     for k in range(Z.dim)]
+        yield v
 
 
 def _corner_basis(Z: FiniteAlgebra, u):
@@ -465,16 +379,16 @@ def _try_split(Z: FiniteAlgebra, u):
             if len(mp) - 1 == d:
                 return None        # irreducible of full degree: a field
             continue
-        modulus = mp
+        modulus = _to_poly(F, mp)
         pieces = []
         for fac, _ in factors:
-            n_i, _ = _poly_divmod(F, modulus, fac)
-            g, s, t = _poly_xgcd(F, n_i, fac)
-            if len(g) != 1:
+            f = _to_poly(F, fac)
+            n_i = modulus.quo(f)
+            s, _, g = n_i.gcdex(f)
+            if g.degree() != 0:
                 raise RuntimeError("factors of a squarefree polynomial not coprime")
             # s * n_i = 1 mod fac; the idempotent is (s n_i)(x)
-            e_poly = _poly_mul(F, s, n_i)
-            _, e_red = _poly_divmod(F, e_poly, modulus)
+            e_red = _from_poly(F, (s * n_i).rem(modulus))
             pieces.append(poly_eval_in_algebra(Z, e_red, x, unit=u))
         return pieces
     raise UnsupportedComputation(
@@ -535,16 +449,19 @@ def spectrum(alg: FiniteAlgebra):
     return entries
 
 
+def _simple_center(alg: FiniteAlgebra, ideal: Ideal):
+    """The center of A/I when A/I is simple (nonzero, semisimple, one
+    block), else None."""
+    q, _, _ = quotient_algebra(alg, ideal.space)
+    if q.dim == 0 or radical_subspace(q).dim != 0:
+        return None
+    Z, _ = subalgebra_structure(q, center_subspace(q))
+    return Z if len(split_primitive_idempotents(Z)) == 1 else None
+
+
 def is_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
     """Finite-dimensional prime = simple quotient: semiprime with one block."""
-    q, _, _ = quotient_algebra(alg, ideal.space)
-    if q.dim == 0:
-        return False
-    if radical_subspace(q).dim != 0:
-        return False
-    zsub = center_subspace(q)
-    Z, _ = subalgebra_structure(q, zsub)
-    return len(split_primitive_idempotents(Z)) == 1
+    return _simple_center(alg, ideal) is not None
 
 
 def is_completely_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
@@ -558,12 +475,8 @@ def is_completely_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
 
 def heart(alg: FiniteAlgebra, prime: Ideal):
     """Center of the simple quotient: a field, reported by its dimension."""
-    q, _, _ = quotient_algebra(alg, prime.space)
-    if q.dim == 0 or radical_subspace(q).dim != 0:
-        raise ValueError("heart of a non-prime ideal")
-    zsub = center_subspace(q)
-    Z, _ = subalgebra_structure(q, zsub)
-    if len(split_primitive_idempotents(Z)) != 1:
+    Z = _simple_center(alg, prime)
+    if Z is None:
         raise ValueError("heart of a non-prime ideal")
     return {"field": alg.field.to_json(), "dim": Z.dim}
 
@@ -660,12 +573,7 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
 
 def h_spectrum(act: ModuleAlgebraAction):
     """Distinct cores of the primes: the reachable H-prime ideals."""
-    entries = spectrum(act.alg)
-    seen = {}
-    for e in entries:
-        c = core(act, e.prime)
-        seen.setdefault(c.space.rows, c)
-    return [seen[k] for k in sorted(seen, key=lambda rows: [[str(c) for c in r] for r in rows])]
+    return [c for c, _ in strata(act)]
 
 
 def strata(act: ModuleAlgebraAction):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import Field, Matrix, is_stable, largest_stable_inside
+from .linalg import GF, Field, Matrix, combine, is_stable, largest_stable_inside
 from .hopf import FiniteAlgebra
 from .report import Report, ERROR
 from .ideals import (Ideal, is_prime, is_semiprime, is_completely_prime,
@@ -85,16 +85,7 @@ def verify_lie_action(act: LieAction) -> Report:
             ba = act.derivations[b].mat_mul(act.derivations[a])
             comm = Matrix(F, n, n, [[F.sub(comm.data[r][c], ba.data[r][c])
                                      for c in range(n)] for r in range(n)])
-            target = Matrix.zeros(F, n, n)
-            for c_idx, coef in enumerate(act.brackets[a][b]):
-                if F.is_zero(coef):
-                    continue
-                D = act.derivations[c_idx]
-                for r in range(n):
-                    for c in range(n):
-                        target.data[r][c] = F.add(target.data[r][c],
-                                                  F.mul(coef, D.data[r][c]))
-            if comm != target:
+            if comm != combine(act.brackets[a][b], act.derivations):
                 rep.fail({"axiom": "bracket-compatibility", "pair": [a, b]})
             anti = [F.add(act.brackets[a][b][c], act.brackets[b][a][c])
                     for c in range(m)]
@@ -431,7 +422,6 @@ def charp_grouplike_demo(p: int) -> Report:
     """In characteristic p the canonical multiplicative functional has
     p-th convolution power equal to the counit, so its difference from the
     counit is nilpotent: a nonzero nilpotent in the dual."""
-    from .linalg import GF
     rep = Report("charp-grouplike", details={"p": p})
     field = GF(p)
     trunc = p - 1

@@ -174,9 +174,6 @@ class Matrix:
             m.data[i][i] = field.one
         return m
 
-    def copy(self):
-        return Matrix(self.field, self.nrows, self.ncols, self.data)
-
     def transpose(self):
         return Matrix(self.field, self.ncols, self.nrows,
                       [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
@@ -215,12 +212,6 @@ class Matrix:
                     out[i] = F.add(out[i], F.mul(a, b))
         return out
 
-    def vstack(self, other):
-        if self.ncols != other.ncols or self.field != other.field:
-            raise ValueError("vstack shape/field mismatch")
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols,
-                      self.data + other.data)
-
     def to_lists(self):
         return [list(r) for r in self.data]
 
@@ -235,6 +226,33 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.data!r})"
+
+
+def combine(coeffs, mats) -> Matrix:
+    """The matrix sum_i coeffs[i] mats[i]."""
+    F = mats[0].field
+    rows = [[F.zero] * mats[0].ncols for _ in range(mats[0].nrows)]
+    for c, m in zip(coeffs, mats):
+        if F.is_zero(c):
+            continue
+        for row, mrow in zip(rows, m.data):
+            for j, x in enumerate(mrow):
+                row[j] = F.add(row[j], F.mul(c, x))
+    return Matrix(F, mats[0].nrows, mats[0].ncols, rows)
+
+
+def apply_combination(coeffs, mats, v):
+    """(sum_i coeffs[i] mats[i]) v, one operator image at a time: the
+    summed matrix is never formed."""
+    F = mats[0].field
+    out = [F.zero] * mats[0].nrows
+    for c, m in zip(coeffs, mats):
+        if F.is_zero(c):
+            continue
+        for k, y in enumerate(m.vec_mul(v)):
+            if not F.is_zero(y):
+                out[k] = F.add(out[k], F.mul(c, y))
+    return out
 
 
 def _rref_data(field, data, ncols):
@@ -400,10 +418,6 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     return kernel(Matrix.from_rows(u.field, rows, u.ambient_dim))
 
 
-def contains(u: Subspace, w) -> bool:
-    return u.contains(w)
-
-
 def kernel(m: Matrix) -> Subspace:
     """{v : m v = 0} as a canonical subspace; dim = ncols - rank."""
     F = m.field
@@ -515,7 +529,7 @@ def _enumerable_prime(field, n, bound):
     """The characteristic p, after refusing Q and p**n above the cap."""
     p = field.characteristic()
     if p == 0:
-        raise EnumerationBound("subspace enumeration requires a prime field")
+        raise EnumerationBound("enumeration requires a prime field")
     cap = enum_bound(bound)
     if p ** n > cap:
         raise EnumerationBound(f"{p}**{n} exceeds enumeration bound {cap}")

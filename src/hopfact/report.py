@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 PASS = "pass"
 FAIL = "fail"
@@ -62,7 +63,6 @@ class Report:
 
 def _plain(obj):
     """Coerce report payloads into JSON-serializable primitives."""
-    from fractions import Fraction
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from hopfact.linalg import QQ, GF, Subspace, closure, stable_subspaces
+from hopfact.linalg import QQ, GF, Matrix, Subspace, closure, kernel, stable_subspaces
 from hopfact.hopf import (matrix_algebra, truncated_poly_algebra,
                           product_field_algebra, upper_triangular_algebra,
                           poly_quotient_algebra, group_algebra,
                           cyclic_group_table)
 from hopfact.ideals import (Ideal, ideal_sum, ideal_intersect, ideal_product,
                             quotient_algebra, center_subspace, minimal_polynomial,
-                            factor_irreducible, radical,
+                            factor_irreducible, radical, split_primitive_idempotents,
                             is_semiprime, is_prime, is_completely_prime, spectrum,
                             heart, core, core_via_psi, group_core_by_intersection,
                             h_spectrum, strata, certify_h_prime,
@@ -68,6 +70,9 @@ def test_minimal_polynomial_and_factoring():
     assert minimal_polynomial(x3, [0, 1, 0]) == [0, 0, 0, 1]
     fs = factor_irreducible(GF(2), [1, 0, 1])   # t^2 + 1 = (t+1)^2 mod 2
     assert fs == [([1, 1], 2)]
+    # t^2 - 1/4: sympy returns 2t - 1 and 2t + 1, the factors are monic
+    assert factor_irreducible(QQ, [Fraction(-1, 4), 0, 1]) == [
+        ([Fraction(-1, 2), Fraction(1)], 1), ([Fraction(1, 2), Fraction(1)], 1)]
 
 
 def test_radical_examples(ws):
@@ -299,3 +304,67 @@ def test_composite_core(ws):
     tr = trivial_action(ws.hopfs["qc2"], qx3)
     xbar = ws.ideals["xbar"]
     assert composite_core(triv_lie, tr, xbar).space == xbar.space
+
+
+# -- the block splitter on k[t]/(m), m squarefree ------------------------------------
+
+def squarefree_monic(p, max_degree, low, high):
+    """Monic m (ascending coefficients) of degree 1..max_degree, squarefree
+    over F_p (p > 0) or over Q (p == 0)."""
+    @st.composite
+    def build(draw):
+        d = draw(st.integers(1, max_degree))
+        m = draw(st.lists(st.integers(low, high), min_size=d, max_size=d)) + [1]
+        kw = {"modulus": p} if p else {"domain": "QQ"}
+        poly = sympy.Poly(list(reversed(m)), sympy.Symbol("t"), **kw)
+        # Poly.is_sqf answers True for t**2 over F_2; the multiplicities of
+        # the square-free decomposition do not
+        assume(all(k == 1 for _, k in poly.sqf_list()[1]))
+        return m
+    return build()
+
+
+def assert_complete_orthogonal_idempotents(alg, idems):
+    F = alg.field
+    for i, e in enumerate(idems):
+        assert alg.multiply(e, e) == e
+        for f in idems[i + 1:]:
+            assert alg.multiply(e, f) == [F.zero] * alg.dim
+            assert alg.multiply(f, e) == [F.zero] * alg.dim
+    total = [F.zero] * alg.dim
+    for e in idems:
+        total = [F.add(x, y) for x, y in zip(total, e)]
+    assert total == alg.unit
+
+
+def berlekamp_count(alg):
+    """Irreducible factors of a squarefree m over F_p: the nullity of
+    Frobenius - I on F_p[t]/(m) (Berlekamp 1967)."""
+    F, n = alg.field, alg.dim
+    cols = [alg.power(alg.basis_vector(j), F.p) for j in range(n)]
+    rows = [[F.sub(cols[j][i], F.one if i == j else F.zero) for j in range(n)]
+            for i in range(n)]
+    return kernel(Matrix.from_rows(F, rows, n)).dim
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=40)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_splitter_counts_factors_over_fp(p):
+    @PROPERTY
+    @given(squarefree_monic(p, 6, 0, p - 1))
+    def check(m):
+        alg = poly_quotient_algebra(GF(p), m)
+        idems = split_primitive_idempotents(alg)
+        assert_complete_orthogonal_idempotents(alg, idems)
+        assert len(idems) == berlekamp_count(alg)
+    check()
+
+
+@PROPERTY
+@given(squarefree_monic(0, 4, -3, 3))
+def test_splitter_over_q(m):
+    alg = poly_quotient_algebra(QQ, m)
+    assert_complete_orthogonal_idempotents(alg, split_primitive_idempotents(alg))
