@@ -2,7 +2,10 @@
 
 Each golden file ``<command>.json`` holds, for one CLI command, the exit
 code and the ``--json`` reports of ``hopfact.cli.main`` on every bundled
-fixture combination the command takes (``timing_ms`` removed).
+fixture combination the command takes (``timing_ms`` removed); the
+commands without fixtures run on fixed argument sets (``series-phi`` over
+``--nvars`` 1-2 and ``--prime`` 0/2/3, ``charp-demo`` for 2/3/5, ``suite``
+for ``all`` and one unknown name).
 ``tests/test_golden.py`` recomputes every case and compares the files byte
 for byte.  The script takes no options and rewrites every golden file;
 running it is a deliberate act (see the README).
@@ -27,7 +30,8 @@ ACTION_IDEAL_COMMANDS = ["core", "core-psi", "transport", "strat-bijection",
                          "stratum-algebra", "reformulation", "semiprime-core"]
 LIE_IDEAL_COMMANDS = ["lie-core", "lie-transfer"]
 COMMANDS = (ACTION_COMMANDS + ACTION_IDEAL_COMMANDS + LIE_IDEAL_COMMANDS
-            + ["composite-core"])
+            + ["composite-core", "verify", "radical", "spectrum", "strata",
+               "series-phi", "charp-demo", "suite"])
 
 
 def cases(ws):
@@ -36,7 +40,20 @@ def cases(ws):
     actions = sorted(ws.actions.items())
     lies = sorted(ws.lie_actions.items())
     out = {c: [] for c in COMMANDS}
+    out["verify"].append(["verify"])
+    for alg_name in sorted(ws.algebras):
+        for c in ("radical", "spectrum"):
+            out[c].append([c, "--algebra", alg_name])
+    for nvars in (1, 2):
+        for prime in (0, 2, 3):
+            out["series-phi"].append(["series-phi", "--nvars", str(nvars),
+                                      "--prime", str(prime)])
+    for prime in (2, 3, 5):
+        out["charp-demo"].append(["charp-demo", "--prime", str(prime)])
+    # The other suite names are fixed subsets of the criteria run by "all".
+    out["suite"] += [["suite", "all"], ["suite", "no-such-suite"]]
     for aname, act in actions:
+        out["strata"].append(["strata", "--action", aname])
         for c in ACTION_COMMANDS:
             out[c].append([c, "--action", aname])
         for iname, ideal in ideals:
