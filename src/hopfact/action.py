@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, apply_combination, closure, combine,
-                     is_stable, kernel)
+                     is_stable, kernel, parse_dense)
 from .hopf import FiniteAlgebra, HopfAlgebra, dual_hopf, is_group_basis
 from .report import Report
 
@@ -28,12 +28,7 @@ class ModuleAlgebraAction:
             raise ValueError("action: field mismatch between Hopf algebra and algebra")
         self.hopf = hopf
         self.alg = alg
-        self.tensor = [[[F.parse(c) for c in row] for row in plane] for plane in tensor]
-        if len(self.tensor) != hopf.dim:
-            raise ValueError("action tensor must have one plane per Hopf basis element")
-        for plane in self.tensor:
-            if len(plane) != alg.dim or any(len(r) != alg.dim for r in plane):
-                raise ValueError("action tensor shape mismatch")
+        self.tensor = parse_dense(F, tensor, (hopf.dim, alg.dim, alg.dim), "tensor")
         self.name = name
 
     @property
@@ -43,16 +38,8 @@ class ModuleAlgebraAction:
     @cached_property
     def operator_matrices(self):
         """Matrix of each Hopf basis element acting on A coordinates."""
-        F = self.field
         nA = self.alg.dim
-        out = []
-        for plane in self.tensor:
-            m = Matrix.zeros(F, nA, nA)
-            for j in range(nA):
-                for k in range(nA):
-                    m.data[k][j] = plane[j][k]
-            out.append(m)
-        return out
+        return [Matrix(self.field, nA, nA, plane).transpose() for plane in self.tensor]
 
     def act_basis(self, i, avec):
         return self.operator_matrices[i].vec_mul(avec)
@@ -172,33 +159,13 @@ def invariants(act: ModuleAlgebraAction) -> Subspace:
 def comodule_map(act: ModuleAlgebraAction) -> Matrix:
     """The coaction A -> A (x) H* determined by evaluation against the action.
 
-    Target coordinates are (p, q) -> p * dim(A) + q; the defining identity
-    h.a = a_0 <a_1, h> then holds on all basis pairs by construction and is
-    re-checked by the caller-facing reconstruction test.
+    Target coordinates are (p, q) -> p * dim(A) + q, so the matrix is a
+    re-index of the tensor and h.a = a_0 <a_1, h> holds by construction.
     """
-    F = act.field
     nH, nA = act.hopf.dim, act.alg.dim
-    m = Matrix.zeros(F, nH * nA, nA)
-    for j in range(nA):
-        for p in range(nH):
-            for q in range(nA):
-                m.data[p * nA + q][j] = act.tensor[p][j][q]
-    return m
-
-
-def reconstruction_report(act: ModuleAlgebraAction) -> Report:
-    """Recompute h.a from the comodule map and compare with the tensor."""
-    rep = Report("comodule-reconstruction", details={"name": act.name})
-    F = act.field
-    nH, nA = act.hopf.dim, act.alg.dim
-    dmat = comodule_map(act)
-    for i in range(nH):
-        for j in range(nA):
-            recon = [dmat.data[i * nA + q][j] for q in range(nA)]
-            direct = [act.tensor[i][j][q] for q in range(nA)]
-            if recon != direct:
-                rep.fail({"pair": [i, j]})
-    return rep
+    rows = [[plane[j][q] for j in range(nA)] for plane in act.tensor
+            for q in range(nA)]
+    return Matrix(act.field, nH * nA, nA, rows)
 
 
 def matrix_coefficients(rep: Representation):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 for pass (including counterexamples the theory predicts in
 positive characteristic), 1 for a genuine contradiction of a theorem-level
-check, 2 for usage, parse or verifier errors.  Reports render as text by
-default and as deterministic JSON with --json (the timing field varies and
-is excluded from byte comparisons).
+check, 2 for usage, parse or verifier errors, 3 for an internal error (any
+other exception, reported as ``internal-error``).  Reports render as text
+by default and as deterministic JSON with --json (the timing field varies
+and is excluded from byte comparisons).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .linalg import GF, QQ, EnumerationBound
 from .report import Report, FAIL, ERROR
@@ -296,6 +298,16 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:    # not one of the mapped errors: a fault here
+        traceback.print_exc()
+        _emit(args.json, [{"check": args.command, "status": "internal-error",
+                           "reason": f"{type(exc).__name__}: {exc}"}])
+        return 3
+
+
+def _run(args):
     try:
         fixture_dirs = [args.fixtures] if args.fixtures else [bundled_fixture_dir()]
         ws = Workspace.load(fixture_dirs)

@@ -20,8 +20,8 @@ from functools import cached_property
 # ``kernel`` is unused here but stays bound: bench/tests/test_tracer.py checks
 # that the tracer patches this module's copy of it.
 from .linalg import (Matrix, Subspace, apply_combination, is_stable, kernel,
-                     pull_back, enumerate_subspaces, stable_subspaces,
-                     subspace_count)
+                     nonzero_terms, pull_back, enumerate_subspaces,
+                     stable_subspaces, subspace_count)
 from .hopf import (FiniteAlgebra, dual_hopf, ideal_closure, is_cocommutative,
                    subspace_is_ideal, tensor_algebra_prod, verify_algebra)
 from .action import (ModuleAlgebraAction, comodule_map, hit_action,
@@ -33,8 +33,7 @@ DEFAULT_DIM_CAP = 64
 
 def _nonzero_terms(F, tensor):
     """terms[i][j] = [(k, c)] with c = tensor[i][j][k] nonzero."""
-    return [[[(k, c) for k, c in enumerate(row) if not F.is_zero(c)]
-             for row in plane] for plane in tensor]
+    return [[nonzero_terms(F, row) for row in plane] for plane in tensor]
 
 
 class ConvElement:
@@ -93,12 +92,10 @@ class ConvolutionAlgebra:
     def iota_matrix(self) -> Matrix:
         """a -> a (x) eps."""
         F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        m = Matrix.zeros(F, self.dim, nA)
-        for j in range(nA):
-            for p in range(nH):
-                m.data[self.index(p, j)][j] = self.hopf.counit[p]
-        return m
+        nA = self.alg.dim
+        rows = [[e if q == j else F.zero for j in range(nA)]
+                for e in self.hopf.counit for q in range(nA)]
+        return Matrix(F, self.dim, nA, rows)
 
     @cached_property
     def del_matrix(self) -> Matrix:
@@ -109,12 +106,10 @@ class ConvolutionAlgebra:
     def ustar_matrix(self) -> Matrix:
         """f -> 1_A (x) f."""
         F = self.field
-        nH, nA = self.hopf.dim, self.alg.dim
-        m = Matrix.zeros(F, self.dim, nH)
-        for p in range(nH):
-            for q, u in enumerate(self.alg.unit):
-                m.data[self.index(p, q)][p] = u
-        return m
+        nH = self.hopf.dim
+        rows = [[u if r == p else F.zero for r in range(nH)]
+                for p in range(nH) for u in self.alg.unit]
+        return Matrix(F, self.dim, nH, rows)
 
     def iota(self, avec) -> ConvElement:
         return ConvElement(self, self.iota_matrix.vec_mul(avec))
@@ -137,15 +132,15 @@ class ConvolutionAlgebra:
         """b -> (h -> h_1 . b(h_2)) on coordinates, for the action ``tensor``."""
         F = self.field
         terms = _nonzero_terms(F, tensor)
-        m = Matrix.zeros(F, self.dim, self.dim)
+        rows = [[F.zero] * self.dim for _ in range(self.dim)]
         for l, coproduct in enumerate(self.hopf.comul_sparse):
             for (u, p, c) in coproduct:
                 for q in range(self.alg.dim):
                     col = self.index(p, q)
                     for mm, t in terms[u][q]:
-                        row = self.index(l, mm)
-                        m.data[row][col] = F.add(m.data[row][col], F.mul(c, t))
-        return m
+                        row = rows[self.index(l, mm)]
+                        row[col] = F.add(row[col], F.mul(c, t))
+        return Matrix(F, self.dim, self.dim, rows)
 
     @cached_property
     def phi_matrix(self) -> Matrix:
@@ -157,18 +152,16 @@ class ConvolutionAlgebra:
         """b -> (h -> S(h_1) . b(h_2)): the twist of the action composed
         with the antipode, tensor T'[u] = sum_w S[w][u] T[w]."""
         F = self.field
-        S = self.hopf.antipode.data
         tensor = self.action.tensor
-        nH, nA = self.hopf.dim, self.alg.dim
-        composed = [[[F.zero] * nA for _ in range(nA)] for _ in range(nH)]
-        for u in range(nH):
-            for w in range(nH):
-                if F.is_zero(S[w][u]):
-                    continue
-                for q in range(nA):
-                    row = composed[u][q]
-                    for mm, t in enumerate(tensor[w][q]):
-                        row[mm] = F.add(row[mm], F.mul(S[w][u], t))
+        nA = self.alg.dim
+        composed = []
+        for col in self.hopf.antipode_sparse:
+            plane = [[F.zero] * nA for _ in range(nA)]
+            for w, s in col:
+                for row, trow in zip(plane, tensor[w]):
+                    for mm, t in enumerate(trow):
+                        row[mm] = F.add(row[mm], F.mul(s, t))
+            composed.append(plane)
         return self._twist(composed)
 
     def phi(self, b: ConvElement) -> ConvElement:
@@ -187,7 +180,7 @@ class ConvolutionAlgebra:
         multH = self.hopf.alg.mult_sparse
         ops = []
         for coproduct in self.hopf.comul_sparse:
-            m = Matrix.zeros(F, self.dim, self.dim)
+            rows = [[F.zero] * self.dim for _ in range(self.dim)]
             for (u, v, c) in coproduct:
                 for l in range(self.hopf.dim):
                     for j, d in multH[l][v]:
@@ -195,10 +188,9 @@ class ConvolutionAlgebra:
                         for q in range(self.alg.dim):
                             col = self.index(j, q)
                             for mm, t in terms[u][q]:
-                                row = self.index(l, mm)
-                                m.data[row][col] = F.add(m.data[row][col],
-                                                         F.mul(cd, t))
-            ops.append(m)
+                                row = rows[self.index(l, mm)]
+                                row[col] = F.add(row[col], F.mul(cd, t))
+            ops.append(Matrix(F, self.dim, self.dim, rows))
         return ops
 
     @cached_property

@@ -1,11 +1,19 @@
 """Finite-dimensional algebras and Hopf algebras by structure constants.
 
-An algebra is a field, a dimension and a rank-3 multiplication tensor
-``mult[i][j][k]`` (e_i e_j = sum_k mult[i][j][k] e_k) together with the
-coordinate vector of the unit.  A Hopf algebra adds the comultiplication as
-an n^2 x n matrix (column j = coordinates of the coproduct of e_j on the
-tensor basis e_i (x) e_k, row-major index i*n + k), the counit as a row
-vector, and the antipode as an n x n matrix.
+Every structure is stored as sparse term lists, built once:
+
+- an algebra keeps ``mult_sparse[i][j]``, the pairs (k, c) with c nonzero of
+  e_i e_j = sum_k c e_k, sorted by k, and the coordinate vector of its unit;
+- a Hopf algebra adds ``comul_sparse[j]``, the triples (i, k, c) of
+  delta(e_j) = sum c e_i (x) e_k sorted by (i, k), the counit as a row
+  vector, and ``antipode_sparse[j]``, the pairs (i, c) of S(e_j) =
+  sum c e_i sorted by i.
+
+Builders emit the terms directly with native scalars.  The dense forms
+(the rank-3 tensor ``mult``, the n^2 x n ``comul`` matrix with row i*n + k,
+the n x n ``antipode`` matrix) are derived views for the JSON edge; dense
+external data is parsed once, by the ``FiniteAlgebra`` constructor and
+``workspace.load_hopf``.
 
 The tensor basis order (i, j) -> i*dim2 + j is used everywhere.
 """
@@ -17,7 +25,7 @@ from functools import cached_property
 from math import comb
 
 from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, is_stable,
-                     _enumerable_prime)
+                     nonzero_terms, parse_dense, _enumerable_prime)
 from .report import Report
 
 
@@ -25,23 +33,31 @@ class FiniteAlgebra:
     """Associative unital algebra by structure constants over a Field."""
 
     def __init__(self, field: Field, dim: int, mult, unit, name=None):
+        """Parse dense data: e_i e_j = sum_k mult[i][j][k] e_k."""
+        if type(dim) is not int:
+            raise ValueError(f"dim: expected an int, got {dim!r}")
+        mult = parse_dense(field, mult, (dim, dim, dim), "mult")
         self.field = field
         self.dim = dim
-        self.mult = [[[field.parse(c) for c in row] for row in plane] for plane in mult]
-        self.unit = [field.parse(c) for c in unit]
+        self.mult_sparse = [[nonzero_terms(field, row) for row in plane]
+                            for plane in mult]
+        self.unit = parse_dense(field, unit, (dim,), "unit")
         self.name = name
-        if len(self.mult) != dim or len(self.unit) != dim:
-            raise ValueError("structure constant shape mismatch")
-        for plane in self.mult:
-            if len(plane) != dim or any(len(r) != dim for r in plane):
-                raise ValueError("structure constant shape mismatch")
+
+    @classmethod
+    def from_terms(cls, field: Field, dim: int, terms, unit, name=None):
+        """Builders' constructor: terms[i][j] = [(k, c)], c a nonzero native
+        scalar, sorted by k; nothing is parsed."""
+        alg = cls.__new__(cls)
+        alg.field, alg.dim, alg.mult_sparse = field, dim, terms
+        alg.unit, alg.name = list(unit), name
+        return alg
 
     @cached_property
-    def mult_sparse(self):
-        """mult_sparse[i][j] = [(k, c)] with c nonzero."""
-        F = self.field
-        return [[[(k, c) for k, c in enumerate(self.mult[i][j]) if not F.is_zero(c)]
-                 for j in range(self.dim)] for i in range(self.dim)]
+    def mult(self):
+        """Dense view: mult[i][j][k], the coefficient of e_k in e_i e_j."""
+        return [[self.basis_product(i, j) for j in range(self.dim)]
+                for i in range(self.dim)]
 
     @cached_property
     def right_partners(self):
@@ -64,7 +80,10 @@ class FiniteAlgebra:
         return out
 
     def basis_product(self, i, j):
-        return list(self.mult[i][j])
+        out = [self.field.zero] * self.dim
+        for k, c in self.mult_sparse[i][j]:
+            out[k] = c
+        return out
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -73,27 +92,22 @@ class FiniteAlgebra:
 
     def left_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> x y on coordinates."""
+        return self._mult_matrix(x, lambda a, b: self.mult_sparse[a][b])
+
+    def right_mult_matrix(self, x) -> Matrix:
+        """Matrix of y -> y x on coordinates."""
+        return self._mult_matrix(x, lambda a, b: self.mult_sparse[b][a])
+
+    def _mult_matrix(self, x, terms):
         F = self.field
-        m = Matrix.zeros(F, self.dim, self.dim)
+        rows = [[F.zero] * self.dim for _ in range(self.dim)]
         for i, a in enumerate(x):
             if F.is_zero(a):
                 continue
             for j in range(self.dim):
-                for k, c in self.mult_sparse[i][j]:
-                    m.data[k][j] = F.add(m.data[k][j], F.mul(a, c))
-        return m
-
-    def right_mult_matrix(self, x) -> Matrix:
-        """Matrix of y -> y x on coordinates."""
-        F = self.field
-        m = Matrix.zeros(F, self.dim, self.dim)
-        for j, a in enumerate(x):
-            if F.is_zero(a):
-                continue
-            for i in range(self.dim):
-                for k, c in self.mult_sparse[i][j]:
-                    m.data[k][i] = F.add(m.data[k][i], F.mul(a, c))
-        return m
+                for k, c in terms(i, j):
+                    rows[k][j] = F.add(rows[k][j], F.mul(a, c))
+        return Matrix(F, self.dim, self.dim, rows)
 
     @cached_property
     def ideal_operators(self):
@@ -107,8 +121,9 @@ class FiniteAlgebra:
         return ops
 
     def is_commutative(self):
-        return all(self.mult[i][j] == self.mult[j][i]
-                   for i in range(self.dim) for j in range(self.dim))
+        sp = self.mult_sparse
+        return all(sp[i][j] == sp[j][i]
+                   for i in range(self.dim) for j in range(i))
 
     def power(self, x, n):
         out = list(self.unit)
@@ -131,21 +146,21 @@ class FiniteAlgebra:
 
 
 class HopfAlgebra:
-    """FiniteAlgebra plus comultiplication, counit and antipode matrices."""
+    """FiniteAlgebra plus coproduct and antipode terms and the counit."""
 
-    def __init__(self, alg: FiniteAlgebra, comul: Matrix, counit, antipode: Matrix,
+    def __init__(self, alg: FiniteAlgebra, comul_terms, counit, antipode_terms,
                  name=None):
         n = alg.dim
-        if comul.nrows != n * n or comul.ncols != n:
-            raise ValueError("comul must be n^2 x n")
+        if len(comul_terms) != n:
+            raise ValueError("comul must have one term list per basis element")
         if len(counit) != n:
             raise ValueError("counit must have length n")
-        if antipode.nrows != n or antipode.ncols != n:
-            raise ValueError("antipode must be n x n")
+        if len(antipode_terms) != n:
+            raise ValueError("antipode must have one term list per basis element")
         self.alg = alg
-        self.comul = comul
-        self.counit = [alg.field.parse(c) for c in counit]
-        self.antipode = antipode
+        self.comul_sparse = comul_terms
+        self.counit = list(counit)
+        self.antipode_sparse = antipode_terms
         self.name = name or alg.name
 
     @property
@@ -157,23 +172,28 @@ class HopfAlgebra:
         return self.alg.dim
 
     @cached_property
-    def comul_sparse(self):
-        """comul_sparse[j] = [(i, k, c)]: coproduct terms of basis j."""
-        F = self.field
+    def comul(self) -> Matrix:
+        """Dense view: n^2 x n, column j = delta(e_j) on row i*n + k."""
         n = self.dim
-        cols = []
-        for j in range(n):
-            terms = []
-            for row in range(n * n):
-                c = self.comul.data[row][j]
-                if not F.is_zero(c):
-                    terms.append((row // n, row % n, c))
-            cols.append(terms)
-        return cols
+        return _matrix_of_columns(self.field, n * n,
+                                  [[(i * n + k, c) for i, k, c in col]
+                                   for col in self.comul_sparse])
+
+    @cached_property
+    def antipode(self) -> Matrix:
+        """Dense view: n x n, column j = S(e_j)."""
+        return _matrix_of_columns(self.field, self.dim, self.antipode_sparse)
 
     def delta(self, x):
         """Coproduct coordinates of x on the n^2 tensor basis."""
-        return self.comul.vec_mul(x)
+        F = self.field
+        n = self.dim
+        out = [F.zero] * (n * n)
+        for j, a in enumerate(x):
+            if not F.is_zero(a):
+                for i, k, c in self.comul_sparse[j]:
+                    out[i * n + k] = F.add(out[i * n + k], F.mul(a, c))
+        return out
 
     def eps(self, x):
         F = self.field
@@ -184,12 +204,16 @@ class HopfAlgebra:
         return out
 
     def s_apply(self, x):
-        return self.antipode.vec_mul(x)
+        F = self.field
+        out = [F.zero] * self.dim
+        for j, a in enumerate(x):
+            if not F.is_zero(a):
+                for i, c in self.antipode_sparse[j]:
+                    out[i] = F.add(out[i], F.mul(a, c))
+        return out
 
     def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
+        return self.alg.basis_vector(i)
 
     def to_json(self):
         F = self.field
@@ -203,6 +227,15 @@ class HopfAlgebra:
 
     def __repr__(self):
         return f"HopfAlgebra({self.name or '?'}, dim={self.dim}, {self.field!r})"
+
+
+def _matrix_of_columns(F, nrows, columns) -> Matrix:
+    """The matrix with entry c at (r, j) for each (r, c) in columns[j]."""
+    rows = [[F.zero] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for r, c in col:
+            rows[r][j] = c
+    return Matrix(F, nrows, len(columns), rows)
 
 
 # -- verification -------------------------------------------------------------
@@ -227,7 +260,7 @@ def verify_algebra(a: FiniteAlgebra) -> Report:
                 for m, c in sp_j[k]:
                     for q, d in sp_i[m]:
                         rhs[q] = F.add(rhs.get(q, F.zero), F.mul(c, d))
-                if _dict_ne(F, lhs, rhs):
+                if _support(F, lhs) != _support(F, rhs):
                     rep.fail({"axiom": "associativity", "triple": [i, j, k]})
     for j in range(n):
         ej = [F.one if t == j else F.zero for t in range(n)]
@@ -262,7 +295,7 @@ def verify_hopf(h: HopfAlgebra) -> Report:
             for (a, b, d) in cols[k]:
                 key = (i, a, b)
                 rhs[key] = F.add(rhs.get(key, F.zero), F.mul(c, d))
-        if _dict_ne(F, lhs, rhs):
+        if _support(F, lhs) != _support(F, rhs):
             rep.fail({"axiom": "coassociativity", "basis": j})
 
     # counit law on each basis element
@@ -288,19 +321,7 @@ def verify_hopf(h: HopfAlgebra) -> Report:
                 rep.fail({"axiom": "counit-multiplicative", "pair": [i, j]})
 
     # comultiplication is an algebra map
-    unit_delta = {}
-    du = h.delta(alg.unit)
-    for row, c in enumerate(du):
-        if not F.is_zero(c):
-            unit_delta[(row // n, row % n)] = c
-    expected = {}
-    for i, a in enumerate(alg.unit):
-        if F.is_zero(a):
-            continue
-        for k, b in enumerate(alg.unit):
-            if not F.is_zero(b):
-                expected[(i, k)] = F.mul(a, b)
-    if _dict_ne(F, unit_delta, expected):
+    if h.delta(alg.unit) != [F.mul(a, b) for a in alg.unit for b in alg.unit]:
         rep.fail({"axiom": "comul-unital"})
     partners = alg.right_partners
     by_first = []
@@ -334,12 +355,11 @@ def verify_hopf(h: HopfAlgebra) -> Report:
                                 key = (x, y)
                                 rhs[key] = F.add(rhs.get(key, F.zero),
                                                  F.mul(c12, F.mul(cx, cy)))
-            if _dict_ne(F, lhs, rhs):
+            if _support(F, lhs) != _support(F, rhs):
                 rep.fail({"axiom": "comul-multiplicative", "pair": [i, j]})
 
     # antipode axiom: m (S (x) id) delta = unit . counit = m (id (x) S) delta
-    scols = [[(m, h.antipode.data[m][i]) for m in range(n)
-              if not F.is_zero(h.antipode.data[m][i])] for i in range(n)]
+    scols = h.antipode_sparse
     for j in range(n):
         left = [F.zero] * n
         right = [F.zero] * n
@@ -358,23 +378,16 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     return rep
 
 
-def _dict_ne(F, d1, d2):
-    keys = set(d1) | set(d2)
-    for key in keys:
-        if not F.is_zero(F.sub(d1.get(key, F.zero), d2.get(key, F.zero))):
-            return True
-    return False
+def _support(F, terms):
+    """The accumulated terms without their zero entries: scalars are
+    canonical, so two such dicts are equal iff the sums agree."""
+    return {key: c for key, c in terms.items() if not F.is_zero(c)}
 
 
 def is_cocommutative(h: HopfAlgebra) -> bool:
     """True iff the swap-composed comultiplication equals the original."""
-    n = h.dim
-    for j in range(n):
-        for row in range(n * n):
-            i, k = row // n, row % n
-            if h.comul.data[row][j] != h.comul.data[k * n + i][j]:
-                return False
-    return True
+    return all(sorted((k, i, c) for i, k, c in col) == col
+               for col in h.comul_sparse)
 
 
 def antipode_involutory(h: HopfAlgebra) -> bool:
@@ -425,74 +438,65 @@ def _check_group_table(table):
     return identity, inverse
 
 
+def _table_terms(n, entries):
+    """Term lists with e_i e_j = c e_k for each listed (i, j, k, c), zero
+    products elsewhere; at most one entry per (i, j)."""
+    terms = [[[] for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in entries:
+        terms[i][j] = [(k, c)]
+    return terms
+
+
 def group_algebra(table, field: Field, name=None) -> HopfAlgebra:
     """Group algebra kG from a Cayley table: grouplike basis, S(g) = g^-1."""
     identity, inverse = _check_group_table(table)
     n = len(table)
     F = field
-    mult = [[[F.one if table[i][j] == k else F.zero for k in range(n)]
-             for j in range(n)] for i in range(n)]
+    terms = _table_terms(n, [(i, j, table[i][j], F.one)
+                             for i in range(n) for j in range(n)])
     unit = [F.one if i == identity else F.zero for i in range(n)]
-    alg = FiniteAlgebra(F, n, mult, unit, name=name)
-    comul = Matrix.zeros(F, n * n, n)
-    for j in range(n):
-        comul.data[j * n + j][j] = F.one
-    counit = [F.one] * n
-    antipode = Matrix.zeros(F, n, n)
-    for j in range(n):
-        antipode.data[inverse[j]][j] = F.one
-    return HopfAlgebra(alg, comul, counit, antipode, name=name)
+    alg = FiniteAlgebra.from_terms(F, n, terms, unit, name=name)
+    comul = [[(j, j, F.one)] for j in range(n)]
+    antipode = [[(inverse[j], F.one)] for j in range(n)]
+    return HopfAlgebra(alg, comul, [F.one] * n, antipode, name=name)
 
 
 def dual_hopf(h: HopfAlgebra, name=None) -> HopfAlgebra:
-    """Finite-dimensional dual: mult <- comul^T, comul <- mult^T, S <- S^T."""
-    F = h.field
+    """Finite-dimensional dual: mult <- comul^T, comul <- mult^T, S <- S^T,
+    each a transpose of term lists."""
     n = h.dim
-    mult = [[[h.comul.data[i * n + j][k] for k in range(n)]
-             for j in range(n)] for i in range(n)]
-    unit = list(h.counit)
-    alg = FiniteAlgebra(F, n, mult, unit,
-                        name=name or (f"{h.name}^*" if h.name else None))
-    comul = Matrix.zeros(F, n * n, n)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                comul.data[i * n + j][k] = h.alg.mult[i][j][k]
-    counit = list(h.alg.unit)
-    antipode = h.antipode.transpose()
-    return HopfAlgebra(alg, comul, counit, antipode, name=alg.name)
+    mult = [[[] for _ in range(n)] for _ in range(n)]
+    for j, col in enumerate(h.comul_sparse):
+        for i, k, c in col:
+            mult[i][k].append((j, c))
+    comul = [[] for _ in range(n)]
+    for i, plane in enumerate(h.alg.mult_sparse):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                comul[k].append((i, j, c))
+    antipode = [[] for _ in range(n)]
+    for j, col in enumerate(h.antipode_sparse):
+        for i, c in col:
+            antipode[i].append((j, c))
+    alg = FiniteAlgebra.from_terms(h.field, n, mult, h.counit,
+                                   name=name or (f"{h.name}^*" if h.name else None))
+    return HopfAlgebra(alg, comul, h.alg.unit, antipode, name=alg.name)
 
 
 def tensor_algebra_prod(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlgebra:
-    """Componentwise product on the row-major tensor basis e_i (x) f_j."""
+    """Componentwise product on the row-major tensor basis e_i (x) f_j.
+
+    The pairs (k1, k2) of one product are distinct, so every term is one
+    product of nonzero scalars and the terms come out sorted."""
     if a1.field != a2.field:
         raise ValueError("tensor product: field mismatch")
     F = a1.field
-    n1, n2 = a1.dim, a2.dim
-    n = n1 * n2
-    mult = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
-    for i1 in range(n1):
-        for j1 in range(n1):
-            sp1 = a1.mult_sparse[i1][j1]
-            if not sp1:
-                continue
-            for i2 in range(n2):
-                for j2 in range(n2):
-                    sp2 = a2.mult_sparse[i2][j2]
-                    if not sp2:
-                        continue
-                    row = mult[i1 * n2 + i2][j1 * n2 + j2]
-                    for k1, c1 in sp1:
-                        for k2, c2 in sp2:
-                            row[k1 * n2 + k2] = F.add(row[k1 * n2 + k2], F.mul(c1, c2))
-    unit = [F.zero] * n
-    for i1, u1 in enumerate(a1.unit):
-        if F.is_zero(u1):
-            continue
-        for i2, u2 in enumerate(a2.unit):
-            if not F.is_zero(u2):
-                unit[i1 * n2 + i2] = F.mul(u1, u2)
-    return FiniteAlgebra(F, n, mult, unit, name=name)
+    n2 = a2.dim
+    terms = [[[(k1 * n2 + k2, F.mul(c1, c2)) for k1, c1 in sp1 for k2, c2 in sp2]
+              for sp1 in row1 for sp2 in row2]
+             for row1 in a1.mult_sparse for row2 in a2.mult_sparse]
+    unit = [F.mul(u1, u2) for u1 in a1.unit for u2 in a2.unit]
+    return FiniteAlgebra.from_terms(F, a1.dim * n2, terms, unit, name=name)
 
 
 def tensor_hopf(h1: HopfAlgebra, h2: HopfAlgebra, name=None) -> HopfAlgebra:
@@ -500,32 +504,15 @@ def tensor_hopf(h1: HopfAlgebra, h2: HopfAlgebra, name=None) -> HopfAlgebra:
     if h1.field != h2.field:
         raise ValueError("tensor product: field mismatch")
     F = h1.field
-    n1, n2 = h1.dim, h2.dim
-    n = n1 * n2
+    n2 = h2.dim
     tname = name or (f"{h1.name}(x){h2.name}" if h1.name and h2.name else None)
     alg = tensor_algebra_prod(h1.alg, h2.alg, name=tname)
-    comul = Matrix.zeros(F, n * n, n)
-    for j1 in range(n1):
-        for j2 in range(n2):
-            col = j1 * n2 + j2
-            for (a, c, c1) in h1.comul_sparse[j1]:
-                for (b, d, c2) in h2.comul_sparse[j2]:
-                    row = (a * n2 + b) * n + (c * n2 + d)
-                    comul.data[row][col] = F.add(comul.data[row][col], F.mul(c1, c2))
-    counit = [F.mul(h1.counit[j1], h2.counit[j2])
-              for j1 in range(n1) for j2 in range(n2)]
-    antipode = Matrix.zeros(F, n, n)
-    for j1 in range(n1):
-        for j2 in range(n2):
-            col = j1 * n2 + j2
-            for i1 in range(n1):
-                c1 = h1.antipode.data[i1][j1]
-                if F.is_zero(c1):
-                    continue
-                for i2 in range(n2):
-                    c2 = h2.antipode.data[i2][j2]
-                    if not F.is_zero(c2):
-                        antipode.data[i1 * n2 + i2][col] = F.mul(c1, c2)
+    comul = [sorted((a * n2 + b, c * n2 + d, F.mul(c1, c2))
+                    for a, c, c1 in col1 for b, d, c2 in col2)
+             for col1 in h1.comul_sparse for col2 in h2.comul_sparse]
+    counit = [F.mul(e1, e2) for e1 in h1.counit for e2 in h2.counit]
+    antipode = [[(i1 * n2 + i2, F.mul(c1, c2)) for i1, c1 in col1 for i2, c2 in col2]
+                for col1 in h1.antipode_sparse for col2 in h2.antipode_sparse]
     return HopfAlgebra(alg, comul, counit, antipode, name=tname)
 
 
@@ -612,107 +599,70 @@ def sweedler_hopf(field: Field, name="sweedler4") -> HopfAlgebra:
     neg = F.neg(one)
     z = F.zero
     n = 4
-    mult = [[[z] * n for _ in range(n)] for _ in range(n)]
-
-    def put(i, j, k, c):
-        mult[i][j][k] = c
-
     # basis order: 0 -> 1, 1 -> g, 2 -> x, 3 -> gx
-    put(0, 0, 0, one); put(0, 1, 1, one); put(0, 2, 2, one); put(0, 3, 3, one)
-    put(1, 0, 1, one); put(1, 1, 0, one); put(1, 2, 3, one); put(1, 3, 2, one)
-    put(2, 0, 2, one); put(2, 1, 3, neg)
-    put(3, 0, 3, one); put(3, 1, 2, neg)
-    unit = [one, z, z, z]
-    alg = FiniteAlgebra(F, n, mult, unit, name=name)
-    comul = Matrix.zeros(F, n * n, n)
-
-    def dput(i, k, j, c):
-        comul.data[i * n + k][j] = c
-
-    dput(0, 0, 0, one)
-    dput(1, 1, 1, one)
-    dput(2, 0, 2, one); dput(1, 2, 2, one)
-    dput(3, 1, 3, one); dput(0, 3, 3, one)
-    counit = [one, one, z, z]
-    antipode = Matrix.zeros(F, n, n)
-    antipode.data[0][0] = one
-    antipode.data[1][1] = one
-    antipode.data[3][2] = neg   # S(x) = -gx
-    antipode.data[2][3] = one   # S(gx) = x
-    return HopfAlgebra(alg, comul, counit, antipode, name=name)
+    mult = _table_terms(n, [(0, 0, 0, one), (0, 1, 1, one), (0, 2, 2, one),
+                            (0, 3, 3, one), (1, 0, 1, one), (1, 1, 0, one),
+                            (1, 2, 3, one), (1, 3, 2, one), (2, 0, 2, one),
+                            (2, 1, 3, neg), (3, 0, 3, one), (3, 1, 2, neg)])
+    alg = FiniteAlgebra.from_terms(F, n, mult, [one, z, z, z], name=name)
+    comul = [[(0, 0, one)], [(1, 1, one)], [(1, 2, one), (2, 0, one)],
+             [(0, 3, one), (3, 1, one)]]
+    # S(g) = g, S(x) = -gx, S(gx) = x
+    antipode = [[(0, one)], [(1, one)], [(3, neg)], [(2, one)]]
+    return HopfAlgebra(alg, comul, [one, one, z, z], antipode, name=name)
 
 
 def trivial_hopf(field: Field, name="base-field") -> HopfAlgebra:
     """H = k: the one-dimensional Hopf algebra."""
     F = field
-    alg = FiniteAlgebra(F, 1, [[[F.one]]], [F.one], name=name)
-    comul = Matrix.from_rows(F, [[F.one]], 1)
-    return HopfAlgebra(alg, comul, [F.one], Matrix.identity(F, 1), name=name)
+    alg = FiniteAlgebra.from_terms(F, 1, [[[(0, F.one)]]], [F.one], name=name)
+    return HopfAlgebra(alg, [[(0, 0, F.one)]], [F.one], [[(0, F.one)]], name=name)
 
 
 def matrix_algebra(field: Field, n, name=None) -> FiniteAlgebra:
     """Full matrix algebra by matrix units E_{ab}, basis index a*n + b."""
     F = field
     d = n * n
-    mult = [[[F.zero] * d for _ in range(d)] for _ in range(d)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    if b == c:
-                        mult[a * n + b][c * n + e][a * n + e] = F.one
-    unit = [F.zero] * d
-    for a in range(n):
-        unit[a * n + a] = F.one
-    return FiniteAlgebra(F, d, mult, unit, name=name or f"mat{n}")
+    terms = _table_terms(d, [(a * n + b, b * n + e, a * n + e, F.one)
+                             for a in range(n) for b in range(n) for e in range(n)])
+    unit = [F.one if i % (n + 1) == 0 else F.zero for i in range(d)]
+    return FiniteAlgebra.from_terms(F, d, terms, unit, name=name or f"mat{n}")
 
 
 def truncated_poly_algebra(field: Field, n, name=None) -> FiniteAlgebra:
     """k[t]/(t^n) on basis 1, t, ..., t^(n-1)."""
     F = field
-    mult = [[[F.one if i + j == k else F.zero for k in range(n)]
-             for j in range(n)] for i in range(n)]
+    terms = _table_terms(n, [(i, j, i + j, F.one)
+                             for i in range(n) for j in range(n - i)])
     unit = [F.one] + [F.zero] * (n - 1)
-    return FiniteAlgebra(F, n, mult, unit, name=name or f"trunc{n}")
+    return FiniteAlgebra.from_terms(F, n, terms, unit, name=name or f"trunc{n}")
 
 
 def product_field_algebra(field: Field, n, name=None) -> FiniteAlgebra:
     """k x ... x k with idempotent basis."""
     F = field
-    mult = [[[F.one if i == j == k else F.zero for k in range(n)]
-             for j in range(n)] for i in range(n)]
-    unit = [F.one] * n
-    return FiniteAlgebra(F, n, mult, unit, name=name or f"split{n}")
+    terms = _table_terms(n, [(i, i, i, F.one) for i in range(n)])
+    return FiniteAlgebra.from_terms(F, n, terms, [F.one] * n,
+                                    name=name or f"split{n}")
 
 
 def upper_triangular_algebra(field: Field, name="upper2") -> FiniteAlgebra:
     """2x2 upper triangular matrices, basis E11, E12, E22."""
     F = field
     z, one = F.zero, F.one
-    n = 3
-    mult = [[[z] * n for _ in range(n)] for _ in range(n)]
     # E11*E11=E11, E11*E12=E12, E12*E22=E12, E22*E22=E22
-    mult[0][0][0] = one
-    mult[0][1][1] = one
-    mult[1][2][1] = one
-    mult[2][2][2] = one
-    unit = [one, z, one]
-    return FiniteAlgebra(F, n, mult, unit, name=name)
+    terms = _table_terms(3, [(0, 0, 0, one), (0, 1, 1, one), (1, 2, 1, one),
+                             (2, 2, 2, one)])
+    return FiniteAlgebra.from_terms(F, 3, terms, [one, z, one], name=name)
 
 
 def dual_number_plane_algebra(field: Field, name="plane-jet") -> FiniteAlgebra:
     """k[x,y]/(x,y)^2 on basis 1, x, y."""
     F = field
     z, one = F.zero, F.one
-    n = 3
-    mult = [[[z] * n for _ in range(n)] for _ in range(n)]
-    mult[0][0][0] = one
-    mult[0][1][1] = one
-    mult[0][2][2] = one
-    mult[1][0][1] = one
-    mult[2][0][2] = one
-    unit = [one, z, z]
-    return FiniteAlgebra(F, n, mult, unit, name=name)
+    terms = _table_terms(3, [(0, 0, 0, one), (0, 1, 1, one), (0, 2, 2, one),
+                             (1, 0, 1, one), (2, 0, 2, one)])
+    return FiniteAlgebra.from_terms(F, 3, terms, [one, z, z], name=name)
 
 
 def ideal_closure(alg: FiniteAlgebra, vectors) -> Subspace:
@@ -734,16 +684,12 @@ def restricted_line_hopf(p, name=None) -> HopfAlgebra:
     characteristic p alone.  Its primitive subspace is exactly the line kx.
     """
     F = GF(p)
-    n = p
-    alg = truncated_poly_algebra(F, n, name=name or f"line{p}")
-    comul = Matrix.zeros(F, n * n, n)
-    for k in range(n):
-        for i in range(k + 1):
-            comul.data[i * n + (k - i)][k] = F.from_int(comb(k, i))
-    counit = [F.one] + [F.zero] * (n - 1)
-    antipode = Matrix.zeros(F, n, n)
-    for k in range(n):
-        antipode.data[k][k] = F.from_int((-1) ** k)
+    alg = truncated_poly_algebra(F, p, name=name or f"line{p}")
+    # C(k, i) for k < p and S(x^k) = (-x)^k: all nonzero mod p
+    comul = [[(i, k - i, F.from_int(comb(k, i))) for i in range(k + 1)]
+             for k in range(p)]
+    antipode = [[(k, F.from_int((-1) ** k))] for k in range(p)]
+    counit = [F.one] + [F.zero] * (p - 1)
     return HopfAlgebra(alg, comul, counit, antipode, name=alg.name)
 
 
@@ -763,6 +709,6 @@ def poly_quotient_algebra(field: Field, minpoly, name=None) -> FiniteAlgebra:
         shifted = [F.zero] + prev[:-1]
         top = prev[-1]
         powers.append([F.add(shifted[j], F.mul(top, red[j])) for j in range(n)])
-    mult = [[list(powers[i + j]) for j in range(n)] for i in range(n)]
+    terms = [[nonzero_terms(F, powers[i + j]) for j in range(n)] for i in range(n)]
     unit = [F.one] + [F.zero] * (n - 1)
-    return FiniteAlgebra(F, n, mult, unit, name=name)
+    return FiniteAlgebra.from_terms(F, n, terms, unit, name=name)

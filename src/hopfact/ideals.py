@@ -30,7 +30,8 @@ import sympy
 
 from .linalg import (Field, Matrix, Subspace, kernel, solve, subspace_intersect,
                      subspace_sum, stable_subspaces, projection_matrix, closure,
-                     largest_stable_inside, pull_back, EnumerationBound)
+                     largest_stable_inside, nonzero_terms, pull_back,
+                     EnumerationBound)
 from .hopf import (FiniteAlgebra, ideal_closure, subspace_is_ideal,
                    is_cocommutative, is_group_basis, dual_hopf,
                    tensor_algebra_prod)
@@ -129,18 +130,18 @@ def quotient_algebra(alg: FiniteAlgebra, sub: Subspace, name=None):
     proj = projection_matrix(sub)
     nonpiv = sub.nonpivot_columns()
     d = len(nonpiv)
-    lift = Matrix.zeros(F, n, d)
-    for c, j in enumerate(nonpiv):
-        lift.data[j][c] = F.one
+    lift = Matrix(F, n, d, [[F.one if j == k else F.zero for k in nonpiv]
+                            for j in range(n)])
     mult = [[None] * d for _ in range(d)]
     for a in range(d):
         ea = [F.one if t == nonpiv[a] else F.zero for t in range(n)]
         for b in range(d):
             eb = [F.one if t == nonpiv[b] else F.zero for t in range(n)]
-            mult[a][b] = proj.vec_mul(alg.multiply(ea, eb))
+            mult[a][b] = nonzero_terms(F, proj.vec_mul(alg.multiply(ea, eb)))
     unit = proj.vec_mul(alg.unit)
-    q = FiniteAlgebra(F, d, mult, unit,
-                      name=name or (f"{alg.name}/(dim{sub.dim})" if alg.name else None))
+    q = FiniteAlgebra.from_terms(
+        F, d, mult, unit,
+        name=name or (f"{alg.name}/(dim{sub.dim})" if alg.name else None))
     return q, proj, lift
 
 
@@ -157,13 +158,13 @@ def subalgebra_structure(alg: FiniteAlgebra, sub: Subspace, name=None):
             coords = sub.coords_in_basis(prod)
             if coords is None:
                 raise ValueError("subspace is not multiplicatively closed")
-            mult[a][b] = coords
+            mult[a][b] = nonzero_terms(F, coords)
     unit = sub.coords_in_basis(alg.unit)
     if unit is None:
         raise ValueError("subspace does not contain the unit")
     embed = Matrix(F, alg.dim, d, [[basis[c][r] for c in range(d)]
                                    for r in range(alg.dim)])
-    return FiniteAlgebra(F, d, mult, unit, name=name), embed
+    return FiniteAlgebra.from_terms(F, d, mult, unit, name=name), embed
 
 
 def center_subspace(alg: FiniteAlgebra) -> Subspace:
@@ -261,7 +262,7 @@ def _trace_form_kernel(alg: FiniteAlgebra) -> Subspace:
     F = alg.field
     n = alg.dim
     L = alg.ideal_operators[0::2]
-    gram = Matrix.zeros(F, n, n)
+    gram = [[F.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             acc = F.zero
@@ -272,9 +273,8 @@ def _trace_form_kernel(alg: FiniteAlgebra) -> Subspace:
                     x = row[m]
                     if not F.is_zero(x):
                         acc = F.add(acc, F.mul(x, Lj[m][k]))
-            gram.data[i][j] = acc
-            gram.data[j][i] = acc
-    return kernel(gram)
+            gram[i][j] = gram[j][i] = acc
+    return kernel(Matrix(F, n, n, gram))
 
 
 def _frobenius_kernel(alg: FiniteAlgebra) -> Subspace:
@@ -753,17 +753,18 @@ def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal):
                                 name=f"stratum-action:{act.name}" if act.name else None)
     conv = ConvolutionAlgebra(bar)
     nq = q.dim
-    embed = Matrix.zeros(F, conv.dim, dC)
+    embed = [[F.zero] * dC for _ in range(conv.dim)]
     for a in range(nz):
         zvec = zembed.vec_mul(zalg.basis_vector(a))
         for b in range(nH):
             col = a * nH + b
             for qq in range(nq):
-                embed.data[conv.index(b, qq)][col] = zvec[qq]
+                embed[conv.index(b, qq)][col] = zvec[qq]
     return {
         "bar": bar, "quotient": q, "proj": proj, "lift": lift,
         "zsub": zsub, "zalg": zalg, "zembed": zembed,
-        "c_alg": c_alg, "c_act": c_act, "conv": conv, "embed": embed,
+        "c_alg": c_alg, "c_act": c_act, "conv": conv,
+        "embed": Matrix(F, conv.dim, dC, embed),
     }
 
 

@@ -53,9 +53,10 @@ class Field:
 
     def __init__(self, kind, p=None):
         if kind == "prime-field":
-            if p is None or not _is_prime(p):
-                raise ValueError(f"prime-field modulus must be prime, got {p!r}")
-            self.p = int(p)
+            if type(p) is not int or not _is_prime(p):
+                raise ValueError(f"prime-field modulus p must be a prime int, "
+                                 f"got {p!r}")
+            self.p = p
             self.zero, self.one = 0, 1
         elif kind == "rationals":
             self.p = None
@@ -140,6 +141,23 @@ def GF(p):
     return Field("prime-field", p)
 
 
+def parse_dense(field, data, shape, key):
+    """Parse nested lists of the given shape into scalars, checking every
+    level: a level that is not a list of the declared length raises a
+    ValueError naming ``key``."""
+    if not isinstance(data, (list, tuple)) or len(data) != shape[0]:
+        got = f"{len(data)} entries" if isinstance(data, (list, tuple)) else repr(data)
+        raise ValueError(f"{key}: expected a list of {shape[0]} entries, got {got}")
+    if len(shape) == 1:
+        return [field.parse(c) for c in data]
+    return [parse_dense(field, row, shape[1:], key) for row in data]
+
+
+def nonzero_terms(field, vec):
+    """[(k, c)] for the nonzero coordinates c = vec[k]."""
+    return [(k, c) for k, c in enumerate(vec) if not field.is_zero(c)]
+
+
 class Matrix:
     """Dense matrix over one Field; rows are lists of scalars."""
 
@@ -211,9 +229,6 @@ class Matrix:
                 if not F.is_zero(b):
                     out[i] = F.add(out[i], F.mul(a, b))
         return out
-
-    def to_lists(self):
-        return [list(r) for r in self.data]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

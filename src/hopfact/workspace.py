@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 
-from .linalg import Field, Matrix
+from .linalg import Field, nonzero_terms, parse_dense
 from .hopf import (FiniteAlgebra, HopfAlgebra, group_algebra, verify_algebra,
                    verify_hopf)
 from .action import ModuleAlgebraAction, Representation, verify_action
@@ -169,18 +169,22 @@ def load_algebra(obj, name=None) -> FiniteAlgebra:
 
 
 def load_hopf(obj, name=None) -> HopfAlgebra:
+    """Parse a Hopf algebra: a group table, or the dense JSON matrices
+    (comul n^2 x n with row i*n + k, antipode n x n), read into terms once."""
     field = Field.from_json(obj["field"])
     if "group_table" in obj:
         return group_algebra(obj["group_table"], field,
                              name=obj.get("name") or name)
     alg = load_algebra(obj, name)
     n = alg.dim
-    comul = Matrix.from_rows(field, [[field.parse(c) for c in row]
-                                     for row in obj["comul"]], n)
-    antipode = Matrix.from_rows(field, [[field.parse(c) for c in row]
-                                        for row in obj["antipode"]], n)
-    return HopfAlgebra(alg, comul, obj["counit"], antipode,
-                       name=obj.get("name") or name)
+    comul = parse_dense(field, obj["comul"], (n * n, n), "comul")
+    antipode = parse_dense(field, obj["antipode"], (n, n), "antipode")
+    return HopfAlgebra(
+        alg, [[(r // n, r % n, c) for r, c in nonzero_terms(field, col)]
+              for col in zip(*comul)],
+        parse_dense(field, obj["counit"], (n,), "counit"),
+        [nonzero_terms(field, col) for col in zip(*antipode)],
+        name=obj.get("name") or name)
 
 
 def bundled_fixture_dir():

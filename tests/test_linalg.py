@@ -33,12 +33,12 @@ def test_rref_identity_fixed():
 
 def test_rref_rank_one():
     m = Matrix.from_rows(QQ, [[2, 4], [1, 2]])
-    assert rref(m).to_lists() == [[1, 2], [0, 0]]
+    assert rref(m).data == [[1, 2], [0, 0]]
 
 
 def test_rref_gf2():
     m = Matrix.from_rows(GF(2), [[1, 1], [1, 1]])
-    assert rref(m).to_lists() == [[1, 1], [0, 0]]
+    assert rref(m).data == [[1, 1], [0, 0]]
 
 
 def test_rref_idempotent_random():

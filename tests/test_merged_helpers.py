@@ -1,22 +1,29 @@
 """Differential tests: each shared helper against an independent route.
 
-The convolution algebra, the twist and H-action builders, the coaction,
-the invariant solvers, the dual operations, the operator sums, the
-Frobenius kernel and the H-spectrum are compared with the direct loops they
-replaced (kept here as test-only oracles); the subspace helpers are
-compared with brute force over small prime fields.
+The structure-constant builders, the convolution algebra, the twist and
+H-action builders, the coaction, the invariant solvers, the dual
+operations, the operator sums, the Frobenius kernel and the H-spectrum are
+compared with the direct loops they replaced (kept here as test-only
+oracles); the subspace helpers are compared with brute force over small
+prime fields.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfact.linalg import (GF, Matrix, Subspace, apply_combination, closure,
+from hopfact.linalg import (GF, QQ, Matrix, Subspace, apply_combination, closure,
                             combine, kernel, largest_stable_inside, pull_back,
-                            stable_subspaces)
+                            solve, stable_subspaces)
 from hopfact.hopf import (group_algebra, cyclic_group_table, dual_hopf,
-                          is_group_basis, product_field_algebra)
+                          is_cocommutative, is_group_basis,
+                          product_field_algebra,
+                          restricted_line_hopf, sweedler_hopf,
+                          symmetric_group_table, tensor_hopf, verify_hopf)
+from hopfact.workspace import load_hopf
 from hopfact.action import (ModuleAlgebraAction, coefficient_subalgebra,
                             invariants, matrix_coefficients)
 from hopfact.convolution import ConvElement, ConvolutionAlgebra
@@ -123,7 +130,7 @@ def dot_oracle(conv):
 
 
 def test_builders_match_direct_loops(ws):
-    for name, act in sorted(ws.actions.items()):
+    for name, act in all_actions(ws):
         conv = ConvolutionAlgebra(act)
         assert conv.phi_matrix == phi_oracle(conv), name
         assert conv.psi_matrix == psi_oracle(conv), name
@@ -300,8 +307,43 @@ def c2_on_three_points_f3():
                                name="c2-on3-f3")
 
 
+def rebased(h, basis):
+    """h in the basis whose i-th element has old coordinates basis[i], read
+    back through load_hopf: coproduct and antipode columns of several terms."""
+    F = h.field
+    n = h.dim
+    P = Matrix.from_rows(F, basis).transpose()
+    new = lambda v: solve(P, v)     # noqa: E731
+    comul = []
+    for v in basis:
+        d = h.delta(v)
+        right = [new(d[i * n:(i + 1) * n]) for i in range(n)]
+        both = [new([right[i][k] for i in range(n)]) for k in range(n)]
+        comul.append([both[k][i] for i in range(n) for k in range(n)])
+    return load_hopf({
+        "field": F.to_json(), "dim": n,
+        "mult": [[new(h.alg.multiply(u, v)) for v in basis] for u in basis],
+        "unit": new(h.alg.unit), "counit": [h.eps(v) for v in basis],
+        "comul": [list(row) for row in zip(*comul)],
+        "antipode": [list(row) for row in zip(*[new(h.s_apply(v)) for v in basis])]})
+
+
+def c3_on_three_points_rebased():
+    """C3 rotating three points over Q, with H in the basis 1, g, g + g^2:
+    S(g) = (g + g^2) - g and delta(g + g^2) repeats first tensor factors."""
+    basis = [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
+    h = rebased(group_algebra(cyclic_group_table(3), QQ), basis)
+    rot = [[[1 if (x + g) % 3 == y else 0 for y in range(3)] for x in range(3)]
+           for g in range(3)]
+    tensor = [[[sum(b[g] * rot[g][x][y] for g in range(3)) for y in range(3)]
+               for x in range(3)] for b in basis]
+    return ModuleAlgebraAction(h, product_field_algebra(QQ, 3), tensor,
+                               name="c3-on3-rebased")
+
+
 def all_actions(ws):
-    return sorted(ws.actions.items()) + [("c2-on3-f3", c2_on_three_points_f3())]
+    return sorted(ws.actions.items()) + [("c2-on3-f3", c2_on_three_points_f3()),
+                                         ("c3-on3-rebased", c3_on_three_points_rebased())]
 
 
 def test_algebra_is_dual_tensor_a(ws):
@@ -479,3 +521,182 @@ def test_combination_of_translation_and_twist_operators(ws):
                     assert apply_combination(hvec, ops, b) == want, name
                     assert summed.vec_mul(b) == want, name
                     assert act_on(hvec, ConvElement(conv, b)).coords == want, name
+
+
+# -- the dense structure-constant builders, as oracles ------------------------
+# Each returns (mult, unit, comul, counit, antipode) as dense lists: mult is
+# n x n x n, comul n^2 x n with row i*n + k, antipode n x n.
+
+def dense_views(h):
+    return (h.alg.mult, h.alg.unit, h.comul.data, h.counit, h.antipode.data)
+
+
+def group_algebra_oracle(table, F):
+    n = len(table)
+    identity = next(e for e in range(n) if all(table[e][j] == j for j in range(n)))
+    mult = [[[F.one if table[i][j] == k else F.zero for k in range(n)]
+             for j in range(n)] for i in range(n)]
+    unit = [F.one if i == identity else F.zero for i in range(n)]
+    comul = [[F.zero] * n for _ in range(n * n)]
+    antipode = [[F.zero] * n for _ in range(n)]
+    for j in range(n):
+        comul[j * n + j][j] = F.one
+        antipode[table[j].index(identity)][j] = F.one
+    return mult, unit, comul, [F.one] * n, antipode
+
+
+def dual_hopf_oracle(h):
+    n = h.dim
+    comul = h.comul.data
+    mult = [[[comul[i * n + j][k] for k in range(n)] for j in range(n)]
+            for i in range(n)]
+    dcomul = [[h.alg.mult[r // n][r % n][k] for k in range(n)] for r in range(n * n)]
+    return (mult, list(h.counit), dcomul, list(h.alg.unit),
+            h.antipode.transpose().data)
+
+
+def tensor_algebra_prod_oracle(a1, a2):
+    F = a1.field
+    idx1 = list(itertools.product(range(a1.dim), range(a2.dim)))
+    mult = [[[F.mul(a1.mult[i1][j1][k1], a2.mult[i2][j2][k2]) for k1, k2 in idx1]
+             for j1, j2 in idx1] for i1, i2 in idx1]
+    return mult, [F.mul(u1, u2) for u1 in a1.unit for u2 in a2.unit]
+
+
+def tensor_hopf_oracle(h1, h2):
+    F = h1.field
+    n1, n2 = h1.dim, h2.dim
+    n = n1 * n2
+    mult, unit = tensor_algebra_prod_oracle(h1.alg, h2.alg)
+    comul = [[F.zero] * n for _ in range(n * n)]
+    for a, c, b, d in itertools.product(range(n1), range(n1), range(n2), range(n2)):
+        row = (a * n2 + b) * n + (c * n2 + d)
+        for j1, j2 in itertools.product(range(n1), range(n2)):
+            comul[row][j1 * n2 + j2] = F.mul(h1.comul.data[a * n1 + c][j1],
+                                             h2.comul.data[b * n2 + d][j2])
+    counit = [F.mul(e1, e2) for e1 in h1.counit for e2 in h2.counit]
+    antipode = [[F.mul(h1.antipode.data[i1][j1], h2.antipode.data[i2][j2])
+                 for j1 in range(n1) for j2 in range(n2)]
+                for i1 in range(n1) for i2 in range(n2)]
+    return mult, unit, comul, counit, antipode
+
+
+def sweedler_oracle(F):
+    one, neg, z = F.one, F.neg(F.one), F.zero
+    mult = [[[z] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, k, c in [(0, 0, 0, one), (0, 1, 1, one), (0, 2, 2, one),
+                       (0, 3, 3, one), (1, 0, 1, one), (1, 1, 0, one),
+                       (1, 2, 3, one), (1, 3, 2, one), (2, 0, 2, one),
+                       (2, 1, 3, neg), (3, 0, 3, one), (3, 1, 2, neg)]:
+        mult[i][j][k] = c
+    comul = [[z] * 4 for _ in range(16)]
+    for i, k, j in [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2), (3, 1, 3), (0, 3, 3)]:
+        comul[i * 4 + k][j] = one
+    antipode = [[one, z, z, z], [z, one, z, z], [z, z, z, one], [z, z, neg, z]]
+    return mult, [one, z, z, z], comul, [one, one, z, z], antipode
+
+
+def restricted_line_oracle(p):
+    F = GF(p)
+    mult = [[[F.one if i + j == k else F.zero for k in range(p)]
+             for j in range(p)] for i in range(p)]
+    comul = [[F.zero] * p for _ in range(p * p)]
+    for k in range(p):
+        for i in range(k + 1):
+            comul[i * p + (k - i)][k] = F.from_int(math.comb(k, i))
+    antipode = [[F.from_int((-1) ** k) if r == k else F.zero for k in range(p)]
+                for r in range(p)]
+    return (mult, [F.one] + [F.zero] * (p - 1), comul,
+            [F.one] + [F.zero] * (p - 1), antipode)
+
+
+def flat(x):
+    if isinstance(x, list):
+        return [c for item in x for c in flat(item)]
+    return [x]
+
+
+def assert_terms_canonical(h):
+    """Every stored term list is sorted, with distinct keys and no zero."""
+    F = h.field
+    lists = ([t for plane in h.alg.mult_sparse for t in plane]
+             + [[((i, k), c) for i, k, c in col] for col in h.comul_sparse]
+             + h.antipode_sparse)
+    for terms in lists:
+        keys = [key for key, _ in terms]
+        assert keys == sorted(set(keys)), h.name
+        assert not any(F.is_zero(c) for _, c in terms), h.name
+
+
+def assert_matches_oracle(h, oracle):
+    got = dense_views(h)
+    assert got == oracle, h.name
+    assert [type(c) for c in flat(list(got))] == [type(c) for c in flat(list(oracle))]
+    assert_terms_canonical(h)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_term_builders_match_dense_builders(field):
+    """Criterion 1's inputs: the five stock Hopf algebras, their tensor squares."""
+    c2, s3 = cyclic_group_table(2), symmetric_group_table(3)
+    base = [(group_algebra(c2, field), group_algebra_oracle(c2, field)),
+            (group_algebra(s3, field), group_algebra_oracle(s3, field)),
+            (sweedler_hopf(field), sweedler_oracle(field))]
+    base += [(dual_hopf(h), dual_hopf_oracle(h)) for h, _ in base[:2]]
+    for h, oracle in base:
+        assert_matches_oracle(h, oracle)
+    for (h1, _), (h2, _) in itertools.combinations_with_replacement(base, 2):
+        assert_matches_oracle(tensor_hopf(h1, h2), tensor_hopf_oracle(h1, h2))
+
+
+def test_bundled_hopfs_duals_and_builders(ws):
+    rebased_c3 = c3_on_three_points_rebased().hopf
+    for name, h in sorted(ws.hopfs.items()) + [("kC3-rebased", rebased_c3)]:
+        assert_terms_canonical(h)
+        dual = dual_hopf(h)
+        assert_matches_oracle(dual, dual_hopf_oracle(h))
+        assert_matches_oracle(dual_hopf(dual), dense_views(h))
+    assert verify_hopf(rebased_c3).ok and is_cocommutative(rebased_c3)
+    square = tensor_hopf(rebased_c3, rebased_c3)
+    assert_matches_oracle(square, tensor_hopf_oracle(rebased_c3, rebased_c3))
+    assert is_cocommutative(square)
+    klein = [[i ^ j for j in range(4)] for i in range(4)]
+    for table, field in [(klein, GF(2)), (cyclic_group_table(3), GF(7)),
+                         (cyclic_group_table(3), QQ)]:
+        assert_matches_oracle(group_algebra(table, field),
+                              group_algebra_oracle(table, field))
+    for p in (2, 3, 5):
+        assert_matches_oracle(restricted_line_hopf(p), restricted_line_oracle(p))
+
+
+SMALL_GROUPS = [cyclic_group_table(n) for n in range(1, 5)] + [
+    [[i ^ j for j in range(4)] for i in range(4)], symmetric_group_table(3)]
+
+
+@st.composite
+def relabelled_group(draw):
+    """A small group table with its elements renamed by a random permutation."""
+    table = draw(st.sampled_from(SMALL_GROUPS))
+    perm = draw(st.permutations(range(len(table))))
+    out = [[None] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            out[perm[i]][perm[j]] = perm[k]
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ])
+def test_random_group_algebras_verify_and_round_trip(field):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(relabelled_group())
+    def check(table):
+        h = group_algebra(table, field)
+        hopfs = [h, dual_hopf(h)] + ([tensor_hopf(h, h)] if h.dim <= 4 else [])
+        for x in hopfs:
+            assert verify_hopf(x).ok
+            back = load_hopf(x.to_json())
+            assert ((back.alg.mult_sparse, back.alg.unit, back.comul_sparse,
+                     back.counit, back.antipode_sparse)
+                    == (x.alg.mult_sparse, x.alg.unit, x.comul_sparse,
+                        x.counit, x.antipode_sparse))
+    check()

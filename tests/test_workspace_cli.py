@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hopfact import cli
 from hopfact.cli import main
 from hopfact.fixtures import build_corpus, write_corpus
 from hopfact.workspace import (Workspace, WorkspaceError, bundled_fixture_dir,
@@ -230,3 +231,49 @@ def test_cli_series_phi_rejects_bad_sizes(flags, capsys):
     report = json.loads(capsys.readouterr().out)[0]
     assert report["status"] == "error"
     assert flags[0] in report["reason"]
+
+
+def _k2_algebra():
+    """k x k over F_2 in the dense fixture form."""
+    return {"name": "k2", "field": {"kind": "prime-field", "p": 2}, "dim": 2,
+            "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "unit": [1, 1]}
+
+
+def _ragged_comul():
+    obj = build_corpus()["hopfs"]["qc2"].to_json()
+    obj["comul"][1] = obj["comul"][1][:1]
+    return obj
+
+
+@pytest.mark.parametrize("obj, expected", [
+    (dict(_k2_algebra(), mult=5), "mult:"),
+    (dict(_k2_algebra(), unit=None), "unit:"),
+    (dict(_k2_algebra(), field={"kind": "prime-field", "p": "2"}), "modulus p"),
+    (_ragged_comul(), "comul:"),
+])
+def test_cli_malformed_fixture_is_load_error(tmp_path, capsys, obj, expected):
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    assert main(["verify", "--fixtures", str(tmp_path), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["check"] == "load" and report["status"] == "error"
+    assert expected in report["reason"]
+
+
+def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    (tmp_path / "k2.json").write_text(json.dumps(_k2_algebra()))
+    argv = ["verify", "--fixtures", str(tmp_path), "--json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", (boom, []))
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out) == [
+        {"check": "verify", "status": "internal-error",
+         "reason": "RuntimeError: injected"}]
+    # the load is covered too
+    monkeypatch.setattr(Workspace, "load", boom)
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out)[0]["status"] == "internal-error"
