@@ -5,8 +5,8 @@ j-th algebra basis element to ``sum_k tensor[i][j][k] a_k``.  Everything a
 verifier needs (module axioms, measuring) is then a finite loop over basis
 elements.
 
-Tensor coordinates on A (x) H* follow the convolution-algebra convention:
-index (p, q) -> p * dim(A) + q with the Hopf index p major.
+The coaction lands in H* (x) A on the basis of :func:`linalg.kron_sum`,
+the Hopf factor first, as the convolution algebra does.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, apply_combination, closure, combine,
-                     is_stable, kernel, parse_dense)
+                     is_stable, kernel, kron_sum, parse_dense)
 from .hopf import FiniteAlgebra, HopfAlgebra, dual_hopf, is_group_basis
 from .report import Report
 
@@ -185,27 +185,15 @@ def matrix_coefficients(rep: Representation):
 def coefficient_comul_report(rep: Representation) -> Report:
     """Delta rho_{i,j} = sum_k rho_{i,k} (x) rho_{k,j} inside the dual."""
     out = Report("coefficient-comultiplication", details={"name": rep.name})
-    h = rep.hopf
-    F = h.field
-    n = h.dim
+    F = rep.hopf.field
     nv = rep.dim_v
-    dual = dual_hopf(h)
-    coeffs = matrix_coefficients(rep)
+    dual = dual_hopf(rep.hopf)
+    rows = [Matrix.from_rows(F, [f]) for f in matrix_coefficients(rep)]
     for i in range(nv):
         for j in range(nv):
-            f = coeffs[i * nv + j]
-            lhs = dual.delta(f)
-            rhs = [F.zero] * (n * n)
-            for k in range(nv):
-                a = coeffs[i * nv + k]
-                b = coeffs[k * nv + j]
-                for s in range(n):
-                    if F.is_zero(a[s]):
-                        continue
-                    for t in range(n):
-                        if not F.is_zero(b[t]):
-                            rhs[s * n + t] = F.add(rhs[s * n + t], F.mul(a[s], b[t]))
-            if lhs != rhs:
+            rhs = kron_sum([(F.one, rows[i * nv + k], rows[k * nv + j])
+                            for k in range(nv)])
+            if dual.delta(rows[i * nv + j].data[0]) != rhs.data[0]:
                 out.fail({"coefficient": [i, j]})
     return out
 
@@ -245,9 +233,8 @@ def verify_sub_hopf(h: HopfAlgebra, sub: Subspace) -> "Report":
         for g in basis:
             if not sub.contains(dual.alg.multiply(f, g)):
                 rep.fail({"axiom": "product-closed"})
-    pair_span = Subspace.from_vectors(
-        F, n * n, [[F.mul(a, b) for a in f for b in g]
-                   for f in basis for g in basis])
+    pairs = kron_sum([(F.one, sub.to_matrix(), sub.to_matrix())])
+    pair_span = Subspace.from_vectors(F, n * n, pairs.data)
     for f in basis:
         if not pair_span.contains(dual.delta(f)):
             rep.fail({"axiom": "coproduct-stable"})
@@ -256,7 +243,6 @@ def verify_sub_hopf(h: HopfAlgebra, sub: Subspace) -> "Report":
 
 def hit_action(h: HopfAlgebra, name=None) -> ModuleAlgebraAction:
     """The right-translation action of H on its dual: <h -> f, k> = <f, kh>."""
-    F = h.field
     n = h.dim
     dual = dual_hopf(h)
     tensor = [[[h.alg.mult[l][i][j] for l in range(n)] for j in range(n)]
@@ -349,10 +335,8 @@ def action_from_operators(hopf: HopfAlgebra, alg: FiniteAlgebra, mats, name=None
 
 def trivial_action(hopf: HopfAlgebra, alg: FiniteAlgebra, name=None):
     """h . a = eps(h) a."""
-    F = hopf.field
-    mats = [Matrix.from_rows(F, [[F.mul(hopf.counit[i], F.one if r == c else F.zero)
-                                  for c in range(alg.dim)] for r in range(alg.dim)])
-            for i in range(hopf.dim)]
+    ident = Matrix.identity(hopf.field, alg.dim)
+    mats = [combine([e], [ident]) for e in hopf.counit]
     return action_from_operators(hopf, alg, mats,
                                  name=name or f"trivial:{hopf.name}:{alg.name}")
 

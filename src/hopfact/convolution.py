@@ -2,15 +2,16 @@
 
 For a finite-dimensional Hopf algebra every linear map H -> A has finite
 rank, so the convolution algebra is H* (x) A in its entirety, and it is
-built as that tensor product of algebras, with the Hopf index major: the
-basis E_{p,q} = (h_p -> a_q) has row-major index p * dim(A) + q.  Elements
-are stored on it, equivalently as the dim(A) x dim(H) matrix of values, and
-the embedding a -> (h -> h.a) is the coaction A -> A (x) H*.
+built as that tensor product of algebras with the Hopf factor first: the
+basis E_{p,q} = (h_p -> a_q) is ordered by :func:`linalg.kron_sum`.
+Elements are stored on it, equivalently as the dim(A) x dim(H) matrix of
+values, and the embedding a -> (h -> h.a) is the coaction A -> A (x) H*.
 
 The two H-module structures (right-translation and the twisted action that
 uses the given action on values) and the mutually inverse automorphisms
 that exchange them are materialized as explicit matrices, so every claimed
-identity is an exhaustive finite check.
+identity is an exhaustive finite check.  The embeddings and both H-actions
+are Kronecker products of operators on H and on A.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import cached_property
 
 # ``kernel`` is unused here but stays bound: bench/tests/test_tracer.py checks
 # that the tracer patches this module's copy of it.
-from .linalg import (Matrix, Subspace, apply_combination, is_stable, kernel,
-                     nonzero_terms, pull_back, enumerate_subspaces,
-                     stable_subspaces, subspace_count)
+from .linalg import (Matrix, Subspace, apply_combination, combine, is_stable,
+                     kernel, kron_sum, nonzero_terms, pull_back,
+                     enumerate_subspaces, stable_subspaces, subspace_count)
 from .hopf import (FiniteAlgebra, dual_hopf, ideal_closure, is_cocommutative,
                    subspace_is_ideal, tensor_algebra_prod, verify_algebra)
 from .action import (ModuleAlgebraAction, comodule_map, hit_action,
@@ -29,11 +30,6 @@ from .action import (ModuleAlgebraAction, comodule_map, hit_action,
 from .report import Report
 
 DEFAULT_DIM_CAP = 64
-
-
-def _nonzero_terms(F, tensor):
-    """terms[i][j] = [(k, c)] with c = tensor[i][j][k] nonzero."""
-    return [[nonzero_terms(F, row) for row in plane] for plane in tensor]
 
 
 class ConvElement:
@@ -90,12 +86,10 @@ class ConvolutionAlgebra:
 
     @cached_property
     def iota_matrix(self) -> Matrix:
-        """a -> a (x) eps."""
+        """a -> eps (x) a."""
         F = self.field
-        nA = self.alg.dim
-        rows = [[e if q == j else F.zero for j in range(nA)]
-                for e in self.hopf.counit for q in range(nA)]
-        return Matrix(F, self.dim, nA, rows)
+        eps = Matrix.from_rows(F, [self.hopf.counit]).transpose()
+        return kron_sum([(F.one, eps, Matrix.identity(F, self.alg.dim))])
 
     @cached_property
     def del_matrix(self) -> Matrix:
@@ -104,12 +98,10 @@ class ConvolutionAlgebra:
 
     @cached_property
     def ustar_matrix(self) -> Matrix:
-        """f -> 1_A (x) f."""
+        """f -> f (x) 1_A."""
         F = self.field
-        nH = self.hopf.dim
-        rows = [[u if r == p else F.zero for r in range(nH)]
-                for p in range(nH) for u in self.alg.unit]
-        return Matrix(F, self.dim, nH, rows)
+        unit = Matrix.from_rows(F, [self.alg.unit]).transpose()
+        return kron_sum([(F.one, Matrix.identity(F, self.hopf.dim), unit)])
 
     def iota(self, avec) -> ConvElement:
         return ConvElement(self, self.iota_matrix.vec_mul(avec))
@@ -128,10 +120,11 @@ class ConvolutionAlgebra:
 
     # -- the twist automorphisms ------------------------------------------------
 
-    def _twist(self, tensor) -> Matrix:
-        """b -> (h -> h_1 . b(h_2)) on coordinates, for the action ``tensor``."""
+    def _twist(self, ops) -> Matrix:
+        """b -> (h -> h_1 . b(h_2)) on coordinates, for the action with one
+        operator matrix per Hopf basis element."""
         F = self.field
-        terms = _nonzero_terms(F, tensor)
+        terms = [[nonzero_terms(F, col) for col in zip(*op.data)] for op in ops]
         rows = [[F.zero] * self.dim for _ in range(self.dim)]
         for l, coproduct in enumerate(self.hopf.comul_sparse):
             for (u, p, c) in coproduct:
@@ -145,24 +138,15 @@ class ConvolutionAlgebra:
     @cached_property
     def phi_matrix(self) -> Matrix:
         """b -> (h -> h_1 . b(h_2)) on coordinates."""
-        return self._twist(self.action.tensor)
+        return self._twist(self.action.operator_matrices)
 
     @cached_property
     def psi_matrix(self) -> Matrix:
         """b -> (h -> S(h_1) . b(h_2)): the twist of the action composed
-        with the antipode, tensor T'[u] = sum_w S[w][u] T[w]."""
-        F = self.field
-        tensor = self.action.tensor
-        nA = self.alg.dim
-        composed = []
-        for col in self.hopf.antipode_sparse:
-            plane = [[F.zero] * nA for _ in range(nA)]
-            for w, s in col:
-                for row, trow in zip(plane, tensor[w]):
-                    for mm, t in enumerate(trow):
-                        row[mm] = F.add(row[mm], F.mul(s, t))
-            composed.append(plane)
-        return self._twist(composed)
+        with the antipode, the operator of h_u being that of S(h_u)."""
+        ops = self.action.operator_matrices
+        return self._twist([combine(s, ops)
+                            for s in self.hopf.antipode.transpose().data])
 
     def phi(self, b: ConvElement) -> ConvElement:
         return ConvElement(self, self.phi_matrix.vec_mul(b.coords))
@@ -172,37 +156,29 @@ class ConvolutionAlgebra:
 
     # -- the two H-actions on B -------------------------------------------------
 
-    def _dot_operators_of(self, tensor):
+    def _dot_operators_of(self, ops):
         """Operators (h . b)(k) = h_1 . b(k h_2), one per basis, for the
-        action ``tensor``."""
-        F = self.field
-        terms = _nonzero_terms(F, tensor)
-        multH = self.hopf.alg.mult_sparse
-        ops = []
-        for coproduct in self.hopf.comul_sparse:
-            rows = [[F.zero] * self.dim for _ in range(self.dim)]
-            for (u, v, c) in coproduct:
-                for l in range(self.hopf.dim):
-                    for j, d in multH[l][v]:
-                        cd = F.mul(c, d)
-                        for q in range(self.alg.dim):
-                            col = self.index(j, q)
-                            for mm, t in terms[u][q]:
-                                row = rows[self.index(l, mm)]
-                                row[col] = F.add(row[col], F.mul(cd, t))
-            ops.append(Matrix(F, self.dim, self.dim, rows))
-        return ops
+        action with operator matrices ``ops``: the sum of c R_v^T (x) ops[u]
+        over the terms (u, v, c) of delta(h), R_v the right multiplication
+        by h_v on H."""
+        H = self.hopf
+        right = [Matrix(self.field, H.dim, H.dim,
+                        [H.alg.basis_product(l, v) for l in range(H.dim)])
+                 for v in range(H.dim)]
+        return [kron_sum([(c, right[v], ops[u]) for u, v, c in coproduct])
+                for coproduct in H.comul_sparse]
 
     @cached_property
     def rh_operators(self):
         """Right-translation operators: (h -> b)(k) = b(k h), one per basis;
         the twisted operators of the trivial action h . a = eps(h) a."""
-        return self._dot_operators_of(trivial_action(self.hopf, self.alg).tensor)
+        return self._dot_operators_of(
+            trivial_action(self.hopf, self.alg).operator_matrices)
 
     @cached_property
     def dot_operators(self):
         """Twisted operators: (h . b)(k) = h_1 . b(k h_2), one per basis."""
-        return self._dot_operators_of(self.action.tensor)
+        return self._dot_operators_of(self.action.operator_matrices)
 
     def rh_act(self, hvec, b: ConvElement) -> ConvElement:
         return ConvElement(self, apply_combination(hvec, self.rh_operators, b.coords))
@@ -230,16 +206,11 @@ class ConvolutionAlgebra:
                                      self.psi_iota_matrix.transpose().data)
 
     def tensor_with_dual(self, sub_a: Subspace) -> Subspace:
-        """W (x) H* as a subspace of B, for W a subspace of A."""
+        """H* (x) W as a subspace of B, for W a subspace of A."""
         F = self.field
-        vecs = []
-        for row in sub_a.rows:
-            for p in range(self.hopf.dim):
-                v = [F.zero] * self.dim
-                for q, x in enumerate(row):
-                    v[self.index(p, q)] = x
-                vecs.append(v)
-        return Subspace.from_vectors(F, self.dim, vecs)
+        rows = kron_sum([(F.one, Matrix.identity(F, self.hopf.dim),
+                          sub_a.to_matrix())])
+        return Subspace.from_vectors(F, self.dim, rows.data)
 
 
 # -- identity batteries --------------------------------------------------------

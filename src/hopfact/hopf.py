@@ -15,7 +15,8 @@ the n x n ``antipode`` matrix) are derived views for the JSON edge; dense
 external data is parsed once, by the ``FiniteAlgebra`` constructor and
 ``workspace.load_hopf``.
 
-The tensor basis order (i, j) -> i*dim2 + j is used everywhere.
+Tensor products use the basis order of :func:`linalg.kron_sum`, first
+factor major.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import itertools
 from functools import cached_property
 from math import comb
 
-from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, is_stable,
-                     nonzero_terms, parse_dense, _enumerable_prime)
+from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, combine,
+                     is_stable, kron_sum, nonzero_terms, parse_dense,
+                     _enumerable_prime)
 from .report import Report
 
 
@@ -411,10 +413,12 @@ def antipode_antihom_report(h: HopfAlgebra) -> Report:
 # -- constructors --------------------------------------------------------------
 
 def _check_group_table(table):
-    n = len(table)
-    for row in table:
-        if len(row) != n or any(not (0 <= x < n) for x in row):
-            raise ValueError("group table is not square over 0..n-1")
+    n = len(table) if isinstance(table, list) else -1
+    if n < 0 or any(not isinstance(row, list) or len(row) != n
+                    or any(type(x) is not int or not 0 <= x < n for x in row)
+                    for row in table):
+        raise ValueError(f"group_table: expected a square list of lists of "
+                         f"ints in 0..n-1, got {table!r}")
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -526,15 +530,9 @@ def is_group_basis(h: HopfAlgebra) -> bool:
 def is_grouplike(h: HopfAlgebra, x) -> bool:
     """delta x = x (x) x and eps(x) = 1."""
     F = h.field
-    n = h.dim
-    if h.eps(x) != F.one:
-        return False
-    dx = h.delta(x)
-    for i in range(n):
-        for k in range(n):
-            if dx[i * n + k] != F.mul(x[i], x[k]):
-                return False
-    return True
+    row = Matrix.from_rows(F, [x])
+    return (h.eps(x) == F.one
+            and h.delta(x) == kron_sum([(F.one, row, row)]).data[0])
 
 
 def enumerate_grouplikes(h: HopfAlgebra, bound=None):
@@ -552,20 +550,10 @@ def enumerate_grouplikes(h: HopfAlgebra, bound=None):
 def primitives(h: HopfAlgebra) -> Subspace:
     """Solution space of delta x = x (x) 1 + 1 (x) x."""
     F = h.field
-    n = h.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = []
-            for j in range(n):
-                c = h.comul.data[i * n + k][j]
-                if i == j:
-                    c = F.sub(c, h.alg.unit[k])
-                if k == j:
-                    c = F.sub(c, h.alg.unit[i])
-                row.append(c)
-            rows.append(row)
-    return kernel(Matrix.from_rows(F, rows, n))
+    ident = Matrix.identity(F, h.dim)
+    unit = Matrix.from_rows(F, [h.alg.unit]).transpose()
+    twice = kron_sum([(F.one, ident, unit), (F.one, unit, ident)])
+    return kernel(combine([F.one, F.neg(F.one)], [h.comul, twice]))
 
 
 # -- bundled constructors used across the fixture corpus ----------------------

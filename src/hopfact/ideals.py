@@ -28,14 +28,14 @@ from fractions import Fraction
 
 import sympy
 
-from .linalg import (Field, Matrix, Subspace, kernel, solve, subspace_intersect,
-                     subspace_sum, stable_subspaces, projection_matrix, closure,
-                     largest_stable_inside, nonzero_terms, pull_back,
-                     EnumerationBound)
+from .linalg import (Field, Matrix, Subspace, kernel, kron_sum, solve,
+                     subspace_intersect, subspace_sum, stable_subspaces,
+                     projection_matrix, closure, largest_stable_inside,
+                     nonzero_terms, pull_back, EnumerationBound)
 from .hopf import (FiniteAlgebra, ideal_closure, subspace_is_ideal,
-                   is_cocommutative, is_group_basis, dual_hopf,
-                   tensor_algebra_prod)
-from .action import ModuleAlgebraAction, hit_action, verify_action
+                   is_cocommutative, is_group_basis, tensor_algebra_prod)
+from .action import (ModuleAlgebraAction, action_from_operators, hit_action,
+                     verify_action)
 from .convolution import ConvolutionAlgebra, transport_subspace
 from .report import Report, PASS, FAIL, ERROR, COUNTEREXAMPLE
 
@@ -227,7 +227,6 @@ def minimal_polynomial(alg: FiniteAlgebra, x, unit=None):
     n = alg.dim
     u = list(alg.unit) if unit is None else list(unit)
     powers = [u]
-    span_rows = []
     while True:
         cur = powers[-1]
         mat = Matrix(F, n, len(powers), [[powers[c][r] for c in range(len(powers))]
@@ -557,7 +556,6 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
         rep.details["reason"] = "no certificate route available (enumeration bound)"
         return rep
     above = [s for s in lattice if ideal.space.le(s) and s.dim > ideal.dim]
-    proj = projection_matrix(ideal.space)
     for j_space in above:
         for k_space in above:
             prod_vecs = [act.alg.multiply(list(x), list(y))
@@ -717,54 +715,31 @@ def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal):
     if not bar.subspace_stable(zsub):
         raise ValueError("induced action does not stabilize the center")
     zalg, zembed = subalgebra_structure(q, zsub, name="center")
-    # action restricted to the center, in center coordinates
-    nz = zalg.dim
+    # the action restricted to the center, in center coordinates
     nH = act.hopf.dim
-    tz = []
-    for i in range(nH):
-        plane = []
-        for a in range(nz):
-            img = bar.act_basis(i, zembed.vec_mul(zalg.basis_vector(a)))
-            coords = zsub.coords_in_basis(img)
-            plane.append(coords)
-        tz.append(plane)
-    dualH = dual_hopf(act.hopf)
+    zact = ModuleAlgebraAction(act.hopf, zalg, [
+        [zsub.coords_in_basis(bar.act_basis(i, list(z))) for z in zsub.rows]
+        for i in range(nH)])
     hit = hit_action(act.hopf)
-    c_alg = tensor_algebra_prod(zalg, dualH.alg,
+    c_alg = tensor_algebra_prod(zalg, hit.alg,
                                 name=f"stratum:{act.name}" if act.name else "stratum")
-    dC = c_alg.dim
-    F = act.field
-    tC = [[[F.zero] * dC for _ in range(dC)] for _ in range(nH)]
-    for i in range(nH):
-        for (u, v, coef) in act.hopf.comul_sparse[i]:
-            for a in range(nz):
-                for c in range(nz):
-                    t1 = tz[u][a][c]
-                    if F.is_zero(t1):
-                        continue
-                    ct1 = F.mul(coef, t1)
-                    for b in range(nH):
-                        for d in range(nH):
-                            t2 = hit.tensor[v][b][d]
-                            if not F.is_zero(t2):
-                                tC[i][a * nH + b][c * nH + d] = F.add(
-                                    tC[i][a * nH + b][c * nH + d], F.mul(ct1, t2))
-    c_act = ModuleAlgebraAction(act.hopf, c_alg, tC,
-                                name=f"stratum-action:{act.name}" if act.name else None)
+    # h.(z (x) f) = h_1.z (x) (h_2 -> f)
+    zops, hops = zact.operator_matrices, hit.operator_matrices
+    c_act = action_from_operators(
+        act.hopf, c_alg,
+        [kron_sum([(c, zops[u], hops[v]) for u, v, c in coproduct])
+         for coproduct in act.hopf.comul_sparse],
+        name=f"stratum-action:{act.name}" if act.name else None)
     conv = ConvolutionAlgebra(bar)
-    nq = q.dim
-    embed = [[F.zero] * dC for _ in range(conv.dim)]
-    for a in range(nz):
-        zvec = zembed.vec_mul(zalg.basis_vector(a))
-        for b in range(nH):
-            col = a * nH + b
-            for qq in range(nq):
-                embed[conv.index(b, qq)][col] = zvec[qq]
+    # z (x) f -> (f (x) 1)(eps (x) z) = f (x) z in B = H* (x) A/I
+    F = act.field
+    cols = [conv.mul(conv.ustar(f), conv.iota(z)).coords
+            for z in zsub.basis_vectors() for f in Matrix.identity(F, nH).data]
+    embed = Matrix(F, len(cols), conv.dim, cols).transpose()
     return {
         "bar": bar, "quotient": q, "proj": proj, "lift": lift,
         "zsub": zsub, "zalg": zalg, "zembed": zembed,
-        "c_alg": c_alg, "c_act": c_act, "conv": conv,
-        "embed": Matrix(F, conv.dim, dC, embed),
+        "c_alg": c_alg, "c_act": c_act, "conv": conv, "embed": embed,
     }
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import GF, Field, Matrix, combine, is_stable, largest_stable_inside
+from .linalg import (GF, EnumerationBound, Field, Matrix, combine, is_stable,
+                     largest_stable_inside)
 from .hopf import FiniteAlgebra
 from .report import Report, ERROR
 from .ideals import (Ideal, is_prime, is_semiprime, is_completely_prime,
@@ -418,10 +419,20 @@ def convolution_power(f, k, nvars, trunc, ring):
     return out
 
 
+CHARP_DEMO_MAX_PRIME = 101
+
+
 def charp_grouplike_demo(p: int) -> Report:
     """In characteristic p the canonical multiplicative functional has
     p-th convolution power equal to the counit, so its difference from the
-    counit is nilpotent: a nonzero nilpotent in the dual."""
+    counit is nilpotent: a nonzero nilpotent in the dual.
+
+    The cost grows faster than p**3 (2 s at p = 101, 135 s at p = 401;
+    Python 3.11, one core), so primes above CHARP_DEMO_MAX_PRIME are
+    refused."""
+    if p > CHARP_DEMO_MAX_PRIME:
+        raise EnumerationBound(f"charp-demo: prime {p} exceeds the cap "
+                               f"{CHARP_DEMO_MAX_PRIME}")
     rep = Report("charp-grouplike", details={"p": p})
     field = GF(p)
     trunc = p - 1

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import os
 from fractions import Fraction
 
 DEFAULT_ENUM_BOUND = 256
@@ -26,9 +25,7 @@ class EnumerationBound(Exception):
 
 def enum_bound(override=None):
     """Enumeration cap on the number of field vectors (p**ambient_dim)."""
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("HOPFACT_ENUM_BOUND", DEFAULT_ENUM_BOUND))
+    return DEFAULT_ENUM_BOUND if override is None else int(override)
 
 
 def _is_prime(n):
@@ -122,7 +119,9 @@ class Field:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["kind"], obj.get("p"))
+        if not isinstance(obj, dict):
+            raise ValueError(f"field: expected an object, got {obj!r}")
+        return cls(obj.get("kind"), obj.get("p"))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
@@ -149,7 +148,10 @@ def parse_dense(field, data, shape, key):
         got = f"{len(data)} entries" if isinstance(data, (list, tuple)) else repr(data)
         raise ValueError(f"{key}: expected a list of {shape[0]} entries, got {got}")
     if len(shape) == 1:
-        return [field.parse(c) for c in data]
+        try:
+            return [field.parse(c) for c in data]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
     return [parse_dense(field, row, shape[1:], key) for row in data]
 
 
@@ -252,8 +254,41 @@ def combine(coeffs, mats) -> Matrix:
             continue
         for row, mrow in zip(rows, m.data):
             for j, x in enumerate(mrow):
-                row[j] = F.add(row[j], F.mul(c, x))
+                if x:
+                    row[j] = F.add(row[j], F.mul(c, x))
     return Matrix(F, mats[0].nrows, mats[0].ncols, rows)
+
+
+def kron_sum(terms) -> Matrix:
+    """The matrix sum c (a (x) b) over the terms (c, a, b), all products of
+    one shape.
+
+    This is the one home of the tensor-basis convention: row i of a and
+    row k of b give row i * b.nrows + k (row-major, first factor major),
+    and likewise for columns, so (a (x) b)[(i, k), (j, l)] = a[i][j] b[k][l].
+    Only the nonzero entries of the factors are visited (scalars are
+    canonical, so zero is the only falsy one).
+    """
+    _, a0, b0 = terms[0]
+    F = a0.field
+    nrows, ncols = a0.nrows * b0.nrows, a0.ncols * b0.ncols
+    rows = [[F.zero] * ncols for _ in range(nrows)]
+    for c, a, b in terms:
+        rb, cb = b.nrows, b.ncols
+        if (a.nrows * rb, a.ncols * cb) != (nrows, ncols):
+            raise ValueError("kron_sum: products of different shapes")
+        if not c:
+            continue
+        bterms = [(k, l, y) for k, brow in enumerate(b.data)
+                  for l, y in enumerate(brow) if y]
+        for i, arow in enumerate(a.data):
+            for j, x in enumerate(arow):
+                if x:
+                    cx = F.mul(c, x)
+                    for k, l, y in bterms:
+                        row = rows[i * rb + k]
+                        row[j * cb + l] = F.add(row[j * cb + l], F.mul(cx, y))
+    return Matrix(F, nrows, ncols, rows)
 
 
 def apply_combination(coeffs, mats, v):

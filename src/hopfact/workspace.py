@@ -118,8 +118,11 @@ class Workspace:
             self._register(self.ideals, name, ideal)
         elif kind == "representation":
             h = self._get(self.hopfs, obj["hopf"], "hopf algebra")
-            rho = [obj["rho"][str(i)] for i in range(h.dim)]
-            rep = Representation(h, rho, name=name)
+            rho = obj["rho"] if isinstance(obj["rho"], dict) else {}
+            for i in range(h.dim):
+                if str(i) not in rho:
+                    raise ValueError(f"rho: no matrix for Hopf basis element {i}")
+            rep = Representation(h, [rho[str(i)] for i in range(h.dim)], name=name)
             if verify:
                 _require(rep.verify(), name)
             self._register(self.representations, name, rep)

@@ -106,7 +106,6 @@ def golden_path(command):
 
 
 def main():
-    os.environ.pop("HOPFACT_ENUM_BOUND", None)
     ws = load_bundled(verify=True)
     with shared_workspace(ws):
         for command, argvs in cases(ws).items():

@@ -10,8 +10,7 @@ goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(goldens)
 
 
-def test_golden_reports(ws, monkeypatch):
-    monkeypatch.delenv("HOPFACT_ENUM_BOUND", raising=False)
+def test_golden_reports(ws):
     mismatched = []
     with goldens.shared_workspace(ws):
         for command, argvs in goldens.cases(ws).items():

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfact.linalg import (QQ, GF, Matrix, Subspace, rref, kernel,
+from hopfact.linalg import (QQ, GF, Matrix, Subspace, rref, kernel, kron_sum,
                             solve, subspace_sum, subspace_intersect,
                             enumerate_subspaces, gaussian_binomial,
                             subspace_count, EnumerationBound, annihilator,
@@ -219,3 +220,56 @@ def test_enumeration_order_deterministic():
     # dimension-ascending canonical order, zero space first, full space last
     assert first[0] == ()
     assert len(first[-1]) == 3
+
+
+@st.composite
+def kron_terms(draw, field):
+    """One to three terms (c, a, b) with products of one shape; factors may
+    have no rows, zero rows or zero entries, and need not be square."""
+    scalar = st.sampled_from([0, 0, 0, 1, -1, 2, "1/2", -3]) if field is QQ \
+        else st.sampled_from([0, 0, 0, 1, 2, 5])
+
+    def matrix(nrows, ncols):
+        rows = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        return Matrix(field, nrows, ncols, [[field.parse(x) for x in r] for r in rows])
+
+    ra, ca, rb, cb = (draw(st.integers(0, 3)) for _ in range(4))
+    return [(field.parse(draw(scalar)), matrix(ra, ca), matrix(rb, cb))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_kron_sum_entry_formula(field):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(kron_terms(field))
+    def check(terms):
+        _, a0, b0 = terms[0]
+        got = kron_sum(terms)
+        assert (got.nrows, got.ncols) == (a0.nrows * b0.nrows, a0.ncols * b0.ncols)
+        for i in range(a0.nrows):
+            for k in range(b0.nrows):
+                for j in range(a0.ncols):
+                    for l in range(b0.ncols):
+                        want = field.zero
+                        for c, a, b in terms:
+                            want = field.add(want, field.mul(
+                                c, field.mul(a.data[i][j], b.data[k][l])))
+                        assert got.data[i * b0.nrows + k][j * b0.ncols + l] == want
+        assert [type(x) for row in got.data for x in row] == \
+            [type(field.zero)] * (got.nrows * got.ncols)
+    check()
+
+
+def test_kron_sum_shapes():
+    a = Matrix.from_rows(QQ, [[1, 2, 0]])
+    col = a.transpose()
+    # one product is one term; a zero-row factor gives a matrix with no rows
+    assert kron_sum([(QQ.one, a, col)]).data == [[1, 2, 0], [2, 4, 0], [0, 0, 0]]
+    assert kron_sum([(QQ.one, Matrix(QQ, 0, 2, []), a)]).nrows == 0
+    # products of one shape may come from factors of different shapes
+    ident = Matrix.identity(QQ, 3)
+    both = kron_sum([(QQ.one, ident, col), (QQ.one, col, ident)])
+    assert (both.nrows, both.ncols) == (9, 3)
+    with pytest.raises(ValueError):
+        kron_sum([(QQ.one, a, col), (QQ.one, ident, ident)])

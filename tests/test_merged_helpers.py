@@ -1,9 +1,11 @@
 """Differential tests: each shared helper against an independent route.
 
 The structure-constant builders, the convolution algebra, the twist and
-H-action builders, the coaction, the invariant solvers, the dual
-operations, the operator sums, the Frobenius kernel and the H-spectrum are
-compared with the direct loops they replaced (kept here as test-only
+H-action builders, the Kronecker-product operators (embeddings, H* (x) W,
+the stratum action and embedding, primitives, grouplikes, coefficient
+coproducts, sub-Hopf pair spans), the coaction, the invariant solvers, the
+dual operations, the operator sums, the Frobenius kernel and the H-spectrum
+are compared with the direct loops they replaced (kept here as test-only
 oracles); the subspace helpers are compared with brute force over small
 prime fields.
 """
@@ -19,16 +21,18 @@ from hopfact.linalg import (GF, QQ, Matrix, Subspace, apply_combination, closure
                             combine, kernel, largest_stable_inside, pull_back,
                             solve, stable_subspaces)
 from hopfact.hopf import (group_algebra, cyclic_group_table, dual_hopf,
-                          is_cocommutative, is_group_basis,
-                          product_field_algebra,
+                          is_cocommutative, is_group_basis, is_grouplike,
+                          primitives, product_field_algebra,
                           restricted_line_hopf, sweedler_hopf,
                           symmetric_group_table, tensor_hopf, verify_hopf)
 from hopfact.workspace import load_hopf
-from hopfact.action import (ModuleAlgebraAction, coefficient_subalgebra,
-                            invariants, matrix_coefficients)
+from hopfact.action import (ModuleAlgebraAction, Representation,
+                            coefficient_comul_report, coefficient_subalgebra,
+                            hit_action, invariants, matrix_coefficients,
+                            verify_sub_hopf)
 from hopfact.convolution import ConvElement, ConvolutionAlgebra
-from hopfact.ideals import (UnsupportedComputation, _frobenius_kernel, core,
-                            h_spectrum, spectrum)
+from hopfact.ideals import (UnsupportedComputation, _build_stratum_pieces,
+                            _frobenius_kernel, core, h_spectrum, spectrum)
 
 
 # -- the direct loops, as oracles ------------------------------------------------
@@ -700,3 +704,238 @@ def test_random_group_algebras_verify_and_round_trip(field):
                     == (x.alg.mult_sparse, x.alg.unit, x.comul_sparse,
                         x.counit, x.antipode_sparse))
     check()
+
+
+# -- the Kronecker-product builders against the index loops they replaced -----
+
+def iota_oracle(conv):
+    """a -> eps (x) a by the index loop."""
+    F = conv.field
+    nA = conv.alg.dim
+    rows = [[e if q == j else F.zero for j in range(nA)]
+            for e in conv.hopf.counit for q in range(nA)]
+    return Matrix(F, conv.dim, nA, rows)
+
+
+def ustar_oracle(conv):
+    """f -> f (x) 1_A by the index loop."""
+    F = conv.field
+    nH = conv.hopf.dim
+    rows = [[u if r == p else F.zero for r in range(nH)]
+            for p in range(nH) for u in conv.alg.unit]
+    return Matrix(F, conv.dim, nH, rows)
+
+
+def tensor_with_dual_oracle(conv, sub_a):
+    """H* (x) W: each basis row of W placed in every Hopf slot."""
+    F = conv.field
+    vecs = []
+    for row in sub_a.rows:
+        for p in range(conv.hopf.dim):
+            v = [F.zero] * conv.dim
+            for q, x in enumerate(row):
+                v[conv.index(p, q)] = x
+            vecs.append(v)
+    return Subspace.from_vectors(F, conv.dim, vecs)
+
+
+def test_embeddings_and_dual_tensor_match_index_loops(ws):
+    for name, act in all_actions(ws):
+        conv = ConvolutionAlgebra(act)
+        assert conv.iota_matrix == iota_oracle(conv), name
+        assert conv.ustar_matrix == ustar_oracle(conv), name
+        F, n = conv.field, conv.alg.dim
+        rng = random.Random(f"dual-tensor/{name}")
+        subs = [Subspace.zero(F, n), Subspace.full(F, n)]
+        subs += [Subspace.from_vectors(F, n, [[F.parse(rng.choice([-1, 0, 0, 1, 2]))
+                                               for _ in range(n)]
+                                              for _ in range(rng.randint(1, n))])
+                 for _ in range(4)]
+        for sub in subs:
+            assert conv.tensor_with_dual(sub) == tensor_with_dual_oracle(conv, sub), name
+
+
+def stratum_oracle(act, pieces):
+    """The stratum action tensor on Z (x) H* and the embedding into B, by
+    the index loops."""
+    F = act.field
+    bar, zsub, zalg, zembed = (pieces["bar"], pieces["zsub"], pieces["zalg"],
+                               pieces["zembed"])
+    nz, nH, nq = zalg.dim, act.hopf.dim, pieces["quotient"].dim
+    tz = [[zsub.coords_in_basis(bar.act_basis(i, zembed.vec_mul(zalg.basis_vector(a))))
+           for a in range(nz)] for i in range(nH)]
+    hit = hit_action(act.hopf)
+    dC = nz * nH
+    tC = [[[F.zero] * dC for _ in range(dC)] for _ in range(nH)]
+    for i in range(nH):
+        for (u, v, coef) in act.hopf.comul_sparse[i]:
+            for a in range(nz):
+                for c in range(nz):
+                    t1 = tz[u][a][c]
+                    if F.is_zero(t1):
+                        continue
+                    ct1 = F.mul(coef, t1)
+                    for b in range(nH):
+                        for d in range(nH):
+                            t2 = hit.tensor[v][b][d]
+                            if not F.is_zero(t2):
+                                tC[i][a * nH + b][c * nH + d] = F.add(
+                                    tC[i][a * nH + b][c * nH + d], F.mul(ct1, t2))
+    conv = pieces["conv"]
+    embed = [[F.zero] * dC for _ in range(conv.dim)]
+    for a in range(nz):
+        zvec = zembed.vec_mul(zalg.basis_vector(a))
+        for b in range(nH):
+            for qq in range(nq):
+                embed[conv.index(b, qq)][a * nH + b] = zvec[qq]
+    return tC, Matrix(F, conv.dim, dC, embed)
+
+
+def test_stratum_pieces_match_index_loops(ws):
+    built = 0
+    for name, act in all_actions(ws):
+        try:
+            bases = h_spectrum(act)
+        except UnsupportedComputation:
+            continue
+        for base in bases:
+            try:
+                pieces = _build_stratum_pieces(act, base)
+            except ValueError:
+                continue
+            tC, embed = stratum_oracle(act, pieces)
+            assert pieces["c_act"].tensor == tC, name
+            assert pieces["embed"] == embed, name
+            built += 1
+    assert built == 13
+
+
+def primitives_oracle(h):
+    """Kernel of delta - (x (x) 1 + 1 (x) x), row by row."""
+    F = h.field
+    n = h.dim
+    rows = []
+    for i in range(n):
+        for k in range(n):
+            row = []
+            for j in range(n):
+                c = h.comul.data[i * n + k][j]
+                if i == j:
+                    c = F.sub(c, h.alg.unit[k])
+                if k == j:
+                    c = F.sub(c, h.alg.unit[i])
+                row.append(c)
+            rows.append(row)
+    return kernel(Matrix.from_rows(F, rows, n))
+
+
+def is_grouplike_oracle(h, x):
+    F = h.field
+    n = h.dim
+    if h.eps(x) != F.one:
+        return False
+    dx = h.delta(x)
+    return all(dx[i * n + k] == F.mul(x[i], x[k]) for i in range(n) for k in range(n))
+
+
+def hopfs_under_test(ws):
+    return (sorted(ws.hopfs.items())
+            + [(f"line{p}", restricted_line_hopf(p)) for p in (2, 3, 5)]
+            + [("kC3-rebased", c3_on_three_points_rebased().hopf)])
+
+
+def test_primitives_and_grouplikes_match_index_loops(ws):
+    for name, h in hopfs_under_test(ws):
+        assert primitives(h) == primitives_oracle(h), name
+        F = h.field
+        p = F.characteristic()
+        if p and p ** h.dim <= 256:
+            vecs = [[F.from_int(c) for c in coords]
+                    for coords in itertools.product(range(p), repeat=h.dim)]
+        else:
+            rng = random.Random(f"grouplike/{name}")
+            vecs = [h.basis_vector(i) for i in range(h.dim)] + [list(h.alg.unit)]
+            vecs += [[F.parse(rng.choice([-1, 0, 0, 1])) for _ in range(h.dim)]
+                     for _ in range(20)]
+        for x in vecs:
+            assert is_grouplike(h, x) == is_grouplike_oracle(h, x), (name, x)
+
+
+def coefficient_comul_oracle(rep):
+    """The (i, j) whose coproduct differs from sum_k rho_ik (x) rho_kj, with
+    the right-hand side by the index loop."""
+    h = rep.hopf
+    F = h.field
+    n, nv = h.dim, rep.dim_v
+    dual = dual_hopf(h)
+    coeffs = matrix_coefficients(rep)
+    failures = []
+    for i in range(nv):
+        for j in range(nv):
+            rhs = [F.zero] * (n * n)
+            for k in range(nv):
+                a = coeffs[i * nv + k]
+                b = coeffs[k * nv + j]
+                for s in range(n):
+                    if F.is_zero(a[s]):
+                        continue
+                    for t in range(n):
+                        if not F.is_zero(b[t]):
+                            rhs[s * n + t] = F.add(rhs[s * n + t], F.mul(a[s], b[t]))
+            if dual.delta(coeffs[i * nv + j]) != rhs:
+                failures.append({"coefficient": [i, j]})
+    return failures
+
+
+def test_coefficient_comultiplication_matches_index_loop(ws):
+    reps = sorted(ws.representations.items())
+    rng = random.Random("coefficient-comul")
+    for name, h in sorted(ws.hopfs.items()):
+        # matrices that are not a representation: some coefficients fail
+        nv = rng.randint(1, 2)
+        rho = [[[rng.choice([-1, 0, 0, 1]) for _ in range(nv)] for _ in range(nv)]
+               for _ in range(h.dim)]
+        reps.append((f"random/{name}", Representation(h, rho, name=name)))
+    failing = 0
+    for name, rep in reps:
+        want = coefficient_comul_oracle(rep)
+        assert coefficient_comul_report(rep).witnesses == want, name
+        failing += bool(want)
+    assert failing >= 5
+
+
+def sub_hopf_oracle(h, sub):
+    """verify_sub_hopf's failures, with the pair span f (x) g by the index loop."""
+    F = h.field
+    dual = dual_hopf(h)
+    basis = sub.basis_vectors()
+    failures = [] if sub.contains(list(h.counit)) else [{"axiom": "contains-counit"}]
+    for f in basis:
+        if not sub.contains(dual.s_apply(f)):
+            failures.append({"axiom": "antipode-stable"})
+        for g in basis:
+            if not sub.contains(dual.alg.multiply(f, g)):
+                failures.append({"axiom": "product-closed"})
+    pair_span = Subspace.from_vectors(F, h.dim * h.dim,
+                                      [[F.mul(a, b) for a in f for b in g]
+                                       for f in basis for g in basis])
+    for f in basis:
+        if not pair_span.contains(dual.delta(f)):
+            failures.append({"axiom": "coproduct-stable"})
+    return failures
+
+
+def test_verify_sub_hopf_matches_index_loop(ws):
+    rng = random.Random("sub-hopf")
+    seen = set()
+    for name, h in sorted(ws.hopfs.items()):
+        F = h.field
+        subs = [Subspace.zero(F, h.dim), Subspace.full(F, h.dim)]
+        subs += [Subspace.from_vectors(F, h.dim, [list(h.counit)] + [
+            [F.parse(rng.choice([-1, 0, 0, 1])) for _ in range(h.dim)]
+            for _ in range(rng.randint(1, 2))]) for _ in range(4)]
+        for sub in subs:
+            want = sub_hopf_oracle(h, sub)
+            assert verify_sub_hopf(h, sub).witnesses == want, name
+            seen.update(w["axiom"] for w in want)
+    assert "coproduct-stable" in seen

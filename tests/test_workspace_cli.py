@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -184,13 +185,11 @@ def test_cli_report_roundtrip(capsys):
     assert rebuilt.space == direct.space
 
 
-def test_enum_bound_env(monkeypatch):
+def test_enum_bound_env():
     from hopfact.linalg import GF, enumerate_subspaces, EnumerationBound
-    monkeypatch.setenv("HOPFACT_ENUM_BOUND", "4")
     with pytest.raises(EnumerationBound):
-        list(enumerate_subspaces(GF(2), 3))
-    monkeypatch.setenv("HOPFACT_ENUM_BOUND", "8")
-    assert len(list(enumerate_subspaces(GF(2), 3))) == 16
+        list(enumerate_subspaces(GF(2), 3, bound=4))
+    assert len(list(enumerate_subspaces(GF(2), 3, bound=8))) == 16
 
 
 def test_group_table_fixture_form(tmp_path):
@@ -203,12 +202,10 @@ def test_group_table_fixture_form(tmp_path):
     assert is_cocommutative(ws2.hopfs["c4"])
 
 
-def test_cli_bound_does_not_leak_into_environment(monkeypatch, capsys):
-    monkeypatch.delenv("HOPFACT_ENUM_BOUND", raising=False)
+def test_cli_bound_does_not_leak_into_environment(capsys):
     # 2**4 vectors exceed the bound of 7: a refusal, exit 2
     assert main(["stability-scan", "--action", "swap2", "--bound", "7", "--json"]) == 2
     assert json.loads(capsys.readouterr().out)[0]["status"] == "error"
-    assert "HOPFACT_ENUM_BOUND" not in os.environ
     # the next call runs under the default bound again
     assert main(["stability-scan", "--action", "swap2", "--json"]) == 0
 
@@ -250,6 +247,9 @@ def _ragged_comul():
     (dict(_k2_algebra(), unit=None), "unit:"),
     (dict(_k2_algebra(), field={"kind": "prime-field", "p": "2"}), "modulus p"),
     (_ragged_comul(), "comul:"),
+    (dict(_k2_algebra(), field="rationals"), "field:"),
+    ({"name": "c2", "field": {"kind": "rationals"}, "group_table": 5}, "group_table:"),
+    (dict(_k2_algebra(), unit=[1, "x"]), "unit:"),
 ])
 def test_cli_malformed_fixture_is_load_error(tmp_path, capsys, obj, expected):
     (tmp_path / "bad.json").write_text(json.dumps(obj))
@@ -257,6 +257,25 @@ def test_cli_malformed_fixture_is_load_error(tmp_path, capsys, obj, expected):
     report = json.loads(capsys.readouterr().out)[0]
     assert report["check"] == "load" and report["status"] == "error"
     assert expected in report["reason"]
+
+
+def test_cli_representation_without_rho_0_is_load_error(tmp_path, capsys):
+    (tmp_path / "c2.json").write_text(json.dumps(
+        {"name": "c2", "field": {"kind": "rationals"}, "group_table": [[0, 1], [1, 0]]}))
+    (tmp_path / "r.json").write_text(json.dumps(
+        {"name": "r", "hopf": "c2", "rho": {"1": [["1"]]}}))
+    assert main(["verify", "--fixtures", str(tmp_path), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["check"] == "load" and report["status"] == "error"
+    assert "rho: no matrix for Hopf basis element 0" in report["reason"]
+
+
+def test_cli_charp_demo_refuses_large_prime(capsys):
+    t0 = time.perf_counter()
+    assert main(["charp-demo", "--prime", "1009", "--json"]) == 2
+    assert time.perf_counter() - t0 < 5
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "error" and "101" in report["reason"]
 
 
 def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
