@@ -66,17 +66,17 @@ class Representation:
     """An algebra map from a Hopf algebra into End(V), one matrix per basis."""
 
     def __init__(self, hopf: HopfAlgebra, rho, name=None):
-        self.hopf = hopf
-        self.rho = [m if isinstance(m, Matrix) else
-                    Matrix.from_rows(hopf.field,
-                                     [[hopf.field.parse(c) for c in row] for row in m])
-                    for m in rho]
-        if len(self.rho) != hopf.dim:
+        """Parse dense data: rho[i], the square matrix of basis element i;
+        every matrix has the size of rho[0]."""
+        if len(rho) != hopf.dim:
             raise ValueError("need one matrix per Hopf basis element")
-        self.dim_v = self.rho[0].nrows
-        for m in self.rho:
-            if m.nrows != self.dim_v or m.ncols != self.dim_v:
-                raise ValueError("representation matrices must be square, equal size")
+        if not isinstance(rho[0], list):
+            raise ValueError(f'rho["0"]: expected a square list of rows, got {rho[0]!r}')
+        F = hopf.field
+        self.hopf = hopf
+        self.dim_v = n = len(rho[0])
+        self.rho = [Matrix(F, n, n, parse_dense(F, m, (n, n), f'rho["{i}"]'))
+                    for i, m in enumerate(rho)]
         self.name = name
 
     def of(self, hvec) -> Matrix:

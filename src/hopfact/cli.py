@@ -135,10 +135,17 @@ def cmd_stratum_algebra(ws, args):
         "stable-primes": [_ideal_payload(e.prime) for e in sa.stable_primes]})
 
 
+def _bound(args):
+    """The --bound enumeration cap, refused below 1."""
+    if args.bound is not None and args.bound < 1:
+        raise InputError(f"--bound must be at least 1, got {args.bound}")
+    return args.bound
+
+
 def cmd_strat_bijection(ws, args):
     act = _action(ws, args.action)
     ideal = _ideal(ws, args.ideal, act.alg)
-    return verify_strat_bijection(act, ideal, bound=args.bound)
+    return verify_strat_bijection(act, ideal, bound=_bound(args))
 
 
 def cmd_transport(ws, args):
@@ -155,7 +162,7 @@ def cmd_transport(ws, args):
 
 def cmd_stability_scan(ws, args):
     act = _action(ws, args.action)
-    return stability_scan(ConvolutionAlgebra(act), bound=args.bound)
+    return stability_scan(ConvolutionAlgebra(act), bound=_bound(args))
 
 
 def cmd_dotinv(ws, args):

@@ -31,7 +31,7 @@ import sympy
 from .linalg import (Field, Matrix, Subspace, kernel, kron_sum, solve,
                      subspace_intersect, subspace_sum, stable_subspaces,
                      projection_matrix, closure, largest_stable_inside,
-                     nonzero_terms, pull_back, EnumerationBound)
+                     nonzero_terms, pull_back, rational, EnumerationBound)
 from .hopf import (FiniteAlgebra, ideal_closure, subspace_is_ideal,
                    is_cocommutative, is_group_basis, tensor_algebra_prod)
 from .action import (ModuleAlgebraAction, action_from_operators, hit_action,
@@ -213,8 +213,9 @@ def factor_irreducible(field: Field, coeffs):
 
 
 def sympy_rat_to_fraction(c):
+    """The canonical rational scalar of a sympy rational: an int when integral."""
     r = sympy.Rational(c)
-    return Fraction(int(r.p), int(r.q))
+    return rational(Fraction(int(r.p), int(r.q)))
 
 
 def minimal_polynomial(alg: FiniteAlgebra, x, unit=None):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Scalars are plain ``fractions.Fraction`` values (rationals) or ints in
-``[0, p)`` (prime fields); a :class:`Field` object supplies the arithmetic.
+Scalars are ints or ``fractions.Fraction`` values (rationals, an int when
+integral) or ints in ``[0, p)`` (prime fields); a :class:`Field` object
+supplies the arithmetic.
 The single canonical form used everywhere is the reduced row echelon form
 (RREF), so equality of row spaces, subspaces and ideals is a literal matrix
 comparison.  No floating point appears anywhere.
@@ -39,11 +40,20 @@ def _is_prime(n):
     return True
 
 
+def rational(q: Fraction):
+    """The canonical rational scalar of ``q``: its numerator when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """Exact scalar arithmetic for Q ('rationals') or F_p ('prime-field').
 
-    Rationals are ``Fraction`` instances (always lowest terms, positive
-    denominator); prime-field elements are ints reduced mod p.
+    Rationals are ints when integral and otherwise ``Fraction`` instances
+    (lowest terms, positive denominator); an integral ``Fraction`` may also
+    appear, and compares, hashes and prints like its int.  Prime-field
+    elements are ints reduced mod p.  Either way zero is the only falsy
+    scalar, so the hot loops test ``not x`` and accumulate with plain ``+``
+    and ``*``, reducing once per output entry (:meth:`reduce`).
     """
 
     __slots__ = ("kind", "p", "zero", "one")
@@ -54,19 +64,18 @@ class Field:
                 raise ValueError(f"prime-field modulus p must be a prime int, "
                                  f"got {p!r}")
             self.p = p
-            self.zero, self.one = 0, 1
         elif kind == "rationals":
             self.p = None
-            self.zero, self.one = Fraction(0), Fraction(1)
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
+        self.zero, self.one = 0, 1
 
     def characteristic(self):
         return 0 if self.p is None else self.p
 
     def from_int(self, n):
-        return n % self.p if self.p is not None else Fraction(n)
+        return n % self.p if self.p is not None else n
 
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
@@ -85,7 +94,13 @@ class Field:
             if a % self.p == 0:
                 raise ZeroDivisionError("inverse of 0 in F_p")
             return pow(a, self.p - 2, self.p)
-        return Fraction(1) / a
+        return rational(Fraction(1) / a)
+
+    def reduce(self, xs):
+        """Canonical scalars from the list ``xs`` of sums of products of
+        canonical scalars: each entry mod p over F_p; ``xs`` itself over Q."""
+        p = self.p
+        return xs if p is None else [x % p for x in xs]
 
     def is_zero(self, a):
         return (a % self.p == 0) if self.p is not None else a == 0
@@ -99,13 +114,13 @@ class Field:
                 if text.denominator != 1:
                     raise ValueError(f"non-integral scalar {text} over F_{self.p}")
                 return text.numerator % self.p
-            return text
+            return rational(text)
         if isinstance(text, int):
             return self.from_int(text)
         if isinstance(text, str):
             if self.p is not None:
                 return int(text) % self.p
-            return Fraction(text)
+            return rational(Fraction(text))
         raise ValueError(f"cannot parse scalar {text!r}")
 
     def render(self, a):
@@ -202,35 +217,29 @@ class Matrix:
         if self.ncols != other.nrows or self.field != other.field:
             raise ValueError("matrix product shape/field mismatch")
         F = self.field
-        out = Matrix.zeros(F, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            row = self.data[i]
-            orow = out.data[i]
-            for k in range(self.ncols):
-                a = row[k]
-                if F.is_zero(a):
-                    continue
-                brow = other.data[k]
-                for j in range(other.ncols):
-                    b = brow[j]
-                    if not F.is_zero(b):
-                        orow[j] = F.add(orow[j], F.mul(a, b))
-        return out
+        bterms = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
+        rows = []
+        for row in self.data:
+            orow = [0] * other.ncols
+            for a, bt in zip(row, bterms):
+                if a:
+                    for j, b in bt:
+                        orow[j] += a * b
+            rows.append(F.reduce(orow))
+        return Matrix(F, self.nrows, other.ncols, rows)
 
     def vec_mul(self, v):
         """Matrix times coordinate column vector (a list)."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        F = self.field
-        out = [F.zero] * self.nrows
+        out = [0] * self.nrows
         for j, a in enumerate(v):
-            if F.is_zero(a):
-                continue
-            for i in range(self.nrows):
-                b = self.data[i][j]
-                if not F.is_zero(b):
-                    out[i] = F.add(out[i], F.mul(a, b))
-        return out
+            if a:
+                for i, row in enumerate(self.data):
+                    b = row[j]
+                    if b:
+                        out[i] += a * b
+        return self.field.reduce(out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -272,7 +281,7 @@ def kron_sum(terms) -> Matrix:
     _, a0, b0 = terms[0]
     F = a0.field
     nrows, ncols = a0.nrows * b0.nrows, a0.ncols * b0.ncols
-    rows = [[F.zero] * ncols for _ in range(nrows)]
+    rows = [[0] * ncols for _ in range(nrows)]
     for c, a, b in terms:
         rb, cb = b.nrows, b.ncols
         if (a.nrows * rb, a.ncols * cb) != (nrows, ncols):
@@ -284,25 +293,23 @@ def kron_sum(terms) -> Matrix:
         for i, arow in enumerate(a.data):
             for j, x in enumerate(arow):
                 if x:
-                    cx = F.mul(c, x)
+                    cx = c * x
                     for k, l, y in bterms:
-                        row = rows[i * rb + k]
-                        row[j * cb + l] = F.add(row[j * cb + l], F.mul(cx, y))
-    return Matrix(F, nrows, ncols, rows)
+                        rows[i * rb + k][j * cb + l] += cx * y
+    return Matrix(F, nrows, ncols, [F.reduce(row) for row in rows])
 
 
 def apply_combination(coeffs, mats, v):
     """(sum_i coeffs[i] mats[i]) v, one operator image at a time: the
     summed matrix is never formed."""
     F = mats[0].field
-    out = [F.zero] * mats[0].nrows
+    out = [0] * mats[0].nrows
     for c, m in zip(coeffs, mats):
-        if F.is_zero(c):
-            continue
-        for k, y in enumerate(m.vec_mul(v)):
-            if not F.is_zero(y):
-                out[k] = F.add(out[k], F.mul(c, y))
-    return out
+        if c:
+            for k, y in enumerate(m.vec_mul(v)):
+                if y:
+                    out[k] += c * y
+    return F.reduce(out)
 
 
 def _rref_data(field, data, ncols):
@@ -313,22 +320,18 @@ def _rref_data(field, data, ncols):
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = F.inv(rows[r][c])
-        if inv != F.one:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        if inv != 1:
+            rows[r] = F.reduce([inv * x for x in rows[r]])
+        rr = rows[r]
         for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [F.sub(ri[j], F.mul(f, rr[j])) for j in range(ncols)]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = F.reduce([x - f * y for x, y in zip(rows[i], rr)])
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -10,29 +10,43 @@ oracles); the subspace helpers are compared with brute force over small
 prime fields.
 """
 
+import importlib.util
 import itertools
 import math
+import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfact.linalg import (GF, QQ, Matrix, Subspace, apply_combination, closure,
-                            combine, kernel, largest_stable_inside, pull_back,
-                            solve, stable_subspaces)
-from hopfact.hopf import (group_algebra, cyclic_group_table, dual_hopf,
-                          is_cocommutative, is_group_basis, is_grouplike,
+                            combine, kernel, kron_sum, largest_stable_inside,
+                            pull_back, solve, stable_subspaces, _rref_data)
+from hopfact.hopf import (FiniteAlgebra, HopfAlgebra, group_algebra,
+                          cyclic_group_table, dual_hopf,
+                          dual_number_plane_algebra, is_cocommutative,
+                          is_group_basis, is_grouplike, matrix_algebra,
                           primitives, product_field_algebra,
                           restricted_line_hopf, sweedler_hopf,
-                          symmetric_group_table, tensor_hopf, verify_hopf)
-from hopfact.workspace import load_hopf
+                          symmetric_group_table, tensor_hopf,
+                          truncated_poly_algebra, upper_triangular_algebra,
+                          verify_algebra, verify_hopf)
+from hopfact.workspace import Workspace, load_bundled, load_hopf
 from hopfact.action import (ModuleAlgebraAction, Representation,
                             coefficient_comul_report, coefficient_subalgebra,
                             hit_action, invariants, matrix_coefficients,
                             verify_sub_hopf)
 from hopfact.convolution import ConvElement, ConvolutionAlgebra
-from hopfact.ideals import (UnsupportedComputation, _build_stratum_pieces,
+from hopfact.ideals import (Ideal, UnsupportedComputation, _build_stratum_pieces,
                             _frobenius_kernel, core, h_spectrum, spectrum)
+from hopfact.lie import LieAction
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+_spec = importlib.util.spec_from_file_location(
+    "write_goldens", os.path.join(HERE, "golden", "write_goldens.py"))
+goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(goldens)
 
 
 # -- the direct loops, as oracles ------------------------------------------------
@@ -484,7 +498,7 @@ def apply_oracle(coeffs, mats, v):
     for i, c in enumerate(coeffs):
         if F.is_zero(c):
             continue
-        img = mats[i].vec_mul(v)
+        img = vec_mul_oracle(mats[i], v)
         out = [F.add(out[k], F.mul(c, img[k])) for k in range(len(out))]
     return out
 
@@ -939,3 +953,403 @@ def test_verify_sub_hopf_matches_index_loop(ws):
             assert verify_sub_hopf(h, sub).witnesses == want, name
             seen.update(w["axiom"] for w in want)
     assert "coproduct-stable" in seen
+
+
+# -- the Field-method loops against the plain-integer hot loops -----------------
+# Before integral rationals became ints, these loops called F.add, F.mul and
+# F.is_zero on every scalar; the program now accumulates plain sums and
+# reduces once per output entry.  The old bodies are the oracles.
+
+def vec_mul_oracle(m, v):
+    F = m.field
+    out = [F.zero] * m.nrows
+    for j, a in enumerate(v):
+        if F.is_zero(a):
+            continue
+        for i in range(m.nrows):
+            b = m.data[i][j]
+            if not F.is_zero(b):
+                out[i] = F.add(out[i], F.mul(a, b))
+    return out
+
+
+def mat_mul_oracle(a, b):
+    F = a.field
+    out = Matrix.zeros(F, a.nrows, b.ncols)
+    for i in range(a.nrows):
+        for k in range(a.ncols):
+            x = a.data[i][k]
+            if F.is_zero(x):
+                continue
+            for j in range(b.ncols):
+                y = b.data[k][j]
+                if not F.is_zero(y):
+                    out.data[i][j] = F.add(out.data[i][j], F.mul(x, y))
+    return out
+
+
+def kron_sum_oracle(terms):
+    _, a0, b0 = terms[0]
+    F = a0.field
+    rb, cb = b0.nrows, b0.ncols
+    out = Matrix.zeros(F, a0.nrows * rb, a0.ncols * cb)
+    for c, a, b in terms:
+        if F.is_zero(c):
+            continue
+        for i, j, k, l in itertools.product(range(a.nrows), range(a.ncols),
+                                            range(b.nrows), range(b.ncols)):
+            x, y = a.data[i][j], b.data[k][l]
+            if not F.is_zero(x) and not F.is_zero(y):
+                row = out.data[i * rb + k]
+                row[j * cb + l] = F.add(row[j * cb + l], F.mul(F.mul(c, x), y))
+    return out
+
+
+def rref_oracle(F, data, ncols):
+    rows = [list(r) for r in data]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if not F.is_zero(rows[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        if inv != F.one:
+            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [F.sub(ri[j], F.mul(f, rr[j])) for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def multiply_oracle(alg, x, y):
+    F = alg.field
+    out = [F.zero] * alg.dim
+    for i, a in enumerate(x):
+        if F.is_zero(a):
+            continue
+        for j, b in enumerate(y):
+            if F.is_zero(b):
+                continue
+            ab = F.mul(a, b)
+            for k, c in alg.mult_sparse[i][j]:
+                out[k] = F.add(out[k], F.mul(ab, c))
+    return out
+
+
+def support_oracle(F, terms):
+    return {key: c for key, c in terms.items() if not F.is_zero(c)}
+
+
+def verify_algebra_oracle(a):
+    """The witnesses of verify_algebra, one associator per basis triple."""
+    F, n, sparse = a.field, a.dim, a.mult_sparse
+    out = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs, rhs = {}, {}
+        for m, c in sparse[i][j]:
+            for q, d in sparse[m][k]:
+                lhs[q] = F.add(lhs.get(q, F.zero), F.mul(c, d))
+        for m, c in sparse[j][k]:
+            for q, d in sparse[i][m]:
+                rhs[q] = F.add(rhs.get(q, F.zero), F.mul(c, d))
+        if support_oracle(F, lhs) != support_oracle(F, rhs):
+            out.append({"axiom": "associativity", "triple": [i, j, k]})
+    for j in range(n):
+        ej = [F.one if t == j else F.zero for t in range(n)]
+        if multiply_oracle(a, a.unit, ej) != ej:
+            out.append({"axiom": "left-unit", "basis": j})
+        if multiply_oracle(a, ej, a.unit) != ej:
+            out.append({"axiom": "right-unit", "basis": j})
+    return out
+
+
+def verify_hopf_oracle(h):
+    """The witnesses of verify_hopf, each side accumulated with Field methods."""
+    F, n, alg = h.field, h.dim, h.alg
+    base = verify_algebra_oracle(alg)
+    if base:
+        return [{"axiom": "underlying-algebra"}] + base
+    out = []
+    cols, sp = h.comul_sparse, alg.mult_sparse
+    for j in range(n):
+        lhs, rhs = {}, {}
+        for (i, k, c) in cols[j]:
+            for (a, b, d) in cols[i]:
+                lhs[a, b, k] = F.add(lhs.get((a, b, k), F.zero), F.mul(c, d))
+            for (a, b, d) in cols[k]:
+                rhs[i, a, b] = F.add(rhs.get((i, a, b), F.zero), F.mul(c, d))
+        if support_oracle(F, lhs) != support_oracle(F, rhs):
+            out.append({"axiom": "coassociativity", "basis": j})
+    for j in range(n):
+        left, right = [F.zero] * n, [F.zero] * n
+        for (i, k, c) in cols[j]:
+            left[k] = F.add(left[k], F.mul(c, h.counit[i]))
+            right[i] = F.add(right[i], F.mul(c, h.counit[k]))
+        ej = [F.one if t == j else F.zero for t in range(n)]
+        if left != ej or right != ej:
+            out.append({"axiom": "counit", "basis": j})
+    if h.eps(alg.unit) != F.one:
+        out.append({"axiom": "counit-unital"})
+    for i, j in itertools.product(range(n), repeat=2):
+        prod_eps = F.zero
+        for k, c in sp[i][j]:
+            prod_eps = F.add(prod_eps, F.mul(c, h.counit[k]))
+        if prod_eps != F.mul(h.counit[i], h.counit[j]):
+            out.append({"axiom": "counit-multiplicative", "pair": [i, j]})
+    if h.delta(alg.unit) != [F.mul(a, b) for a in alg.unit for b in alg.unit]:
+        out.append({"axiom": "comul-unital"})
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs, rhs = {}, {}
+        for k, c in sp[i][j]:
+            for (a, b, d) in cols[k]:
+                lhs[a, b] = F.add(lhs.get((a, b), F.zero), F.mul(c, d))
+        for (a, b, c1), (d, e, c2) in itertools.product(cols[i], cols[j]):
+            for (x, cx), (y, cy) in itertools.product(sp[a][d], sp[b][e]):
+                rhs[x, y] = F.add(rhs.get((x, y), F.zero),
+                                  F.mul(F.mul(c1, c2), F.mul(cx, cy)))
+        if support_oracle(F, lhs) != support_oracle(F, rhs):
+            out.append({"axiom": "comul-multiplicative", "pair": [i, j]})
+    for j in range(n):
+        left, right = [F.zero] * n, [F.zero] * n
+        for (i, k, c) in cols[j]:
+            for m, a in h.antipode_sparse[i]:
+                for q, d in sp[m][k]:
+                    left[q] = F.add(left[q], F.mul(F.mul(c, a), d))
+            for m, a in h.antipode_sparse[k]:
+                for q, d in sp[i][m]:
+                    right[q] = F.add(right[q], F.mul(F.mul(c, a), d))
+        target = [F.mul(h.counit[j], u) for u in alg.unit]
+        if left != target:
+            out.append({"axiom": "antipode-left", "basis": j})
+        if right != target:
+            out.append({"axiom": "antipode-right", "basis": j})
+    return out
+
+
+PLAIN_LOOP_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+def scalars(field):
+    """Canonical scalars; over Q both ints and Fractions, integral ones too."""
+    if field.p is None:
+        return st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(0), Fraction(2),
+                                Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])
+    return st.integers(0, field.p - 1)
+
+
+def draw_matrix(draw, field, nrows, ncols):
+    rows = draw(st.lists(st.lists(scalars(field), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return Matrix(field, nrows, ncols, rows)
+
+
+def stock_hopfs(field):
+    c2 = group_algebra(cyclic_group_table(2), field, name="kC2")
+    s3 = group_algebra(symmetric_group_table(3), field, name="kS3")
+    return [c2, s3, dual_hopf(s3), sweedler_hopf(field), tensor_hopf(c2, c2)]
+
+
+def stock_algebras(field):
+    return [h.alg for h in stock_hopfs(field)] + [
+        matrix_algebra(field, 2), upper_triangular_algebra(field),
+        truncated_poly_algebra(field, 3), dual_number_plane_algebra(field)]
+
+
+def as_fractions(field, xs):
+    return [Fraction(x) for x in xs] if field.p is None else list(xs)
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_plain_loops_match_field_method_loops(field):
+    algebras = stock_algebras(field)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def check(data):
+        draw = data.draw
+        r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+        a, b = draw_matrix(draw, field, r, k), draw_matrix(draw, field, k, c)
+        v = draw(st.lists(scalars(field), min_size=k, max_size=k))
+        assert a.vec_mul(v) == vec_mul_oracle(a, v)
+        assert a.mat_mul(b) == mat_mul_oracle(a, b)
+        assert _rref_data(field, a.data, k) == rref_oracle(field, a.data, k)
+        mats = [draw_matrix(draw, field, r, k) for _ in range(draw(st.integers(1, 3)))]
+        coeffs = [draw(scalars(field)) for _ in mats]
+        assert apply_combination(coeffs, mats, v) == apply_oracle(coeffs, mats, v)
+        terms = [(coeff, m, b) for coeff, m in zip(coeffs, mats)]
+        assert kron_sum(terms) == kron_sum_oracle(terms)
+        alg = draw(st.sampled_from(algebras))
+        x, y = (draw(st.lists(scalars(field), min_size=alg.dim, max_size=alg.dim))
+                for _ in range(2))
+        assert alg.multiply(x, y) == multiply_oracle(alg, x, y)
+    check()
+
+
+def perturbed_terms(draw, field, terms, key_ranges):
+    """``terms`` (lists of (key..., c) tuples) with one to three nonzero
+    scalars added to coefficients; over Q every scalar may come back as a
+    Fraction."""
+    out = [list(t) for t in terms]
+    wrap = field.p is None and draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        slot = draw(st.integers(0, len(out) - 1))
+        key = tuple(draw(st.integers(0, n - 1)) for n in key_ranges)
+        coeffs = {t[:-1]: t[-1] for t in out[slot]}
+        coeffs[key] = field.add(coeffs.get(key, field.zero),
+                                draw(scalars(field).filter(bool)))
+        out[slot] = sorted(k + (c,) for k, c in coeffs.items() if c)
+    return [[t[:-1] + (Fraction(t[-1]),) if wrap else t for t in ts] for ts in out]
+
+
+def bundled_and_stock_hopfs(ws, field):
+    return stock_hopfs(field) + [h for _, h in sorted(ws.hopfs.items())
+                                 if h.field == field]
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_verify_algebra_matches_per_triple_loop(ws, field):
+    algebras = stock_algebras(field) + [a for _, a in sorted(ws.algebras.items())
+                                        if a.field == field]
+    failing = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        alg = data.draw(st.sampled_from(algebras))
+        n = alg.dim
+        flat_terms = perturbed_terms(data.draw, field,
+                                     [t for plane in alg.mult_sparse for t in plane], [n])
+        pert = FiniteAlgebra.from_terms(
+            field, n, [flat_terms[i * n:(i + 1) * n] for i in range(n)],
+            as_fractions(field, alg.unit), name=alg.name)
+        got = verify_algebra(pert).witnesses
+        assert got == verify_algebra_oracle(pert), alg.name
+        failing.append(bool(got))
+    check()
+    assert verify_algebra_oracle(algebras[0]) == verify_algebra(algebras[0]).witnesses == []
+    assert sum(failing) >= len(failing) // 2
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_verify_hopf_matches_field_method_loop(ws, field):
+    hopfs = bundled_and_stock_hopfs(ws, field)
+    failing = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        h = data.draw(st.sampled_from(hopfs))
+        n = h.dim
+        part = data.draw(st.sampled_from(["comul", "antipode", "counit"]))
+        comul, antipode, counit = h.comul_sparse, h.antipode_sparse, h.counit
+        if part == "comul":
+            comul = perturbed_terms(data.draw, field, comul, [n, n])
+        elif part == "antipode":
+            antipode = perturbed_terms(data.draw, field, antipode, [n])
+        else:
+            counit = list(counit)
+            j = data.draw(st.integers(0, n - 1))
+            counit[j] = field.add(counit[j], data.draw(scalars(field).filter(bool)))
+        pert = HopfAlgebra(h.alg, comul, counit, antipode, name=h.name)
+        got = verify_hopf(pert).witnesses
+        assert got == verify_hopf_oracle(pert), (h.name, part)
+        failing.append(bool(got))
+    check()
+    assert all(verify_hopf(h).ok and not verify_hopf_oracle(h) for h in hopfs)
+    assert sum(failing) >= len(failing) // 2
+
+
+def fraction_workspace():
+    """A fresh load of the bundled corpus in which every scalar a Q fixture
+    stores is a Fraction, as all Q scalars were before integral rationals
+    became ints; prime-field fixtures are shared as they are."""
+    ws = load_bundled(verify=False)
+    built = {}
+
+    def once(obj, field, build):
+        if field.p is not None:
+            return obj
+        if id(obj) not in built:
+            built[id(obj)] = build()
+        return built[id(obj)]
+
+    def frac(xs):
+        return [Fraction(x) for x in xs]
+
+    def matrix(m):
+        return Matrix(m.field, m.nrows, m.ncols, [frac(r) for r in m.data])
+
+    def alg(a):
+        return once(a, a.field, lambda: FiniteAlgebra.from_terms(
+            a.field, a.dim, [[[(k, Fraction(c)) for k, c in t] for t in plane]
+                             for plane in a.mult_sparse], frac(a.unit), name=a.name))
+
+    def hopf(h):
+        return once(h, h.field, lambda: HopfAlgebra(
+            alg(h.alg), [[(i, k, Fraction(c)) for i, k, c in col] for col in h.comul_sparse],
+            frac(h.counit), [[(i, Fraction(c)) for i, c in col] for col in h.antipode_sparse],
+            name=h.name))
+
+    def action(act):
+        def build():
+            new = ModuleAlgebraAction(hopf(act.hopf), alg(act.alg), act.tensor,
+                                      name=act.name)
+            new.tensor = [[frac(row) for row in plane] for plane in act.tensor]
+            return new
+        return once(act, act.field, build)
+
+    def lie(lact):
+        def build():
+            new = LieAction(alg(lact.alg), [matrix(d) for d in lact.derivations],
+                            lact.brackets, name=lact.name)
+            new.brackets = [[frac(row) for row in plane] for plane in lact.brackets]
+            return new
+        return once(lact, lact.alg.field, build)
+
+    def ideal(i):
+        sp = i.space
+        rows = tuple(tuple(frac(r)) for r in sp.rows)
+        return once(i, sp.field, lambda: Ideal(
+            alg(i.alg), Subspace(sp.field, sp.ambient_dim, rows, sp.pivots, _canonical=True),
+            check=False, h_stable=i.h_stable, name=i.name))
+
+    def representation(r):
+        def build():
+            new = Representation(hopf(r.hopf), [m.data for m in r.rho], name=r.name)
+            new.rho = [matrix(m) for m in r.rho]
+            return new
+        return once(r, r.hopf.field, build)
+
+    out = Workspace()
+    for registry, rebuild in (("hopfs", hopf), ("algebras", alg), ("actions", action),
+                              ("lie_actions", lie), ("ideals", ideal),
+                              ("representations", representation)):
+        setattr(out, registry, {name: rebuild(obj)
+                                for name, obj in getattr(ws, registry).items()})
+    return out
+
+
+def test_fraction_scalars_give_equal_reports(ws):
+    fws = fraction_workspace()
+    wrapped = [x for h in fws.hopfs.values() if h.field.p is None for x in h.counit]
+    assert wrapped and all(type(x) is Fraction for x in wrapped)
+    for command in ("verify", "core", "strata"):
+        argvs = goldens.cases(ws)[command]
+        with goldens.shared_workspace(ws):
+            want = [goldens.capture(argv) for argv in argvs]
+        with goldens.shared_workspace(fws):
+            got = [goldens.capture(argv) for argv in argvs]
+        assert got == want, command

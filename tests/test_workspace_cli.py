@@ -221,6 +221,16 @@ def test_cli_bound_reaches_strat_bijection(capsys):
     assert (default["certified-h-prime"], capped["certified-h-prime"]) == (2, 0)
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["stability-scan", "--action", "kleinswap"],
+    ["strat-bijection", "--action", "swap2", "--ideal", "zero-f2xf2"]])
+def test_cli_rejects_bound_below_one(argv, bound, capsys):
+    assert main(argv + ["--bound", bound, "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "error" and "--bound" in report["reason"]
+
+
 @pytest.mark.parametrize("flags", [["--nvars", "0"], ["--nvars", "-1"],
                                    ["--degree", "-1"]])
 def test_cli_series_phi_rejects_bad_sizes(flags, capsys):
@@ -234,6 +244,11 @@ def _k2_algebra():
     """k x k over F_2 in the dense fixture form."""
     return {"name": "k2", "field": {"kind": "prime-field", "p": 2}, "dim": 2,
             "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "unit": [1, 1]}
+
+
+def _c2_hopf():
+    """QC_2 as a group-table fixture."""
+    return {"name": "c2", "field": {"kind": "rationals"}, "group_table": [[0, 1], [1, 0]]}
 
 
 def _ragged_comul():
@@ -250,8 +265,12 @@ def _ragged_comul():
     (dict(_k2_algebra(), field="rationals"), "field:"),
     ({"name": "c2", "field": {"kind": "rationals"}, "group_table": 5}, "group_table:"),
     (dict(_k2_algebra(), unit=[1, "x"]), "unit:"),
+    ({"name": "r", "hopf": "c2", "rho": {"0": 5, "1": [[1]]}}, 'rho["0"]:'),
+    ({"name": "r", "hopf": "c2", "rho": {"0": [["x"]], "1": [[1]]}}, 'rho["0"]:'),
 ])
 def test_cli_malformed_fixture_is_load_error(tmp_path, capsys, obj, expected):
+    if "rho" in obj:
+        (tmp_path / "c2.json").write_text(json.dumps(_c2_hopf()))
     (tmp_path / "bad.json").write_text(json.dumps(obj))
     assert main(["verify", "--fixtures", str(tmp_path), "--json"]) == 2
     report = json.loads(capsys.readouterr().out)[0]
@@ -260,8 +279,7 @@ def test_cli_malformed_fixture_is_load_error(tmp_path, capsys, obj, expected):
 
 
 def test_cli_representation_without_rho_0_is_load_error(tmp_path, capsys):
-    (tmp_path / "c2.json").write_text(json.dumps(
-        {"name": "c2", "field": {"kind": "rationals"}, "group_table": [[0, 1], [1, 0]]}))
+    (tmp_path / "c2.json").write_text(json.dumps(_c2_hopf()))
     (tmp_path / "r.json").write_text(json.dumps(
         {"name": "r", "hopf": "c2", "rho": {"1": [["1"]]}}))
     assert main(["verify", "--fixtures", str(tmp_path), "--json"]) == 2
