@@ -6,7 +6,9 @@ the stratum action and embedding, primitives, grouplikes, coefficient
 coproducts, sub-Hopf pair spans), the coaction, the invariant solvers, the
 dual operations, the operator sums, the Frobenius kernel and the H-spectrum
 are compared with the direct loops they replaced (kept here as test-only
-oracles); the subspace helpers are compared with brute force over small
+oracles), and so are the plain-integer hot loops (matrix products,
+elimination, the algebra and Hopf verifiers) with their Field-method
+bodies; the subspace helpers are compared with brute force over small
 prime fields.
 """
 
@@ -1214,11 +1216,6 @@ def perturbed_terms(draw, field, terms, key_ranges):
     return [[t[:-1] + (Fraction(t[-1]),) if wrap else t for t in ts] for ts in out]
 
 
-def bundled_and_stock_hopfs(ws, field):
-    return stock_hopfs(field) + [h for _, h in sorted(ws.hopfs.items())
-                                 if h.field == field]
-
-
 @pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
 def test_verify_algebra_matches_per_triple_loop(ws, field):
     algebras = stock_algebras(field) + [a for _, a in sorted(ws.algebras.items())
@@ -1245,7 +1242,8 @@ def test_verify_algebra_matches_per_triple_loop(ws, field):
 
 @pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
 def test_verify_hopf_matches_field_method_loop(ws, field):
-    hopfs = bundled_and_stock_hopfs(ws, field)
+    hopfs = stock_hopfs(field) + [h for _, h in sorted(ws.hopfs.items())
+                                  if h.field == field]
     failing = []
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
