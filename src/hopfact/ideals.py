@@ -3,12 +3,14 @@
 Primes of a finite-dimensional algebra are computed as preimages of the
 "kill one simple block" maximal ideals after the radical quotient; blocks
 come from splitting the center of the semisimple quotient into primitive
-idempotents.  sympy does all the polynomial arithmetic of the splitting: it
-factors the minimal polynomial m of a splitting element x, and for each
-factor f it gives s with s (m / f) = 1 mod f, so that the block idempotent
-is ((s m / f) rem m)(x).  Center factors that are irreducible over the base
-field are kept as entries flagged inert (their heart is a proper field
-extension that is never constructed).
+idempotents.  A splitting element x whose minimal polynomial is t^2 - t is
+itself an idempotent and splits u into x and u - x with no polynomial
+arithmetic; this covers every center of k^X.  Any other minimal polynomial
+m goes to sympy, imported on the first factorization only: it factors m,
+and for each factor f it gives s with s (m / f) = 1 mod f, so that the
+block idempotent is ((s m / f) rem m)(x).  Center factors that are
+irreducible over the base field are kept as entries flagged inert (their
+heart is a proper field extension that is never constructed).
 
 The radical is computed by one of two exact routes and refuses anything
 else: the trace-form kernel (characteristic zero, or p > dim), or the
@@ -25,8 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-
-import sympy
 
 from .linalg import (Field, Matrix, Subspace, kernel, kron_sum, solve,
                      subspace_intersect, subspace_sum, stable_subspaces,
@@ -181,15 +181,20 @@ def center_subspace(alg: FiniteAlgebra) -> Subspace:
 
 # -- polynomials through sympy ---------------------------------------------------
 
-_T = sympy.Symbol("t")
+def _sympy():
+    """sympy and the polynomial variable t, imported on first use: the import
+    costs more than most commands, and only a factorization needs it."""
+    import sympy
+    return sympy, sympy.Symbol("t")
 
 
 def _to_poly(F, coeffs):
     """sympy polynomial in t over F from ascending coefficients."""
+    sympy, t = _sympy()
     if F.p is None:
         return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                           for c in reversed(coeffs)], _T, domain="QQ")
-    return sympy.Poly([int(c) for c in reversed(coeffs)], _T, modulus=F.p)
+                           for c in reversed(coeffs)], t, domain="QQ")
+    return sympy.Poly([int(c) for c in reversed(coeffs)], t, modulus=F.p)
 
 
 def _from_poly(F, poly):
@@ -214,6 +219,7 @@ def factor_irreducible(field: Field, coeffs):
 
 def sympy_rat_to_fraction(c):
     """The canonical rational scalar of a sympy rational: an int when integral."""
+    sympy, _ = _sympy()
     r = sympy.Rational(c)
     return rational(Fraction(int(r.p), int(r.q)))
 
@@ -244,37 +250,32 @@ def minimal_polynomial(alg: FiniteAlgebra, x, unit=None):
 
 def poly_eval_in_algebra(alg: FiniteAlgebra, coeffs, x, unit=None):
     """Evaluate a polynomial at x with x^0 = unit."""
-    F = alg.field
     u = list(alg.unit) if unit is None else list(unit)
-    out = [F.zero] * alg.dim
+    out = [0] * alg.dim
     power = u
     for i, c in enumerate(coeffs):
-        if not F.is_zero(c):
-            out = [F.add(out[k], F.mul(c, power[k])) for k in range(alg.dim)]
+        if c:
+            out = [o + c * y for o, y in zip(out, power)]
         if i + 1 < len(coeffs):
             power = alg.multiply(power, x)
-    return out
+    return alg.field.reduce(out)
 
 
 # -- radical -------------------------------------------------------------------
 
 def _trace_form_kernel(alg: FiniteAlgebra) -> Subspace:
+    """Kernel of the Gram matrix tr(L_i L_j) of left multiplications."""
     F = alg.field
     n = alg.dim
-    L = alg.ideal_operators[0::2]
-    gram = [[F.zero] * n for _ in range(n)]
+    L = [m.data for m in alg.ideal_operators[0::2]]
+    cols = [list(zip(*m)) for m in L]
+    gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = F.zero
-            Li, Lj = L[i].data, L[j].data
-            for k in range(n):
-                row = Li[k]
-                for m in range(n):
-                    x = row[m]
-                    if not F.is_zero(x):
-                        acc = F.add(acc, F.mul(x, Lj[m][k]))
-            gram[i][j] = gram[j][i] = acc
-    return kernel(Matrix(F, n, n, gram))
+            gram[i][j] = gram[j][i] = sum(
+                x * y for row, col in zip(L[i], cols[j])
+                for x, y in zip(row, col) if x)
+    return kernel(Matrix(F, n, n, [F.reduce(row) for row in gram]))
 
 
 def _frobenius_kernel(alg: FiniteAlgebra) -> Subspace:
@@ -372,6 +373,10 @@ def _try_split(Z: FiniteAlgebra, u):
             break
         x = Z.multiply(cand, u)
         mp = minimal_polynomial(Z, x, unit=u)
+        if mp == [F.zero, F.neg(F.one), F.one]:
+            # t^2 - t: x is an idempotent other than 0 and u, and x, u - x
+            # are the CRT idempotents of the factors t - 1 and t
+            return [x, [F.sub(a, b) for a, b in zip(u, x)]]
         factors = factor_irreducible(F, mp)
         if any(m > 1 for _, m in factors):
             raise RuntimeError("repeated factor inside a semisimple center")

@@ -18,6 +18,7 @@ import itertools
 from fractions import Fraction
 
 DEFAULT_ENUM_BOUND = 256
+JOIN_CAP = 200_000    # lattice element x cyclic pairs tried by stable_subspaces
 
 
 class EnumerationBound(Exception):
@@ -655,14 +656,15 @@ def stable_subspaces(field: Field, n, operators, bound=None):
     under L + C for every cyclic C not inside L.  The cost is p**n/(p - 1)
     spins plus |lattice| x |cyclics| joins, so it follows the size of the
     answer, not the number of subspaces.  The worst case is a lattice of
-    nearly every subspace: with no operators over F_2 it takes 2.0 s at
-    n = 6 and 50 s at n = 7 (2.8k and 29k subspaces; Python 3.11, one
-    core), where the callers' lattices on the bundled fixtures have at
-    most 67 elements.
+    nearly every subspace: with no operators over F_2 there are 11,594
+    joins at n = 5 and 3.7 million at n = 7 (50 s; Python 3.11, one core),
+    where the callers' lattices on the bundled fixtures have at most 67
+    elements.
 
     Refuses Q and p**n above the enumeration cap (:func:`enum_bound`), so
-    the cap is the number of vectors spun.  The result is sorted by
-    dimension, pivots and rows: the order of :func:`enumerate_subspaces`.
+    the cap is the number of vectors spun, and refuses once the joins tried
+    pass :data:`JOIN_CAP`.  The result is sorted by dimension, pivots and
+    rows: the order of :func:`enumerate_subspaces`.
     """
     p = _enumerable_prime(field, n, bound)
     ops = list(dict.fromkeys(
@@ -684,7 +686,13 @@ def stable_subspaces(field: Field, n, operators, bound=None):
             cyclics.setdefault(tuple(map(tuple, rows)), v)
     lattice = {(): ()}
     queue = [((), [])]
+    joins = 0
     for rows, pivots in queue:
+        joins += len(cyclics)
+        if joins > JOIN_CAP:
+            raise EnumerationBound(
+                f"the stable-subspace lattice of {p}**{n} needs more than "
+                f"{JOIN_CAP} joins (JOIN_CAP)")
         for crows, v in cyclics.items():
             r, pv = list(rows), list(pivots)
             if not _echelon_insert(r, pv, v, p):

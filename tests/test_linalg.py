@@ -8,7 +8,7 @@ from hopfact.linalg import (QQ, GF, Matrix, Subspace, rref, kernel, kron_sum,
                             solve, subspace_sum, subspace_intersect,
                             enumerate_subspaces, gaussian_binomial,
                             subspace_count, EnumerationBound, annihilator,
-                            is_stable, stable_subspaces)
+                            is_stable, stable_subspaces, JOIN_CAP)
 from hopfact.convolution import ConvolutionAlgebra
 
 
@@ -210,6 +210,14 @@ def test_stable_subspaces_bound():
     with pytest.raises(EnumerationBound):
         stable_subspaces(GF(3), 3, [], bound=26)
     assert len(stable_subspaces(GF(3), 3, [], bound=27)) == subspace_count(3, 3)
+
+
+def test_stable_subspaces_join_cap():
+    # with no operators F_2^7 has 29k stable subspaces and 127 cyclics, about
+    # 3.7 million joins; the enumeration bound admits its 128 vectors, so
+    # only the join cap stops it
+    with pytest.raises(EnumerationBound, match=f"{JOIN_CAP} joins"):
+        stable_subspaces(GF(2), 7, [])
 
 
 def test_enumeration_order_deterministic():

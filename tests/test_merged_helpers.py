@@ -7,9 +7,10 @@ coproducts, sub-Hopf pair spans), the coaction, the invariant solvers, the
 dual operations, the operator sums, the Frobenius kernel and the H-spectrum
 are compared with the direct loops they replaced (kept here as test-only
 oracles), and so are the plain-integer hot loops (matrix products,
-elimination, the algebra and Hopf verifiers) with their Field-method
-bodies; the subspace helpers are compared with brute force over small
-prime fields.
+elimination, the algebra and Hopf verifiers, the trace-form Gram matrix,
+polynomial evaluation) with their Field-method bodies, and the block
+splitter with its route before the t^2 - t shortcut; the subspace helpers
+are compared with brute force over small prime fields.
 """
 
 import importlib.util
@@ -43,6 +44,7 @@ from hopfact.convolution import ConvElement, ConvolutionAlgebra
 from hopfact.ideals import (Ideal, UnsupportedComputation, _build_stratum_pieces,
                             _frobenius_kernel, core, h_spectrum, spectrum)
 from hopfact.lie import LieAction
+from hopfact import ideals
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 _spec = importlib.util.spec_from_file_location(
@@ -1351,3 +1353,185 @@ def test_fraction_scalars_give_equal_reports(ws):
         with goldens.shared_workspace(fws):
             got = [goldens.capture(argv) for argv in argvs]
         assert got == want, command
+
+
+# -- the block splitter and the radical path against their old routes -----------
+
+def poly_eval_oracle(alg, coeffs, x, unit=None):
+    """poly_eval_in_algebra with a Field call per scalar."""
+    F = alg.field
+    u = list(alg.unit) if unit is None else list(unit)
+    out = [F.zero] * alg.dim
+    power = u
+    for i, c in enumerate(coeffs):
+        if not F.is_zero(c):
+            out = [F.add(out[k], F.mul(c, power[k])) for k in range(alg.dim)]
+        if i + 1 < len(coeffs):
+            power = alg.multiply(power, x)
+    return out
+
+
+def trace_form_kernel_oracle(alg):
+    """_trace_form_kernel with a Field call per scalar."""
+    F = alg.field
+    n = alg.dim
+    L = alg.ideal_operators[0::2]
+    gram = [[F.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = F.zero
+            Li, Lj = L[i].data, L[j].data
+            for k in range(n):
+                row = Li[k]
+                for m in range(n):
+                    x = row[m]
+                    if not F.is_zero(x):
+                        acc = F.add(acc, F.mul(x, Lj[m][k]))
+            gram[i][j] = gram[j][i] = acc
+    return kernel(Matrix(F, n, n, gram))
+
+
+def try_split_oracle(Z, u):
+    """_try_split without the t^2 - t shortcut: every minimal polynomial is
+    factored by sympy and the idempotents come from its extended gcds."""
+    F = Z.field
+    corner = ideals._corner_basis(Z, u)
+    d = len(corner)
+    if d == 1:
+        return None
+    budget = 20000
+    for cand in ideals._splitter_candidates(Z, corner):
+        budget -= 1
+        if budget < 0:
+            break
+        x = Z.multiply(cand, u)
+        mp = ideals.minimal_polynomial(Z, x, unit=u)
+        factors = ideals.factor_irreducible(F, mp)
+        if any(m > 1 for _, m in factors):
+            raise RuntimeError("repeated factor inside a semisimple center")
+        if len(factors) == 1:
+            if len(mp) - 1 == d:
+                return None
+            continue
+        modulus = ideals._to_poly(F, mp)
+        pieces = []
+        for fac, _ in factors:
+            f = ideals._to_poly(F, fac)
+            n_i = modulus.quo(f)
+            s, _, g = n_i.gcdex(f)
+            if g.degree() != 0:
+                raise RuntimeError("factors of a squarefree polynomial not coprime")
+            e_red = ideals._from_poly(F, (s * n_i).rem(modulus))
+            pieces.append(poly_eval_oracle(Z, e_red, x, unit=u))
+        return pieces
+    raise UnsupportedComputation(
+        "could not certify a center factor as a field within the search budget")
+
+
+def split_oracle(Z):
+    """split_primitive_idempotents on try_split_oracle."""
+    pieces = [list(Z.unit)]
+    done = []
+    while pieces:
+        u = pieces.pop()
+        finer = try_split_oracle(Z, u)
+        if finer is None:
+            done.append(u)
+        else:
+            pieces.extend(finer)
+    done.sort(key=lambda v: [str(c) for c in v])
+    return done
+
+
+def direct_product(a, b):
+    """A x B, the basis of A followed by that of B."""
+    n, m = a.dim, b.dim
+    terms = [[[] for _ in range(n + m)] for _ in range(n + m)]
+    for i, j in itertools.product(range(n), repeat=2):
+        terms[i][j] = list(a.mult_sparse[i][j])
+    for i, j in itertools.product(range(m), repeat=2):
+        terms[n + i][n + j] = [(n + k, c) for k, c in b.mult_sparse[i][j]]
+    return FiniteAlgebra.from_terms(a.field, n + m, terms, list(a.unit) + list(b.unit))
+
+
+SPLIT_GROUPS = {"C2": cyclic_group_table(2), "C3": cyclic_group_table(3),
+                "C4": cyclic_group_table(4),
+                "C2xC2": [[i ^ j for j in range(4)] for i in range(4)],
+                "S3": symmetric_group_table(3)}
+
+
+def group_center(table, field):
+    """Z(kG), a commutative algebra (semisimple unless char k divides |G|)."""
+    alg = group_algebra(table, field).alg
+    return ideals.subalgebra_structure(alg, ideals.center_subspace(alg))[0]
+
+
+def semisimple_center(alg):
+    """The center of A / rad A, the algebra spectrum splits."""
+    S = ideals.quotient_algebra(alg, ideals.radical_subspace(alg))[0]
+    return ideals.subalgebra_structure(S, ideals.center_subspace(S))[0]
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_idempotent_shortcut_matches_factoring(field, monkeypatch):
+    centers = {name: group_center(t, field) for name, t in SPLIT_GROUPS.items()}
+    centers["k"] = product_field_algebra(field, 1)
+    factored = []
+    factor = ideals.factor_irreducible
+
+    def counted_factor(F, coeffs):
+        factored.append(coeffs)
+        return factor(F, coeffs)
+
+    monkeypatch.setattr(ideals, "factor_irreducible", counted_factor)
+    saved, kept = [], []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(st.lists(st.sampled_from(sorted(centers)), min_size=1, max_size=3))
+    def check(names):
+        alg = centers[names[0]]
+        for name in names[1:]:
+            alg = direct_product(alg, centers[name])
+        Z = semisimple_center(alg)
+        factored.clear()
+        want = split_oracle(Z)
+        calls = len(factored)
+        factored.clear()
+        assert ideals.split_primitive_idempotents(Z) == want, names
+        saved.append(calls - len(factored))
+        kept.append(len(factored))
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "_try_split", try_split_oracle)
+            old = spectrum(alg)
+        assert spectrum(alg) == old, names
+    check()
+    # the shortcut took over some factorizations, and sympy still did others
+    assert min(saved) >= 0 and sum(saved) > 0 and sum(kept) > 0
+
+
+RADICAL_FIELDS = [QQ, GF(7)]    # p > dim for every algebra drawn: the trace-form route
+
+
+@pytest.mark.parametrize("field", RADICAL_FIELDS)
+def test_radical_path_matches_field_method_loops(ws, field):
+    algebras = stock_algebras(field) + [a for _, a in sorted(ws.algebras.items())
+                                        if a.field == field]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        alg = data.draw(st.sampled_from(algebras))
+        n = alg.dim
+        flat_terms = perturbed_terms(data.draw, field,
+                                     [t for plane in alg.mult_sparse for t in plane], [n])
+        pert = FiniteAlgebra.from_terms(
+            field, n, [flat_terms[i * n:(i + 1) * n] for i in range(n)],
+            as_fractions(field, alg.unit), name=alg.name)
+        for a in (alg, pert):
+            assert ideals._trace_form_kernel(a) == trace_form_kernel_oracle(a), a.name
+            coeffs = data.draw(st.lists(scalars(field), max_size=4))
+            x = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+            unit = data.draw(st.sampled_from([None, x]))
+            assert (ideals.poly_eval_in_algebra(a, coeffs, x, unit)
+                    == poly_eval_oracle(a, coeffs, x, unit)), a.name
+    check()

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -314,3 +316,100 @@ def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Workspace, "load", boom)
     assert main(argv) == 3
     assert json.loads(capsys.readouterr().out)[0]["status"] == "internal-error"
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+# Runs each argv (a JSON list in argv[1]) through cli.main in one fresh
+# interpreter and prints, per step, the exit code, the reports without
+# timing and whether sympy has been imported by then.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+steps = []
+import hopfact
+steps.append({"step": "import hopfact", "sympy": "sympy" in sys.modules})
+from hopfact import cli
+steps.append({"step": "import hopfact.cli", "sympy": "sympy" in sys.modules})
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv + ["--json"])
+    reports = json.loads(buf.getvalue())
+    for rep in reports:
+        rep.pop("timing_ms", None)
+    steps.append({"step": argv, "exit": code, "reports": reports,
+                  "sympy": "sympy" in sys.modules})
+print(json.dumps(steps))
+"""
+
+
+def _import_probe(argvs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_sympy_is_imported_only_to_factor():
+    # sympy is a large import: only splitting a block whose minimal
+    # polynomial is not t^2 - t may load it, never the package or the CLI
+    steps = _import_probe([
+        ["verify"],
+        ["core", "--action", "grading2", "--ideal", "aug2"],
+        ["dotinv", "--action", "sweedler-act"],
+        ["semiprime-core", "--action", "grading", "--ideal", "aug"],
+        ["stability-scan", "--action", "swap2"],
+        ["series-phi"],
+        ["spectrum", "--algebra", "qxq"],
+        ["spectrum", "--algebra", "f2xf2"],
+        ["strata", "--action", "swap"],
+        ["strata", "--action", "swap2"]])
+    assert [s["step"] for s in steps if s["sympy"]] == []
+    assert all(s["exit"] == 0 for s in steps[2:])
+    spectra = {s["step"][2]: s["reports"][0]["details"]["entries"]
+               for s in steps if s["step"][0] == "spectrum"}
+    assert {name: len(entries) for name, entries in spectra.items()} == {
+        "qxq": 2, "f2xf2": 2}
+
+
+def test_group_algebra_spectrum_imports_sympy():
+    # QC_3 = Q x Q(w): its center needs a real factorization of t^3 - 1
+    argv = ["spectrum", "--algebra", "qc3"]
+    step = _import_probe([argv])[-1]
+    assert step["sympy"]
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden", "spectrum.json")) as fh:
+        golden = next(case for case in json.load(fh) if case["argv"] == argv)
+    assert (step["exit"], step["reports"]) == (golden["exit"], golden["reports"])
+
+
+@pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
+@pytest.mark.parametrize("command", ["series-phi", "charp-demo"])
+def test_cli_rejects_non_prime_modulus(command, prime, capsys):
+    code = main([command, "--prime", prime, "--json"])
+    report = json.loads(capsys.readouterr().out)[0]
+    if command == "series-phi" and prime == "0":
+        # --prime 0 is the documented default: the series over Q
+        assert (code, report["status"]) == (0, "pass")
+        return
+    assert code == 2 and report["status"] == "error"
+    assert f"modulus p must be a prime int, got {prime}" in report["reason"]
+
+
+def test_cli_stability_scan_refuses_a_join_past_the_cap(tmp_path, capsys):
+    # the trivial Hopf algebra on F_2^7: every one of its 29k subspaces is
+    # stable, so the lattice join passes JOIN_CAP and refuses (exit 2)
+    from hopfact.action import trivial_action
+    from hopfact.hopf import product_field_algebra, trivial_hopf
+    from hopfact.linalg import GF, JOIN_CAP
+    hopf = trivial_hopf(GF(2), name="k")
+    alg = product_field_algebra(GF(2), 7, name="k7")
+    act = trivial_action(hopf, alg, name="triv7")
+    for name, obj in (("k", hopf), ("k7", alg), ("triv7", act)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj.to_json()))
+    argv = ["stability-scan", "--fixtures", str(tmp_path), "--action", "triv7", "--json"]
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "error"
+    assert "JOIN_CAP" in report["reason"] and str(JOIN_CAP) in report["reason"]
