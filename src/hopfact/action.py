@@ -14,8 +14,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (Matrix, Subspace, apply_combination, closure, combine,
-                     is_stable, kernel, kron_sum, parse_dense)
-from .hopf import FiniteAlgebra, HopfAlgebra, dual_hopf, is_group_basis
+                     is_stable, kernel, kron_sum, parse_dense, support)
+from .hopf import (FiniteAlgebra, HopfAlgebra, coassociativity_failures,
+                   counit_failures, dual_hopf, is_group_basis, scan_generators,
+                   verify_algebra)
 from .report import Report
 
 
@@ -83,63 +85,115 @@ class Representation:
         return combine(hvec, self.rho)
 
     def verify(self) -> Report:
+        """rho(1) = id and rho(x y) = rho(x) rho(y) on basis pairs.
+
+        Generator lemma: when rho(1) = id and H is associative with a
+        two-sided unit, the x with rho(x y) = rho(x) rho(y) for all y form a
+        unital subalgebra, so x runs over the generators of H."""
         rep = Report("representation-axioms", details={"name": self.name})
         F = self.hopf.field
-        n = self.hopf.dim
-        if self.of(self.hopf.alg.unit) != Matrix.identity(F, self.dim_v):
+        halg = self.hopf.alg
+        unital = self.of(halg.unit) == Matrix.identity(F, self.dim_v)
+        if not unital:
             rep.fail({"axiom": "unit"})
-        for i in range(n):
-            for j in range(n):
-                lhs = self.rho[i].mat_mul(self.rho[j])
-                rhs = self.of(self.hopf.alg.basis_product(i, j))
-                if lhs != rhs:
-                    rep.fail({"axiom": "multiplicative", "pair": [i, j]})
+        ready = unital and verify_algebra(halg).ok
+        for pair in scan_generators(halg, ready, lambda outer: _multiplicative_failures(
+                halg, self.rho, outer)):
+            rep.fail({"axiom": "multiplicative", "pair": pair})
         return rep
 
 
+def _multiplicative_failures(alg: FiniteAlgebra, mats, firsts):
+    """The pairs [i, j], i in ``firsts``, with mats[i] mats[j] != the
+    combination of ``mats`` that e_i e_j is."""
+    return [[i, j] for i in firsts for j in range(alg.dim)
+            if mats[i].mat_mul(mats[j]) != combine(alg.basis_product(i, j), mats)]
+
+
 def verify_action(act: ModuleAlgebraAction) -> Report:
-    """Module axioms plus the measuring conditions, all on basis elements."""
+    """Module axioms plus the measuring conditions, all on basis elements.
+
+    Generator lemmas, each used only after its preconditions pass here:
+    - module associativity: when 1 acts as the identity and H is
+      associative with a two-sided unit, the h with (h h').a = h.(h'.a) for
+      all h', a form a unital subalgebra, so h runs over the generators
+      of H;
+    - measuring: when A is associative with a two-sided unit, H is
+      coassociative and satisfies the counit law, and h.1 = eps(h) 1, the a
+      with h.(a b) = (h_1.a)(h_2.b) for all h, b form a unital subalgebra,
+      so a runs over the generators of A.
+    """
     rep = Report("action-axioms", details={"name": act.name})
     F = act.field
     H, A = act.hopf, act.alg
-    nH, nA = H.dim, A.dim
+    nA = A.dim
     ops = act.operator_matrices
 
     # unit of H acts as identity
-    for j in range(nA):
-        ej = A.basis_vector(j)
-        if apply_combination(H.alg.unit, ops, ej) != ej:
-            rep.fail({"axiom": "unit-acts-trivially", "basis": j})
+    unit_fails = [j for j in range(nA)
+                  if apply_combination(H.alg.unit, ops, A.basis_vector(j))
+                  != A.basis_vector(j)]
+    for j in unit_fails:
+        rep.fail({"axiom": "unit-acts-trivially", "basis": j})
 
     # associativity of the module structure on basis pairs
-    for i in range(nH):
-        for j in range(nH):
-            prod = H.alg.basis_product(i, j)
-            if ops[i].mat_mul(ops[j]) != combine(prod, ops):
-                rep.fail({"axiom": "module-associativity", "pair": [i, j]})
+    ready = not unit_fails and verify_algebra(H.alg).ok
+    for pair in scan_generators(H.alg, ready, lambda outer: _multiplicative_failures(
+            H.alg, ops, outer)):
+        rep.fail({"axiom": "module-associativity", "pair": pair})
 
     # h . 1 = eps(h) 1
-    for i in range(nH):
-        lhs = act.act_basis(i, A.unit)
-        rhs = [F.mul(H.counit[i], u) for u in A.unit]
-        if lhs != rhs:
-            rep.fail({"axiom": "measuring-unit", "hopf-basis": i})
+    unit_rule_fails = [i for i in range(H.dim)
+                       if act.act_basis(i, A.unit) != [F.mul(H.counit[i], u) for u in A.unit]]
+    for i in unit_rule_fails:
+        rep.fail({"axiom": "measuring-unit", "hopf-basis": i})
 
     # h . (a b) = (h_1 . a)(h_2 . b)
-    cols = H.comul_sparse
-    for i in range(nH):
-        for j in range(nA):
-            for k in range(nA):
-                lhs = act.act_basis(i, A.basis_product(j, k))
-                rhs = [F.zero] * nA
-                for (p, q, c) in cols[i]:
-                    left = [act.tensor[p][j][m] for m in range(nA)]
-                    right = [act.tensor[q][k][m] for m in range(nA)]
-                    prod = A.multiply(left, right)
-                    rhs = [F.add(rhs[m], F.mul(c, prod[m])) for m in range(nA)]
-                if lhs != rhs:
-                    rep.fail({"axiom": "measuring", "triple": [i, j, k]})
+    ready = (not unit_rule_fails and verify_algebra(A).ok
+             and not coassociativity_failures(H) and not counit_failures(H))
+    for triple in scan_generators(A, ready, lambda outer: _measuring_failures(act, outer)):
+        rep.fail({"axiom": "measuring", "triple": triple})
     return rep
+
+
+def _measuring_failures(act: ModuleAlgebraAction, middles):
+    """The triples [i, j, k], j in ``middles``, with h_i . (e_j e_k) !=
+    sum (h_i1 . e_j)(h_i2 . e_k); every k of one (i, j) at once, keyed
+    (k, q)."""
+    F, A = act.field, act.alg
+    sparse, partners = A.mult_sparse, A.right_partners
+    # images[p][j]: the terms of h_p . e_j; preimages[r][l]: the (k, b)
+    # with b the coefficient of e_l in h_r . e_k
+    images = [[[(m, c) for m, c in enumerate(row) if c] for row in plane]
+              for plane in act.tensor]
+    preimages = []
+    for plane in images:
+        by_image = [[] for _ in range(A.dim)]
+        for k, terms in enumerate(plane):
+            for l, b in terms:
+                by_image[l].append((k, b))
+        preimages.append(by_image)
+    out = []
+    for i, img_i in enumerate(images):
+        for j in middles:
+            diff = {}
+            sp_j = sparse[j]
+            for k in partners[j]:
+                for m, c in sp_j[k]:
+                    for q, d in img_i[m]:
+                        diff[k, q] = diff.get((k, q), 0) + c * d
+            for p, r, c in act.hopf.comul_sparse[i]:
+                pre_r = preimages[r]
+                for m, a in images[p][j]:
+                    ca = c * a
+                    sp_m = sparse[m]
+                    for l in partners[m]:
+                        for k, b in pre_r[l]:
+                            cab = ca * b
+                            for q, d in sp_m[l]:
+                                diff[k, q] = diff.get((k, q), 0) - cab * d
+            out.extend([i, j, k] for k in sorted({k for k, _ in support(F, diff)}))
+    return out
 
 
 def invariants_of(ops, counit) -> Subspace:

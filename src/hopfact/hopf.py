@@ -26,7 +26,7 @@ from functools import cached_property
 from math import comb
 
 from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, combine,
-                     is_stable, kron_sum, nonzero_terms, parse_dense,
+                     is_stable, kron_sum, nonzero_terms, parse_dense, support,
                      _enumerable_prime)
 from .report import Report
 
@@ -99,14 +99,70 @@ class FiniteAlgebra:
 
     def _mult_matrix(self, x, terms):
         F = self.field
-        rows = [[F.zero] * self.dim for _ in range(self.dim)]
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for i, a in enumerate(x):
-            if F.is_zero(a):
+            if a:
+                for j in range(self.dim):
+                    for k, c in terms(i, j):
+                        rows[k][j] += a * c
+        return Matrix(F, self.dim, self.dim, [F.reduce(row) for row in rows])
+
+    @cached_property
+    def generators(self):
+        """Basis indices b whose elements e_b generate the algebra.
+
+        In ascending order, b is kept when e_b lies outside W, the span of
+        the words g1 (g2 (... (gk 1))) in the generators kept so far; W is
+        spun from the unit with an exact sparse echelon basis.  The result
+        is deterministic.  When the unit is a right unit (so e_b = e_b 1 is
+        a word) the words of the generators span the algebra: k^X needs
+        |X| - 1 generators and a group algebra kG at most log2 |G|.
+        """
+        F, n, sparse = self.field, self.dim, self.mult_sparse
+        echelon = {}    # pivot -> row {column: scalar}, zero before the pivot, 1 at it
+
+        def residual(w):
+            # a row only adds columns beyond its pivot: eliminate the
+            # smallest pivot left in w until none is
+            while True:
+                pc = min((k for k in w if k in echelon), default=None)
+                if pc is None:
+                    return w
+                c, w = w[pc], dict(w)
+                for k, y in echelon[pc].items():
+                    w[k] = w.get(k, 0) - c * y
+                w = support(F, w)
+
+        def insert(w):
+            w = residual(w)
+            if w:
+                pc = min(w)
+                inv = F.inv(w[pc])
+                echelon[pc] = dict(zip(w, F.reduce([inv * x for x in w.values()])))
+            return bool(w)
+
+        unit = {k: c for k, c in enumerate(self.unit) if c}
+        spun = [unit] if insert(unit) else []
+        gens = []
+        for b in range(n):
+            if len(echelon) == n:
+                break
+            if not residual({b: F.one}):
                 continue
-            for j in range(self.dim):
-                for k, c in terms(i, j):
-                    rows[k][j] = F.add(rows[k][j], F.mul(a, c))
-        return Matrix(F, self.dim, self.dim, rows)
+            gens.append(b)
+            old = len(spun)
+            for t, w in enumerate(spun):    # spun grows inside the loop
+                if len(echelon) == n:
+                    break
+                for g in (gens if t >= old else (b,)):
+                    u = {}
+                    for j, a in w.items():
+                        for k, c in sparse[g][j]:
+                            u[k] = u.get(k, 0) + a * c
+                    u = support(F, u)
+                    if insert(u):
+                        spun.append(u)
+        return gens
 
     @cached_property
     def ideal_operators(self):
@@ -238,39 +294,83 @@ def _matrix_of_columns(F, nrows, columns) -> Matrix:
 
 
 # -- verification -------------------------------------------------------------
+# The multiplicative axioms are checked with the generator lemma: the elements
+# that satisfy an axiom in one slot, for every basis element in the other
+# slots, form a unital subalgebra once the verifier's own earlier checks
+# (unit, associativity, unital maps) pass, so that slot need only run over
+# FiniteAlgebra.generators.  Each loop below takes the indices of that slot
+# as ``outer``; scan_generators runs it over the basis whenever the lemma
+# does not apply or a generator case fails, so a failure lists every
+# failing basis case exactly as a plain scan does.
+
+def scan_generators(alg: FiniteAlgebra, ready, failures):
+    """``failures(outer)``, the failing cases whose lemma slot is in
+    ``outer``, with that slot over ``alg.generators`` when ``ready`` (the
+    lemma's preconditions passed) and no generator case fails, and over the
+    whole basis otherwise."""
+    if ready:
+        found = failures(alg.generators)
+        if not found:
+            return found
+    return failures(range(alg.dim))
+
 
 def verify_algebra(a: FiniteAlgebra) -> Report:
-    """Associativity on all basis triples plus two-sided unit."""
+    """Associativity on all basis triples plus two-sided unit.
+
+    Generator lemma: with a two-sided unit, the m with (x m) y = x (m y)
+    for all x, y form a unital subalgebra (Light's associativity test), so
+    the middle slot runs over the generators once both unit laws hold."""
     rep = Report("algebra-axioms", details={"name": a.name, "dim": a.dim})
     F = a.field
     n = a.dim
-    sparse = a.mult_sparse
-    for i in range(n):
-        sp_i = sparse[i]
-        for j in range(n):
-            # (e_i e_j) e_k - e_i (e_j e_k) for every k at once, keyed (k, q)
-            diff = {}
-            for m, c in sp_i[j]:
-                for k, terms in enumerate(sparse[m]):
-                    for q, d in terms:
-                        diff[k, q] = diff.get((k, q), 0) + c * d
-            for k, terms in enumerate(sparse[j]):
-                for m, c in terms:
-                    for q, d in sp_i[m]:
-                        diff[k, q] = diff.get((k, q), 0) - c * d
-            for k in sorted({k for k, _ in _support(F, diff)}):
-                rep.fail({"axiom": "associativity", "triple": [i, j, k]})
+    unit_fails = []
     for j in range(n):
         ej = [F.one if t == j else F.zero for t in range(n)]
         if a.multiply(a.unit, ej) != ej:
-            rep.fail({"axiom": "left-unit", "basis": j})
+            unit_fails.append({"axiom": "left-unit", "basis": j})
         if a.multiply(ej, a.unit) != ej:
-            rep.fail({"axiom": "right-unit", "basis": j})
+            unit_fails.append({"axiom": "right-unit", "basis": j})
+    for triple in scan_generators(a, not unit_fails,
+                                  lambda outer: _associator_failures(a, outer)):
+        rep.fail({"axiom": "associativity", "triple": triple})
+    for witness in unit_fails:
+        rep.fail(witness)
     return rep
 
 
+def _associator_failures(a: FiniteAlgebra, middles):
+    """The triples [i, j, k], j in ``middles``, with (e_i e_j) e_k !=
+    e_i (e_j e_k); every k of one (i, j) at once, keyed (k, q)."""
+    F, n = a.field, a.dim
+    sparse, partners = a.mult_sparse, a.right_partners
+    out = []
+    for i in range(n):
+        sp_i = sparse[i]
+        for j in middles:
+            diff = {}
+            for m, c in sp_i[j]:
+                sp_m = sparse[m]
+                for k in partners[m]:
+                    for q, d in sp_m[k]:
+                        diff[k, q] = diff.get((k, q), 0) + c * d
+            sp_j = sparse[j]
+            for k in partners[j]:
+                for m, c in sp_j[k]:
+                    for q, d in sp_i[m]:
+                        diff[k, q] = diff.get((k, q), 0) - c * d
+            out.extend([i, j, k] for k in sorted({k for k, _ in support(F, diff)}))
+    return out
+
+
 def verify_hopf(h: HopfAlgebra) -> Report:
-    """Coassociativity, counit law, bialgebra compatibility, antipode axiom."""
+    """Coassociativity, counit law, bialgebra compatibility, antipode axiom.
+
+    Generator lemma: H is associative (checked first), so when eps(1) = 1
+    the x with eps(x y) = eps(x) eps(y) for all y form a unital subalgebra,
+    and when delta(1) = 1 (x) 1 so do the x with delta(x y) =
+    delta(x) delta(y); the first slot of each pair runs over the
+    generators."""
     rep = Report("hopf-axioms", details={"name": h.name, "dim": h.dim})
     alg = h.alg
     F = h.field
@@ -283,72 +383,26 @@ def verify_hopf(h: HopfAlgebra) -> Report:
 
     cols = h.comul_sparse
     counit = h.counit
-
-    # coassociativity on each basis element
-    for j in range(n):
-        diff = {}
-        for (i, k, c) in cols[j]:
-            for (a, b, d) in cols[i]:
-                diff[a, b, k] = diff.get((a, b, k), 0) + c * d
-            for (a, b, d) in cols[k]:
-                diff[i, a, b] = diff.get((i, a, b), 0) - c * d
-        if _support(F, diff):
-            rep.fail({"axiom": "coassociativity", "basis": j})
-
-    # counit law on each basis element
-    for j in range(n):
-        left = [0] * n
-        right = [0] * n
-        for (i, k, c) in cols[j]:
-            left[k] += c * counit[i]
-            right[i] += c * counit[k]
-        ej = alg.basis_vector(j)
-        if F.reduce(left) != ej or F.reduce(right) != ej:
-            rep.fail({"axiom": "counit", "basis": j})
+    for j in coassociativity_failures(h):
+        rep.fail({"axiom": "coassociativity", "basis": j})
+    for j in counit_failures(h):
+        rep.fail({"axiom": "counit", "basis": j})
 
     # counit is an algebra map
-    if h.eps(alg.unit) != F.one:
+    eps_unital = h.eps(alg.unit) == F.one
+    if not eps_unital:
         rep.fail({"axiom": "counit-unital"})
-    for i in range(n):
-        for j in range(n):
-            prod_eps = sum(c * counit[k] for k, c in alg.mult_sparse[i][j])
-            if F.reduce([prod_eps - counit[i] * counit[j]])[0]:
-                rep.fail({"axiom": "counit-multiplicative", "pair": [i, j]})
+    for pair in scan_generators(alg, eps_unital,
+                                lambda outer: _counit_mult_failures(h, outer)):
+        rep.fail({"axiom": "counit-multiplicative", "pair": pair})
 
     # comultiplication is an algebra map
-    if h.delta(alg.unit) != [F.mul(a, b) for a in alg.unit for b in alg.unit]:
+    delta_unital = h.delta(alg.unit) == [F.mul(a, b) for a in alg.unit for b in alg.unit]
+    if not delta_unital:
         rep.fail({"axiom": "comul-unital"})
-    partners = alg.right_partners
-    by_first = []
-    for j in range(n):
-        buckets = {}
-        for (d, e, c2) in cols[j]:
-            buckets.setdefault(d, []).append((e, c2))
-        by_first.append(buckets)
-    for i in range(n):
-        for j in range(n):
-            diff = {}
-            for k, c in alg.mult_sparse[i][j]:
-                for (a, b, d) in cols[k]:
-                    diff[a, b] = diff.get((a, b), 0) + c * d
-            buckets = by_first[j]
-            for (a, b, c1) in cols[i]:
-                for d in partners[a]:
-                    bucket = buckets.get(d)
-                    if not bucket:
-                        continue
-                    sp_ad = alg.mult_sparse[a][d]
-                    for (e, c2) in bucket:
-                        sp_be = alg.mult_sparse[b][e]
-                        if not sp_be:
-                            continue
-                        c12 = c1 * c2
-                        for (x, cx) in sp_ad:
-                            c12x = c12 * cx
-                            for (y, cy) in sp_be:
-                                diff[x, y] = diff.get((x, y), 0) - c12x * cy
-            if _support(F, diff):
-                rep.fail({"axiom": "comul-multiplicative", "pair": [i, j]})
+    for pair in scan_generators(alg, delta_unital,
+                                lambda outer: _comul_mult_failures(h, outer)):
+        rep.fail({"axiom": "comul-multiplicative", "pair": pair})
 
     # antipode axiom: m (S (x) id) delta = unit . counit = m (id (x) S) delta
     scols = h.antipode_sparse
@@ -372,10 +426,85 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     return rep
 
 
-def _support(F, terms):
-    """The accumulated terms, reduced, without their zero entries: scalars
-    are canonical, so two such dicts are equal iff the sums agree."""
-    return {key: c for key, c in zip(terms, F.reduce(list(terms.values()))) if c}
+def coassociativity_failures(h: HopfAlgebra):
+    """The basis indices j with (delta (x) id) delta e_j !=
+    (id (x) delta) delta e_j."""
+    F, cols = h.field, h.comul_sparse
+    out = []
+    for j in range(h.dim):
+        diff = {}
+        for (i, k, c) in cols[j]:
+            for (a, b, d) in cols[i]:
+                diff[a, b, k] = diff.get((a, b, k), 0) + c * d
+            for (a, b, d) in cols[k]:
+                diff[i, a, b] = diff.get((i, a, b), 0) - c * d
+        if support(F, diff):
+            out.append(j)
+    return out
+
+
+def counit_failures(h: HopfAlgebra):
+    """The basis indices j with (eps (x) id) delta e_j != e_j or
+    (id (x) eps) delta e_j != e_j."""
+    F, n, counit = h.field, h.dim, h.counit
+    out = []
+    for j in range(n):
+        left = [0] * n
+        right = [0] * n
+        for (i, k, c) in h.comul_sparse[j]:
+            left[k] += c * counit[i]
+            right[i] += c * counit[k]
+        ej = h.alg.basis_vector(j)
+        if F.reduce(left) != ej or F.reduce(right) != ej:
+            out.append(j)
+    return out
+
+
+def _counit_mult_failures(h: HopfAlgebra, firsts):
+    """The pairs [i, j], i in ``firsts``, with eps(e_i e_j) != eps(e_i) eps(e_j)."""
+    F, counit, sparse = h.field, h.counit, h.alg.mult_sparse
+    return [[i, j] for i in firsts for j in range(h.dim)
+            if F.reduce([sum(c * counit[k] for k, c in sparse[i][j])
+                         - counit[i] * counit[j]])[0]]
+
+
+def _comul_mult_failures(h: HopfAlgebra, firsts):
+    """The pairs [i, j], i in ``firsts``, with delta(e_i e_j) !=
+    delta(e_i) delta(e_j)."""
+    alg, F, n, cols = h.alg, h.field, h.dim, h.comul_sparse
+    partners = alg.right_partners
+    by_first = []
+    for j in range(n):
+        buckets = {}
+        for (d, e, c2) in cols[j]:
+            buckets.setdefault(d, []).append((e, c2))
+        by_first.append(buckets)
+    out = []
+    for i in firsts:
+        for j in range(n):
+            diff = {}
+            for k, c in alg.mult_sparse[i][j]:
+                for (a, b, d) in cols[k]:
+                    diff[a, b] = diff.get((a, b), 0) + c * d
+            buckets = by_first[j]
+            for (a, b, c1) in cols[i]:
+                for d in partners[a]:
+                    bucket = buckets.get(d)
+                    if not bucket:
+                        continue
+                    sp_ad = alg.mult_sparse[a][d]
+                    for (e, c2) in bucket:
+                        sp_be = alg.mult_sparse[b][e]
+                        if not sp_be:
+                            continue
+                        c12 = c1 * c2
+                        for (x, cx) in sp_ad:
+                            c12x = c12 * cx
+                            for (y, cy) in sp_be:
+                                diff[x, y] = diff.get((x, y), 0) - c12x * cy
+            if support(F, diff):
+                out.append([i, j])
+    return out
 
 
 def is_cocommutative(h: HopfAlgebra) -> bool:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .linalg import (GF, EnumerationBound, Field, Matrix, combine, is_stable,
-                     largest_stable_inside)
-from .hopf import FiniteAlgebra
+                     largest_stable_inside, support)
+from .hopf import FiniteAlgebra, scan_generators, verify_algebra
 from .report import Report, ERROR
 from .ideals import (Ideal, is_prime, is_semiprime, is_completely_prime,
                      UnsupportedComputation)
@@ -63,23 +63,22 @@ class LieAction:
 
 
 def verify_lie_action(act: LieAction) -> Report:
-    """Leibniz rule, bracket compatibility, antisymmetry and Jacobi."""
+    """Leibniz rule, bracket compatibility, antisymmetry and Jacobi.
+
+    Generator lemma: when A is associative with a two-sided unit and
+    D(1) = 0, the a with D(a b) = D(a) b + a D(b) for all b form a unital
+    subalgebra, so the Leibniz rule of D is checked with a running over the
+    generators of A."""
     rep = Report("derivation-axioms", details={"name": act.name})
     F = act.field
     alg = act.alg
     n = alg.dim
     m = len(act.derivations)
+    alg_ok = verify_algebra(alg).ok
     for d_idx, D in enumerate(act.derivations):
-        for i in range(n):
-            for j in range(n):
-                lhs = D.vec_mul(alg.basis_product(i, j))
-                di = D.vec_mul(alg.basis_vector(i))
-                dj = D.vec_mul(alg.basis_vector(j))
-                rhs1 = alg.multiply(di, alg.basis_vector(j))
-                rhs2 = alg.multiply(alg.basis_vector(i), dj)
-                rhs = [F.add(rhs1[k], rhs2[k]) for k in range(n)]
-                if lhs != rhs:
-                    rep.fail({"axiom": "leibniz", "derivation": d_idx, "pair": [i, j]})
+        ready = alg_ok and not any(D.vec_mul(alg.unit))
+        for pair in scan_generators(alg, ready, lambda outer: _leibniz_failures(alg, D, outer)):
+            rep.fail({"axiom": "leibniz", "derivation": d_idx, "pair": pair})
     for a in range(m):
         for b in range(m):
             comm = act.derivations[a].mat_mul(act.derivations[b])
@@ -107,6 +106,33 @@ def verify_lie_action(act: LieAction) -> Report:
                     if not F.is_zero(acc):
                         rep.fail({"axiom": "jacobi", "triple": [a, b, c]})
     return rep
+
+
+def _leibniz_failures(alg: FiniteAlgebra, D: Matrix, firsts):
+    """The pairs [i, j], i in ``firsts``, with D(e_i e_j) !=
+    D(e_i) e_j + e_i D(e_j); every j of one i at once, keyed (j, q)."""
+    F, n = alg.field, alg.dim
+    sparse, partners = alg.mult_sparse, alg.right_partners
+    images = [[(r, row[c]) for r, row in enumerate(D.data) if row[c]] for c in range(n)]
+    out = []
+    for i in firsts:
+        sp_i = sparse[i]
+        diff = {}
+        for j in partners[i]:
+            for m, c in sp_i[j]:
+                for q, d in images[m]:
+                    diff[j, q] = diff.get((j, q), 0) + c * d
+        for r, x in images[i]:
+            sp_r = sparse[r]
+            for j in partners[r]:
+                for q, d in sp_r[j]:
+                    diff[j, q] = diff.get((j, q), 0) - x * d
+        for j, image in enumerate(images):
+            for r, x in image:
+                for q, d in sp_i[r]:
+                    diff[j, q] = diff.get((j, q), 0) - x * d
+        out.extend([i, j] for j in sorted({j for j, _ in support(F, diff)}))
+    return out
 
 
 def lie_core(act: LieAction, ideal: Ideal) -> Ideal:

@@ -176,6 +176,13 @@ def nonzero_terms(field, vec):
     return [(k, c) for k, c in enumerate(vec) if not field.is_zero(c)]
 
 
+def support(field, terms):
+    """The dict ``terms`` of accumulated sums of products, reduced, without
+    its zero entries: scalars are canonical, so two such dicts are equal iff
+    the sums agree."""
+    return {key: c for key, c in zip(terms, field.reduce(list(terms.values()))) if c}
+
+
 class Matrix:
     """Dense matrix over one Field; rows are lists of scalars."""
 
@@ -258,15 +265,14 @@ class Matrix:
 def combine(coeffs, mats) -> Matrix:
     """The matrix sum_i coeffs[i] mats[i]."""
     F = mats[0].field
-    rows = [[F.zero] * mats[0].ncols for _ in range(mats[0].nrows)]
+    rows = [[0] * mats[0].ncols for _ in range(mats[0].nrows)]
     for c, m in zip(coeffs, mats):
-        if F.is_zero(c):
-            continue
-        for row, mrow in zip(rows, m.data):
-            for j, x in enumerate(mrow):
-                if x:
-                    row[j] = F.add(row[j], F.mul(c, x))
-    return Matrix(F, mats[0].nrows, mats[0].ncols, rows)
+        if c:
+            for row, mrow in zip(rows, m.data):
+                for j, x in enumerate(mrow):
+                    if x:
+                        row[j] += c * x
+    return Matrix(F, mats[0].nrows, mats[0].ncols, [F.reduce(row) for row in rows])
 
 
 def kron_sum(terms) -> Matrix:
@@ -396,32 +402,28 @@ class Subspace:
         return Matrix.from_rows(self.field, self.basis_vectors() or [], self.ambient_dim)
 
     def reduce(self, v):
-        """Residual of v after elimination against the RREF basis."""
-        F = self.field
+        """Residual of v after elimination against the RREF basis: v minus
+        v[pc] times the row of each pivot column pc.  Each row vanishes on
+        the other pivot columns, so every coefficient is read off v itself
+        and the sums are reduced once per entry."""
         w = list(v)
         for row, pc in zip(self.rows, self.pivots):
-            c = w[pc]
-            if not F.is_zero(c):
-                w = [F.sub(w[j], F.mul(c, row[j])) for j in range(self.ambient_dim)]
-        return w
+            c = v[pc]
+            if c:
+                for j, y in enumerate(row):
+                    if y:
+                        w[j] -= c * y
+        return self.field.reduce(w)
 
     def contains(self, v):
-        F = self.field
-        return all(F.is_zero(x) for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def coords_in_basis(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside."""
-        F = self.field
-        w = list(v)
-        coords = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = w[pc]
-            coords.append(c)
-            if not F.is_zero(c):
-                w = [F.sub(w[j], F.mul(c, row[j])) for j in range(self.ambient_dim)]
-        if any(not F.is_zero(x) for x in w):
+        """Coordinates of v in the RREF basis, or None if v is outside:
+        the entries of v at the pivot columns."""
+        if any(self.reduce(v)):
             return None
-        return coords
+        return self.field.reduce([v[pc] for pc in self.pivots])
 
     def residual_coords(self, v):
         """Coordinates of v mod this subspace: residual at non-pivot columns."""

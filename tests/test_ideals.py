@@ -5,6 +5,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from hopfact.linalg import QQ, GF, Matrix, Subspace, closure, kernel, stable_subspaces
+from hopfact.action import action_from_operators, verify_action
 from hopfact.hopf import (matrix_algebra, truncated_poly_algebra,
                           product_field_algebra, upper_triangular_algebra,
                           poly_quotient_algebra, group_algebra,
@@ -368,3 +369,53 @@ def test_splitter_counts_factors_over_fp(p):
 def test_splitter_over_q(m):
     alg = poly_quotient_algebra(QQ, m)
     assert_complete_orthogonal_idempotents(alg, split_primitive_idempotents(alg))
+
+
+@st.composite
+def permutation_groups(draw):
+    """(n, elements, table): the group generated by one or two random
+    permutations of X = {0, ..., n - 1}, n <= 4, each element a tuple p
+    with p[x] the image of x, and table[i][j] the index of p_i o p_j."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    elements = [tuple(range(n))]
+    index = {elements[0]: 0}
+    for p in elements:                      # grows until closed
+        for g in gens:
+            q = tuple(g[p[x]] for x in range(n))
+            if q not in index:
+                index[q] = len(elements)
+                elements.append(q)
+    table = [[index[tuple(p[q[x]] for x in range(n))] for q in elements]
+             for p in elements]
+    return n, elements, table
+
+
+def orbit_rule_core(n, elements, subset):
+    """span{e_x : g(x) in subset for every g}: the largest G-stable ideal
+    of k^X inside span{e_x : x in subset}."""
+    return [x for x in range(n) if all(p[x] in subset for p in elements)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(permutation_groups(), st.data())
+def test_permutation_cores_follow_the_orbit_rule(group, data):
+    n, elements, table = group
+    hopf = group_algebra(table, QQ, name="G")
+    alg = product_field_algebra(QQ, n)
+    mats = [Matrix(QQ, n, n, [[1 if p[j] == k else 0 for j in range(n)]
+                              for k in range(n)]) for p in elements]
+    act = action_from_operators(hopf, alg, mats, name="perm")
+    assert verify_action(act).ok
+    subset = set(data.draw(st.lists(st.integers(0, n - 1), unique=True)))
+    basis = [[1 if t == x else 0 for t in range(n)] for x in range(n)]
+    ideal = Ideal.generate(alg, [basis[x] for x in sorted(subset)])
+    want = Subspace.from_vectors(
+        QQ, n, [basis[x] for x in orbit_rule_core(n, elements, subset)])
+    assert core(act, ideal).space == want
+    assert group_core_by_intersection(act, ideal).space == want
+    # the paper's second theorem in characteristic 0: every ideal of Q^X is
+    # semiprime, and so is its core under the cocommutative kG
+    rep = semiprime_core_check(act, ideal)
+    assert rep.status == "pass" and rep.details["core-semiprime"]
+    assert rep.details["core-dim"] == want.dim

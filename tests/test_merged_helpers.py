@@ -39,11 +39,11 @@ from hopfact.workspace import Workspace, load_bundled, load_hopf
 from hopfact.action import (ModuleAlgebraAction, Representation,
                             coefficient_comul_report, coefficient_subalgebra,
                             hit_action, invariants, matrix_coefficients,
-                            verify_sub_hopf)
+                            verify_action, verify_sub_hopf)
 from hopfact.convolution import ConvElement, ConvolutionAlgebra
 from hopfact.ideals import (Ideal, UnsupportedComputation, _build_stratum_pieces,
                             _frobenius_kernel, core, h_spectrum, spectrum)
-from hopfact.lie import LieAction
+from hopfact.lie import LieAction, verify_lie_action
 from hopfact import ideals
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -1535,3 +1535,577 @@ def test_radical_path_matches_field_method_loops(ws, field):
             assert (ideals.poly_eval_in_algebra(a, coeffs, x, unit)
                     == poly_eval_oracle(a, coeffs, x, unit)), a.name
     check()
+
+
+# -- the operator sums and subspace elimination against their Field-method loops
+
+def mult_matrix_oracle(alg, x, left):
+    """left_mult_matrix / right_mult_matrix with a Field call per scalar."""
+    F, n = alg.field, alg.dim
+    rows = [[F.zero] * n for _ in range(n)]
+    for i, a in enumerate(x):
+        if F.is_zero(a):
+            continue
+        for j in range(n):
+            for k, c in (alg.mult_sparse[i][j] if left else alg.mult_sparse[j][i]):
+                rows[k][j] = F.add(rows[k][j], F.mul(a, c))
+    return Matrix(F, n, n, rows)
+
+
+def subspace_reduce_oracle(sub, v):
+    """Subspace.reduce eliminating row by row with Field calls."""
+    F = sub.field
+    w = list(v)
+    for row, pc in zip(sub.rows, sub.pivots):
+        c = w[pc]
+        if not F.is_zero(c):
+            w = [F.sub(w[j], F.mul(c, row[j])) for j in range(sub.ambient_dim)]
+    return w
+
+
+def coords_in_basis_oracle(sub, v):
+    F = sub.field
+    w = list(v)
+    coords = []
+    for row, pc in zip(sub.rows, sub.pivots):
+        c = w[pc]
+        coords.append(c)
+        if not F.is_zero(c):
+            w = [F.sub(w[j], F.mul(c, row[j])) for j in range(sub.ambient_dim)]
+    if any(not F.is_zero(x) for x in w):
+        return None
+    return coords
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_operator_sums_and_elimination_match_field_method_loops(field):
+    algebras = stock_algebras(field)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def check(data):
+        draw = data.draw
+        r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        mats = [draw_matrix(draw, field, r, c) for _ in range(draw(st.integers(1, 3)))]
+        coeffs = [draw(scalars(field)) for _ in mats]
+        assert combine(coeffs, mats) == combine_oracle(coeffs, mats)
+        alg = draw(st.sampled_from(algebras))
+        x = draw(st.lists(scalars(field), min_size=alg.dim, max_size=alg.dim))
+        assert alg.left_mult_matrix(x) == mult_matrix_oracle(alg, x, True)
+        assert alg.right_mult_matrix(x) == mult_matrix_oracle(alg, x, False)
+        n = draw(st.integers(1, 5))
+        vecs = draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=4))
+        sub = Subspace.from_vectors(field, n, vecs)
+        # members (combinations of the spanning vectors) and arbitrary vectors
+        coeffs = [draw(scalars(field)) for _ in vecs]
+        member = [field.reduce([sum(a * v[t] for a, v in zip(coeffs, vecs))])[0]
+                  for t in range(n)]
+        for v in (member, draw(st.lists(scalars(field), min_size=n, max_size=n))):
+            assert sub.reduce(v) == subspace_reduce_oracle(sub, v)
+            assert sub.contains(v) == all(field.is_zero(x)
+                                          for x in subspace_reduce_oracle(sub, v))
+            assert sub.coords_in_basis(v) == coords_in_basis_oracle(sub, v)
+        assert sub.contains(member)
+    check()
+
+
+# -- the generator fast paths against full basis scans ---------------------------
+# Each verifier checks a multiplicative axiom with one slot running over
+# FiniteAlgebra.generators once the generator lemma's preconditions pass, and
+# rescans the basis for witnesses when a generator case fails.  The oracles
+# scan every basis case with Field calls; the perturbations keep the
+# preconditions intact (two-sided unit, delta(1), eps(1), rho(1), h.1 and
+# D(1)), so the generator scan is the one that must catch each fault.
+
+def verify_action_oracle(act):
+    """The witnesses of verify_action, every basis case, Field calls."""
+    F = act.field
+    H, A = act.hopf, act.alg
+    nH, nA = H.dim, A.dim
+    ops = act.operator_matrices
+    out = []
+    for j in range(nA):
+        ej = A.basis_vector(j)
+        if apply_oracle(H.alg.unit, ops, ej) != ej:
+            out.append({"axiom": "unit-acts-trivially", "basis": j})
+    for i, j in itertools.product(range(nH), repeat=2):
+        if mat_mul_oracle(ops[i], ops[j]) != combine_oracle(H.alg.basis_product(i, j), ops):
+            out.append({"axiom": "module-associativity", "pair": [i, j]})
+    for i in range(nH):
+        if vec_mul_oracle(ops[i], A.unit) != [F.mul(H.counit[i], u) for u in A.unit]:
+            out.append({"axiom": "measuring-unit", "hopf-basis": i})
+    for i, j, k in itertools.product(range(nH), range(nA), range(nA)):
+        lhs = vec_mul_oracle(ops[i], A.basis_product(j, k))
+        rhs = [F.zero] * nA
+        for (p, q, c) in H.comul_sparse[i]:
+            prod = multiply_oracle(A, act.tensor[p][j], act.tensor[q][k])
+            rhs = [F.add(x, F.mul(c, y)) for x, y in zip(rhs, prod)]
+        if lhs != rhs:
+            out.append({"axiom": "measuring", "triple": [i, j, k]})
+    return out
+
+
+def verify_lie_action_oracle(lact):
+    """The witnesses of verify_lie_action, every basis pair, Field calls."""
+    F, alg = lact.field, lact.alg
+    n, m = alg.dim, len(lact.derivations)
+    out = []
+    for d_idx, D in enumerate(lact.derivations):
+        for i, j in itertools.product(range(n), repeat=2):
+            ei, ej = alg.basis_vector(i), alg.basis_vector(j)
+            lhs = vec_mul_oracle(D, alg.basis_product(i, j))
+            rhs1 = multiply_oracle(alg, vec_mul_oracle(D, ei), ej)
+            rhs2 = multiply_oracle(alg, ei, vec_mul_oracle(D, ej))
+            if lhs != [F.add(x, y) for x, y in zip(rhs1, rhs2)]:
+                out.append({"axiom": "leibniz", "derivation": d_idx, "pair": [i, j]})
+    ders, br = lact.derivations, lact.brackets
+    for a, b in itertools.product(range(m), repeat=2):
+        ab, ba = mat_mul_oracle(ders[a], ders[b]), mat_mul_oracle(ders[b], ders[a])
+        comm = Matrix(F, n, n, [[F.sub(x, y) for x, y in zip(r1, r2)]
+                                for r1, r2 in zip(ab.data, ba.data)])
+        if comm != combine_oracle(br[a][b], ders):
+            out.append({"axiom": "bracket-compatibility", "pair": [a, b]})
+        if any(not F.is_zero(F.add(x, y)) for x, y in zip(br[a][b], br[b][a])):
+            out.append({"axiom": "antisymmetry", "pair": [a, b]})
+    for a, b, c in itertools.product(range(m), repeat=3):
+        for e in range(m):
+            acc = F.zero
+            for d in range(m):
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    acc = F.add(acc, F.mul(br[x][y][d], br[d][z][e]))
+            if not F.is_zero(acc):
+                out.append({"axiom": "jacobi", "triple": [a, b, c]})
+    return out
+
+
+def representation_oracle(rep):
+    """The witnesses of Representation.verify, every basis pair, Field calls."""
+    F, halg = rep.hopf.field, rep.hopf.alg
+    out = []
+    if combine_oracle(halg.unit, rep.rho) != Matrix.identity(F, rep.dim_v):
+        out.append({"axiom": "unit"})
+    for i, j in itertools.product(range(halg.dim), repeat=2):
+        if mat_mul_oracle(rep.rho[i], rep.rho[j]) != combine_oracle(
+                halg.basis_product(i, j), rep.rho):
+            out.append({"axiom": "multiplicative", "pair": [i, j]})
+    return out
+
+
+SCANS = [("hopf", "_associator_failures"), ("hopf", "_counit_mult_failures"),
+         ("hopf", "_comul_mult_failures"), ("action", "_multiplicative_failures"),
+         ("action", "_measuring_failures"), ("lie", "_leibniz_failures")]
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Records each call of a verifier loop: (loop, full basis scan?, found
+    failures?), in call order."""
+    import hopfact.action
+    import hopfact.hopf
+    import hopfact.lie
+    modules = {"hopf": hopfact.hopf, "action": hopfact.action, "lie": hopfact.lie}
+    log = []
+    for mod, name in SCANS:
+        loop = getattr(modules[mod], name)
+
+        def spy(*args, _loop=loop, _name=name):
+            found = _loop(*args)
+            log.append((_name, type(args[-1]) is range, bool(found)))
+            return found
+        monkeypatch.setattr(modules[mod], name, spy)
+    return log
+
+
+def assert_generator_scan_caught(log, loop, failing):
+    """``loop`` ran once on the generators and found a failure exactly when
+    the input has one, and only then rescanned the basis for witnesses."""
+    runs = [(full, found) for name, full, found in log if name == loop]
+    assert runs == [(False, failing)] + [(True, True)] * failing, (loop, runs)
+
+
+def vanishing_functional(draw, field, unit):
+    """Random coordinates of a functional f with f(unit) = 0, nonzero when
+    the dimension allows it."""
+    t = next(i for i, u in enumerate(unit) if u)
+    f = draw(nonzero_vectors(field, len(unit) - 1))
+    f.insert(t, field.zero)
+    rest = field.reduce([sum(x * u for x, u in zip(f, unit))])[0]
+    f[t] = field.mul(field.neg(rest), field.inv(unit[t]))
+    return f
+
+
+def nonzero_vectors(field, n):
+    return st.lists(scalars(field), min_size=n, max_size=n).filter(
+        lambda xs: n == 0 or any(xs))
+
+
+def unit_preserving_algebra(draw, field, alg):
+    """alg with f(e_i) g(e_j) v added to each product e_i e_j, f and g
+    vanishing on the unit: the unit stays two-sided."""
+    n = alg.dim
+    f, g = (vanishing_functional(draw, field, alg.unit) for _ in range(2))
+    v = draw(nonzero_vectors(field, n))
+    mult = [[[field.add(c, field.mul(field.mul(f[i], g[j]), v[k]))
+              for k, c in enumerate(row)] for j, row in enumerate(plane)]
+            for i, plane in enumerate(alg.mult)]
+    return FiniteAlgebra(field, n, mult, alg.unit, name=alg.name)
+
+
+def stock_actions(field):
+    """Small actions over any field: hit actions, a grading, a permutation
+    of points, a trivial action on M_2, built and not yet verified."""
+    from hopfact.action import (action_from_operators, grading_action,
+                                trivial_action)
+    c2 = group_algebra(cyclic_group_table(2), field, name="kC2")
+    c3 = group_algebra(cyclic_group_table(3), field, name="kC3")
+    sw = sweedler_hopf(field)
+    rotate = [Matrix(field, 3, 3, [[field.one if (r - s) % 3 == g else field.zero
+                                   for s in range(3)] for r in range(3)])
+              for g in range(3)]
+    return [hit_action(c2), hit_action(sw),
+        grading_action(c3),
+        action_from_operators(c3, product_field_algebra(field, 3), rotate, name="rotate3"),
+        trivial_action(c2, matrix_algebra(field, 2))]
+
+
+def stock_lie_actions(field):
+    """One derivation each: the Euler derivation t d/dt of k[t]/(t^4) and
+    inner derivations [x, -] of M_2 and the upper triangular matrices."""
+    out = [LieAction(truncated_poly_algebra(field, 4),
+                     [Matrix(field, 4, 4, [[field.from_int(r) if r == s else 0
+                                           for s in range(4)] for r in range(4)])],
+                     name="euler4")]
+    for alg, x in ((matrix_algebra(field, 2), 1), (matrix_algebra(field, 2), 0),
+                   (upper_triangular_algebra(field), 1)):
+        n = alg.dim
+        ex = alg.basis_vector(x)
+        cols = [[a - b for a, b in zip(alg.multiply(ex, alg.basis_vector(j)),
+                                       alg.multiply(alg.basis_vector(j), ex))]
+                for j in range(n)]
+        inner = Matrix(field, n, n, [[field.reduce([cols[j][r]])[0] for j in range(n)]
+                                     for r in range(n)])
+        out.append(LieAction(alg, [inner], name=f"ad{x}:{alg.name}"))
+    return out
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_generator_words_span_the_algebra(ws, field):
+    algebras = stock_algebras(field) + [a for _, a in sorted(ws.algebras.items())
+                                        if a.field == field]
+    algebras += [product_field_algebra(field, n) for n in range(1, 6)]
+    for alg in algebras:
+        gens = alg.generators
+        assert gens == sorted(set(gens)), alg.name
+        words = Subspace.from_vectors(field, alg.dim, [alg.unit])
+        for k, g in enumerate(gens):
+            # greedy: e_g lies outside the words of the generators before it
+            assert not words.contains(alg.basis_vector(g)), alg.name
+            words = closure(words, [alg.left_mult_matrix(alg.basis_vector(h))
+                                    for h in gens[:k + 1]])
+        assert words == Subspace.full(field, alg.dim), alg.name
+    for n in range(1, 6):
+        assert len(product_field_algebra(field, n).generators) == n - 1
+    s3 = group_algebra(symmetric_group_table(3), field)
+    assert s3.alg.generators == [1, 2]
+    assert len(tensor_hopf(s3, s3).alg.generators) <= math.log2(36)
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_valid_inputs_take_the_generator_path(ws, field, scans):
+    objects = [("algebra", a) for a in stock_algebras(field)]
+    objects += [("hopf", h) for h in stock_hopfs(field)]
+    objects += [("action", a) for a in stock_actions(field)]
+    objects += [("lie", l) for l in stock_lie_actions(field)]
+    objects += [(kind, obj) for kind, registry in (
+        ("algebra", ws.algebras), ("hopf", ws.hopfs), ("action", ws.actions),
+        ("lie", ws.lie_actions), ("representation", ws.representations))
+        for _, obj in sorted(registry.items())
+        if (obj.hopf.field if kind == "representation" else obj.field) == field]
+    verifiers = {"algebra": verify_algebra, "hopf": verify_hopf,
+                 "action": verify_action, "lie": verify_lie_action,
+                 "representation": lambda r: r.verify()}
+    for kind, obj in objects:
+        scans.clear()
+        assert verifiers[kind](obj).ok, (kind, obj.name)
+        assert scans and not any(full or found for _, full, found in scans), (kind, obj.name)
+
+
+def stock_representations(field):
+    """The regular representations of kC2, kS3 and the Sweedler algebra."""
+    return [Representation(h, [h.alg.left_mult_matrix(h.basis_vector(i)).data
+                                for i in range(h.dim)], name=f"regular:{h.name}")
+            for h in stock_hopfs(field)[:2] + [sweedler_hopf(field)]]
+
+
+def unit_preserving_hopf(draw, field, h, counit=True):
+    """h with f(e_j) T added to delta(e_j), and f'(e_j) c to eps(e_j) when
+    ``counit``, f and f' vanishing on the unit: delta(1) and eps(1) stay as
+    they are."""
+    n = h.dim
+    f, f2 = (vanishing_functional(draw, field, h.alg.unit) for _ in range(2))
+    tensor = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)),
+               draw(scalars(field))) for _ in range(draw(st.integers(1, 3)))]
+    comul = []
+    for j, col in enumerate(h.comul_sparse):
+        terms = {(i, k): c for i, k, c in col}
+        for i, k, c in tensor:
+            terms[i, k] = field.add(terms.get((i, k), field.zero), field.mul(f[j], c))
+        comul.append(sorted((i, k, c) for (i, k), c in terms.items() if c))
+    c0 = draw(scalars(field)) if counit else field.zero
+    counit = [field.add(e, field.mul(x, c0)) for e, x in zip(h.counit, f2)]
+    return HopfAlgebra(h.alg, comul, counit, h.antipode_sparse, name=h.name)
+
+
+def rank_one_operators(draw, field, unit_h, nrows, ncols, kill=None, free=False):
+    """The operators f(h_i) v (x) g added to one matrix per Hopf basis
+    element: f vanishes on the unit of H unless ``free``, and g on ``kill``
+    when given."""
+    f = (draw(nonzero_vectors(field, len(unit_h))) if free
+         else vanishing_functional(draw, field, unit_h))
+    g = (vanishing_functional(draw, field, kill) if kill is not None
+         else draw(nonzero_vectors(field, ncols)))
+    v = draw(nonzero_vectors(field, nrows))
+    return [[[field.mul(field.mul(fi, vr), gc) for gc in g] for vr in v] for fi in f]
+
+
+def perturbed_operators(field, mats, extra):
+    return [[[field.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(m.data, e)]
+            for m, e in zip(mats, extra)]
+
+
+def field_objects(registry, field, key=lambda obj: obj.field):
+    return [obj for _, obj in sorted(registry.items()) if key(obj) == field]
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_algebra_generator_scan_catches_faults(ws, field, scans):
+    algebras = stock_algebras(field) + field_objects(ws.algebras, field)
+    failing = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        pert = unit_preserving_algebra(data.draw, field, data.draw(st.sampled_from(algebras)))
+        scans.clear()
+        got = verify_algebra(pert).witnesses
+        want = verify_algebra_oracle(pert)
+        assert got == want, pert.name
+        assert all(w["axiom"] == "associativity" for w in want)
+        assert_generator_scan_caught(scans, "_associator_failures", bool(want))
+        failing.append(bool(want))
+    check()
+    assert sum(failing) >= len(failing) // 4
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_hopf_generator_scans_catch_faults(ws, field, scans):
+    hopfs = stock_hopfs(field) + field_objects(ws.hopfs, field)
+    failing = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        pert = unit_preserving_hopf(data.draw, field, data.draw(st.sampled_from(hopfs)))
+        scans.clear()
+        got = verify_hopf(pert).witnesses
+        want = verify_hopf_oracle(pert)
+        assert got == want, pert.name
+        axioms = {w["axiom"] for w in want}
+        assert not axioms & {"counit-unital", "comul-unital"}
+        assert_generator_scan_caught(scans, "_associator_failures", False)
+        assert_generator_scan_caught(scans, "_counit_mult_failures",
+                                     "counit-multiplicative" in axioms)
+        assert_generator_scan_caught(scans, "_comul_mult_failures",
+                                     "comul-multiplicative" in axioms)
+        failing.append("comul-multiplicative" in axioms)
+        seen.update(axioms)
+    seen = set()
+    check()
+    assert sum(failing) >= len(failing) // 4
+    assert {"counit-multiplicative", "comul-multiplicative"} <= seen
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_action_generator_scans_catch_faults(ws, field, scans):
+    actions = stock_actions(field) + field_objects(ws.actions, field)
+    failing = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        draw = data.draw
+        act = draw(st.sampled_from(actions))
+        H, A = act.hopf, act.alg
+        part = draw(st.sampled_from(["tensor", "tensor", "algebra", "hopf", "free"]))
+        ops = act.operator_matrices
+        if part in ("tensor", "free"):
+            free = part == "free"
+            ops = perturbed_operators(field, ops, rank_one_operators(
+                draw, field, H.alg.unit, A.dim, A.dim, kill=None if free else A.unit,
+                free=free))
+        else:
+            ops = [m.data for m in ops]
+        if part == "algebra":
+            A = unit_preserving_algebra(draw, field, A)
+        if part == "hopf":
+            H = unit_preserving_hopf(draw, field, H, counit=False)
+        tensor = [[[m[k][j] for k in range(A.dim)] for j in range(A.dim)] for m in ops]
+        pert = ModuleAlgebraAction(H, A, tensor, name=act.name)
+        scans.clear()
+        got = verify_action(pert).witnesses
+        want = verify_action_oracle(pert)
+        assert got == want, (act.name, part)
+        axioms = {w["axiom"] for w in want}
+        if part == "free":
+            return
+        assert not axioms & {"unit-acts-trivially", "measuring-unit"}
+        assert_generator_scan_caught(scans, "_multiplicative_failures",
+                                     "module-associativity" in axioms)
+        if part == "tensor":
+            assert_generator_scan_caught(scans, "_measuring_failures", "measuring" in axioms)
+            seen.update(axioms)
+        failing.append(bool(want))
+    seen = set()
+    check()
+    assert sum(failing) >= len(failing) // 4
+    assert {"module-associativity", "measuring"} <= seen
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_derivation_generator_scan_catches_faults(ws, field, scans):
+    lies = stock_lie_actions(field) + field_objects(ws.lie_actions, field)
+    assert all(len(lact.derivations) == 1 for lact in lies)
+    failing = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        draw = data.draw
+        lact = draw(st.sampled_from(lies))
+        alg, (D,) = lact.alg, lact.derivations
+        part = draw(st.sampled_from(["derivation", "derivation", "algebra", "free"]))
+        if part in ("derivation", "free"):
+            (extra,) = rank_one_operators(draw, field, [field.one], alg.dim, alg.dim,
+                                          kill=alg.unit if part == "derivation" else None,
+                                          free=True)
+            D = Matrix(field, alg.dim, alg.dim, perturbed_operators(field, [D], [extra])[0])
+        else:
+            alg = unit_preserving_algebra(draw, field, alg)
+        pert = LieAction(alg, [D], lact.brackets, name=lact.name)
+        scans.clear()
+        got = verify_lie_action(pert).witnesses
+        want = verify_lie_action_oracle(pert)
+        assert got == want, (lact.name, part)
+        if part == "derivation":
+            caught = any(w["axiom"] == "leibniz" for w in want)
+            assert_generator_scan_caught(scans, "_leibniz_failures", caught)
+            seen.append(caught)
+        failing.append(bool(want))
+    seen = []
+    check()
+    assert sum(failing) >= len(failing) // 2 and any(seen)
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS)
+def test_representation_generator_scan_catches_faults(ws, field, scans):
+    reps = stock_representations(field) + field_objects(
+        ws.representations, field, key=lambda r: r.hopf.field)
+    failing = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.data())
+    def check(data):
+        rep = data.draw(st.sampled_from(reps))
+        n = rep.dim_v
+        free = data.draw(st.booleans())
+        rho = perturbed_operators(field, rep.rho, rank_one_operators(
+            data.draw, field, rep.hopf.alg.unit, n, n, free=free))
+        pert = Representation(rep.hopf, rho, name=rep.name)
+        scans.clear()
+        got = pert.verify().witnesses
+        want = representation_oracle(pert)
+        assert got == want, rep.name
+        if free:
+            return
+        assert {"axiom": "unit"} not in want
+        assert_generator_scan_caught(scans, "_multiplicative_failures", bool(want))
+        failing.append(bool(want))
+    check()
+    assert sum(failing) >= len(failing) // 4
+
+
+def lemma_breaking_inputs(field):
+    """(name, verifier, input, oracle, loop, loop arguments before the slot,
+    lemma algebra): inputs that fail one precondition of a generator lemma
+    and whose failures all lie off the generators, so that only the basis
+    rescan the failed precondition calls for finds them."""
+    import hopfact.action
+    import hopfact.hopf
+    import hopfact.lie
+    two = field.from_int(2)
+    line = truncated_poly_algebra(field, 3)    # generators [t]; t A holds no unit
+    coalgebra = ([[(0, 0, 1)], [(0, 1, 1), (1, 0, 1)], [(0, 2, 1), (1, 1, two), (2, 0, 1)]],
+                 [[(0, 1)], [(1, field.neg(1))], [(2, 1)]])
+    comul, antipode = coalgebra
+    # eps(1) = 2 and delta(1) = 2 (1 (x) 1), both zero on t and t^2
+    eps_two = HopfAlgebra(line, comul, [two, 0, 0], antipode)
+    delta_two = HopfAlgebra(line, [[(0, 0, two)], [], []], [1, 0, 0], antipode)
+    # span{1, a, b}: a a = b, b a = b, a b = b b = 0; not associative
+    skew = FiniteAlgebra.from_terms(field, 3, [[[(0, 1)], [(1, 1)], [(2, 1)]],
+                                               [[(1, 1)], [(2, 1)], []],
+                                               [[(2, 1)], [(2, 1)], []]], [1, 0, 0])
+    skew_hopf = HopfAlgebra(skew, [[(j, 0, 1)] for j in range(3)], [1, 0, 0],
+                            [[(j, 1)] for j in range(3)])
+    shift = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    powers = [Matrix.identity(field, 3).data, shift, [[0, 0, 0], [0, 0, 0], [1, 0, 0]]]
+    # rho(1) = 2, rho(t) = rho(t^2) = 0
+    doubled = [[[two]], [[0]], [[0]]]
+    line_hopf = HopfAlgebra(line, comul, [1, 0, 0], antipode)
+    k = product_field_algebra(field, 1)
+    jet = truncated_poly_algebra(field, 2)     # generators [t]
+    base = HopfAlgebra(k, [[(0, 0, 1)]], [1], [[(0, 1)]])
+    base_eps_two = HopfAlgebra(k, [[(0, 0, 1)]], [two], [[(0, 1)]])
+    # 1 acts on k[t]/(t^2) as diag(2, 0)
+    diag = [[[two, 0], [0, 0]]]
+    H, A, L = hopfact.hopf, hopfact.action, hopfact.lie
+    return [
+        ("eps(1) != 1", verify_hopf, eps_two, verify_hopf_oracle,
+         H._counit_mult_failures, (eps_two,), line),
+        ("delta(1) != 1 (x) 1", verify_hopf, delta_two, verify_hopf_oracle,
+         H._comul_mult_failures, (delta_two,), line),
+        ("rho(1) != id", lambda r: r.verify(), Representation(line_hopf, doubled),
+         representation_oracle, A._multiplicative_failures,
+         (line, [Matrix(field, 1, 1, m) for m in doubled]), line),
+        ("representation of a non-associative H", lambda r: r.verify(),
+         Representation(skew_hopf, powers), representation_oracle,
+         A._multiplicative_failures, (skew, [Matrix(field, 3, 3, m) for m in powers]), skew),
+        ("1 acts as 2", verify_action, ModuleAlgebraAction(line_hopf, k, doubled),
+         verify_action_oracle, A._multiplicative_failures,
+         (line, [Matrix(field, 1, 1, m) for m in doubled]), line),
+        ("action of a non-associative H", verify_action,
+         ModuleAlgebraAction(skew_hopf, product_field_algebra(field, 3),
+                             [[list(col) for col in zip(*m)] for m in powers]),
+         verify_action_oracle, A._multiplicative_failures,
+         (skew, [Matrix(field, 3, 3, m) for m in powers]), skew),
+        ("counit law fails", verify_action, ModuleAlgebraAction(base_eps_two, jet, diag),
+         verify_action_oracle, A._measuring_failures,
+         (ModuleAlgebraAction(base_eps_two, jet, diag),), jet),
+        ("h.1 != eps(h) 1", verify_action, ModuleAlgebraAction(base, jet, diag),
+         verify_action_oracle, A._measuring_failures,
+         (ModuleAlgebraAction(base, jet, diag),), jet),
+        ("D(1) != 0", verify_lie_action,
+         LieAction(jet, [Matrix(field, 2, 2, [[0, 0], [1, 1]])]), verify_lie_action_oracle,
+         L._leibniz_failures, (jet, Matrix(field, 2, 2, [[0, 0], [1, 1]])), jet),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_generator_lemmas_need_their_preconditions(field):
+    for name, verifier, obj, oracle, loop, args, alg in lemma_breaking_inputs(field):
+        want = oracle(obj)
+        assert verifier(obj).witnesses == want, name
+        assert want, name
+        # the failures lie off the generators: the generator scan alone
+        # misses them, the rescan over the basis finds them
+        assert loop(*args, alg.generators) == [], name
+        assert loop(*args, range(alg.dim)), name
