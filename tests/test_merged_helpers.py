@@ -7,8 +7,9 @@ coproducts, sub-Hopf pair spans), the coaction, the invariant solvers, the
 dual operations, the operator sums, the Frobenius kernel and the H-spectrum
 are compared with the direct loops they replaced (kept here as test-only
 oracles), and so are the plain-integer hot loops (matrix products,
-elimination, the algebra and Hopf verifiers, the trace-form Gram matrix,
-polynomial evaluation) with their Field-method bodies, and the block
+elimination, the operator sums, subspace reduction, the trace-form Gram
+matrix, polynomial evaluation) with their Field-method bodies, the
+verifiers' generator fast paths with full basis scans, and the block
 splitter with its route before the t^2 - t shortcut; the subspace helpers
 are compared with brute force over small prime fields.
 """
@@ -1753,7 +1754,7 @@ def unit_preserving_algebra(draw, field, alg):
 
 def stock_actions(field):
     """Small actions over any field: hit actions, a grading, a permutation
-    of points, a trivial action on M_2, built and not yet verified."""
+    of points, a trivial action on M_2."""
     from hopfact.action import (action_from_operators, grading_action,
                                 trivial_action)
     c2 = group_algebra(cyclic_group_table(2), field, name="kC2")
