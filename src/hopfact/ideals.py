@@ -39,6 +39,8 @@ from .action import (ModuleAlgebraAction, action_from_operators, hit_action,
 from .convolution import ConvolutionAlgebra, transport_subspace
 from .report import Report, PASS, FAIL, ERROR, COUNTEREXAMPLE
 
+SPLITTER_BUDGET = 20_000    # splitting candidates _try_split tries per corner
+
 
 class UnsupportedComputation(Exception):
     """An exact route for the requested computation is not available."""
@@ -366,11 +368,7 @@ def _try_split(Z: FiniteAlgebra, u):
     d = len(corner)
     if d == 1:
         return None
-    budget = 20000
-    for cand in _splitter_candidates(Z, corner):
-        budget -= 1
-        if budget < 0:
-            break
+    for cand in itertools.islice(_splitter_candidates(Z, corner), SPLITTER_BUDGET):
         x = Z.multiply(cand, u)
         mp = minimal_polynomial(Z, x, unit=u)
         if mp == [F.zero, F.neg(F.one), F.one]:
@@ -397,14 +395,23 @@ def _try_split(Z: FiniteAlgebra, u):
             pieces.append(poly_eval_in_algebra(Z, e_red, x, unit=u))
         return pieces
     raise UnsupportedComputation(
-        "could not certify a center factor as a field within the search budget")
+        "could not certify a center factor as a field within "
+        f"{SPLITTER_BUDGET} splitting candidates (SPLITTER_BUDGET)")
 
 
 def split_primitive_idempotents(Z: FiniteAlgebra):
-    """Primitive idempotents of a commutative semisimple algebra, canonical order."""
+    """Primitive idempotents of a commutative semisimple algebra, canonical order.
+
+    The orthogonal idempotents found are linearly independent, so there are
+    at most dim Z of them; a split past that refuses.
+    """
     pieces = [list(Z.unit)]
     done = []
     while pieces:
+        if len(done) + len(pieces) > Z.dim:
+            raise UnsupportedComputation(
+                f"more than dim Z = {Z.dim} orthogonal idempotents split off: "
+                "a semisimple center has at most dim Z primitive idempotents")
         u = pieces.pop()
         finer = _try_split(Z, u)
         if finer is None:

@@ -18,7 +18,10 @@ import itertools
 from fractions import Fraction
 
 DEFAULT_ENUM_BOUND = 256
-JOIN_CAP = 200_000    # lattice element x cyclic pairs tried by stable_subspaces
+# Work cap of stable_subspaces: the containment tests of its sift for
+# join-irreducible cyclics plus its |lattice| x |join-irreducible cyclics|
+# joins.
+JOIN_CAP = 200_000
 
 
 class EnumerationBound(Exception):
@@ -648,32 +651,26 @@ def _apply_columns(cols, w, p):
     return [y % p for y in out]
 
 
-def stable_subspaces(field: Field, n, operators, bound=None):
-    """All subspaces of field**n closed under each operator matrix.
+def _line(u, p):
+    """``u`` scaled to leading coefficient 1, as a tuple; None for zero."""
+    for x in u:
+        if x:
+            inv = pow(x, p - 2, p)
+            return tuple(y * inv % p for y in u)
+    return None
 
-    Output-sensitive (the MeatAxe approach): every stable subspace is a sum
-    of cyclic submodules <v>.  The cyclic submodule of each of the
-    (p**n - 1)/(p - 1) lines is spun, applying each operator once to each
-    new basis vector until the span is closed or full; then {0} is closed
-    under L + C for every cyclic C not inside L.  The cost is p**n/(p - 1)
-    spins plus |lattice| x |cyclics| joins, so it follows the size of the
-    answer, not the number of subspaces.  The worst case is a lattice of
-    nearly every subspace: with no operators over F_2 there are 11,594
-    joins at n = 5 and 3.7 million at n = 7 (50 s; Python 3.11, one core),
-    where the callers' lattices on the bundled fixtures have at most 67
-    elements.
 
-    Refuses Q and p**n above the enumeration cap (:func:`enum_bound`), so
-    the cap is the number of vectors spun, and refuses once the joins tried
-    pass :data:`JOIN_CAP`.  The result is sorted by dimension, pivots and
-    rows: the order of :func:`enumerate_subspaces`.
+def _spin_cyclics(p, n, ops):
+    """The distinct cyclic submodules <v> of F_p**n under ``ops`` (sparse
+    columns), in line order: RREF rows -> (the first line v that spins to
+    them, their pivots).
+
+    An image u of a spun vector that is an earlier line, whose cyclic is
+    known, adds that cyclic's rows unspun: <u> lies inside <v> and is
+    already stable.  Any other image is added and spun.
     """
-    p = _enumerable_prime(field, n, bound)
-    ops = list(dict.fromkeys(
-        tuple(tuple((i, m.data[i][j]) for i in range(n) if m.data[i][j])
-              for j in range(n))
-        for m in operators))
     cyclics = {}
+    known = {}
     for lead in range(n):
         for tail in itertools.product(range(p), repeat=n - lead - 1):
             v = [0] * lead + [1, *tail]
@@ -683,19 +680,91 @@ def stable_subspaces(field: Field, n, operators, bound=None):
                     if len(rows) == n:
                         break
                     u = _apply_columns(cols, w, p)
-                    if _echelon_insert(rows, pivots, u, p):
+                    sub = known.get(_line(u, p))
+                    if sub is not None:
+                        for c in sub:
+                            _echelon_insert(rows, pivots, c, p)
+                    elif _echelon_insert(rows, pivots, u, p):
                         spun.append(u)
-            cyclics.setdefault(tuple(map(tuple, rows)), v)
+            key = tuple(map(tuple, rows))
+            known[tuple(v)] = key
+            cyclics.setdefault(key, (v, pivots))
+    return cyclics
+
+
+def _refuse_joins(p, n):
+    return EnumerationBound(
+        f"the stable-subspace lattice of {p}**{n} needs more than "
+        f"{JOIN_CAP} joins (JOIN_CAP)")
+
+
+def _join_irreducibles(p, n, cyclics):
+    """The cyclics that are not sums of smaller cyclics, by ascending
+    dimension, as (rows, generator) pairs, and the number of containment
+    tests made to find them; refuses once the tests pass :data:`JOIN_CAP`.
+
+    A kept cyclic D lies inside C exactly when its generator does, and C
+    is kept when the kept cyclics strictly inside it span less than C.
+    """
+    kept = []
+    tests = 0
+    for crows, (v, cpivots) in sorted(cyclics.items(), key=lambda kv: len(kv[0])):
+        dim = len(crows)
+        rows, pivots = [], []
+        for drows, u in kept:
+            if len(drows) == dim or len(rows) == dim:
+                break
+            tests += 1
+            if not _echelon_insert(list(crows), list(cpivots), u, p):
+                for r in drows:
+                    _echelon_insert(rows, pivots, r, p)
+        if tests > JOIN_CAP:
+            raise _refuse_joins(p, n)
+        if len(rows) < dim:
+            kept.append((crows, v))
+    return kept, tests
+
+
+def stable_subspaces(field: Field, n, operators, bound=None):
+    """All subspaces of field**n closed under each operator matrix.
+
+    Output-sensitive (the MeatAxe approach): every stable subspace is a sum
+    of cyclic submodules <v>, and so of the join-irreducible ones, those
+    that are not sums of smaller cyclics (Lux, Mueller and Ringe, J.
+    Symbolic Comput. 17, 1994).  The cyclic submodule of each of the
+    (p**n - 1)/(p - 1) lines is spun (:func:`_spin_cyclics`), the
+    join-irreducible ones are sifted out (:func:`_join_irreducibles`), and
+    {0} is closed under L + C for every join-irreducible C not inside L.
+    The cost is p**n/(p - 1) spins, at most one containment test per pair
+    of a kept cyclic and a larger cyclic, and |lattice| x |join-irreducible
+    cyclics| joins, so it follows the size of the answer, not the number
+    of subspaces.  The worst case is a lattice of nearly every subspace:
+    with no operators over F_2 every line is join-irreducible, there are
+    no containment tests, and there are 11,594 joins at n = 5 and 3.7
+    million at n = 7 (41 s without the cap; Python 3.11, one core of a
+    2-vCPU VM).  The callers' lattices on the bundled fixtures have at
+    most 67 elements and 15 join-irreducible cyclics (kleinswap's stability
+    scan, 50 cyclics: 250 tests and 1,005 joins).
+
+    Refuses Q and p**n above the enumeration cap (:func:`enum_bound`), so
+    the cap is the number of vectors spun, and refuses once the
+    containment tests and joins tried pass :data:`JOIN_CAP`.  The result
+    is sorted by dimension, pivots and rows: the order of
+    :func:`enumerate_subspaces`.
+    """
+    p = _enumerable_prime(field, n, bound)
+    ops = list(dict.fromkeys(
+        tuple(tuple((i, m.data[i][j]) for i in range(n) if m.data[i][j])
+              for j in range(n))
+        for m in operators))
+    kept, joins = _join_irreducibles(p, n, _spin_cyclics(p, n, ops))
     lattice = {(): ()}
     queue = [((), [])]
-    joins = 0
     for rows, pivots in queue:
-        joins += len(cyclics)
+        joins += len(kept)
         if joins > JOIN_CAP:
-            raise EnumerationBound(
-                f"the stable-subspace lattice of {p}**{n} needs more than "
-                f"{JOIN_CAP} joins (JOIN_CAP)")
-        for crows, v in cyclics.items():
+            raise _refuse_joins(p, n)
+        for crows, v in kept:
             r, pv = list(rows), list(pivots)
             if not _echelon_insert(r, pv, v, p):
                 continue

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hopfact.ideals import (Ideal, ideal_sum, ideal_intersect, ideal_product,
                             h_spectrum, strata, certify_h_prime,
                             semiprime_core_check, reformulation_check,
                             composite_core, UnsupportedComputation)
+from hopfact import ideals
 
 
 def test_ideal_construction_checks(ws):
@@ -369,6 +371,33 @@ def test_splitter_counts_factors_over_fp(p):
 def test_splitter_over_q(m):
     alg = poly_quotient_algebra(QQ, m)
     assert_complete_orthogonal_idempotents(alg, split_primitive_idempotents(alg))
+
+
+def test_split_loop_refuses_past_dim_z(monkeypatch):
+    # a splitter that splits every piece, as a fault in the corner algebra
+    # can make it: the loop stops once the idempotents outnumber dim Z
+    Z = product_field_algebra(QQ, 3)
+    calls = []
+
+    def always_split(Z, u):
+        calls.append(u)
+        if len(calls) > 1000:
+            raise AssertionError("the split loop did not stop")
+        return [u, [Z.field.zero] * Z.dim]
+
+    monkeypatch.setattr(ideals, "_try_split", always_split)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedComputation, match="dim Z = 3"):
+        split_primitive_idempotents(Z)
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == 3
+
+
+def test_splitter_budget_is_named(monkeypatch):
+    monkeypatch.setattr(ideals, "SPLITTER_BUDGET", 0)
+    with pytest.raises(UnsupportedComputation,
+                       match=r"within 0 splitting candidates \(SPLITTER_BUDGET\)"):
+        split_primitive_idempotents(product_field_algebra(QQ, 2))
 
 
 @st.composite

@@ -10,8 +10,9 @@ oracles), and so are the plain-integer hot loops (matrix products,
 elimination, the operator sums, subspace reduction, the trace-form Gram
 matrix, polynomial evaluation) with their Field-method bodies, the
 verifiers' generator fast paths with full basis scans, and the block
-splitter with its route before the t^2 - t shortcut; the subspace helpers
-are compared with brute force over small prime fields.
+splitter with its route before the t^2 - t shortcut, and the stable-subspace
+lattice with its route that spun every line and joined every cyclic; the
+subspace helpers are compared with brute force over small prime fields.
 """
 
 import importlib.util
@@ -24,9 +25,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfact.linalg import (GF, QQ, Matrix, Subspace, apply_combination, closure,
-                            combine, kernel, kron_sum, largest_stable_inside,
-                            pull_back, solve, stable_subspaces, _rref_data)
+from hopfact.linalg import (GF, JOIN_CAP, QQ, EnumerationBound, Matrix, Subspace,
+                            apply_combination, closure, combine, kernel, kron_sum,
+                            largest_stable_inside, pull_back, solve,
+                            stable_subspaces, subspace_sum, _apply_columns,
+                            _echelon_insert, _enumerable_prime, _rref_data)
+from hopfact import linalg
 from hopfact.hopf import (FiniteAlgebra, HopfAlgebra, group_algebra,
                           cyclic_group_table, dual_hopf,
                           dual_number_plane_algebra, is_cocommutative,
@@ -2110,3 +2114,189 @@ def test_generator_lemmas_need_their_preconditions(field):
         # misses them, the rescan over the basis finds them
         assert loop(*args, alg.generators) == [], name
         assert loop(*args, range(alg.dim)), name
+
+
+# -- the stable-subspace lattice against its old route -----------------------------
+#
+# The old stable_subspaces spun every line's cyclic submodule from scratch and
+# joined every lattice element with every distinct cyclic; the body below is
+# its loop, with the spin split off so that its cyclics can be compared too.
+
+def sparse_columns(n, operators):
+    return list(dict.fromkeys(
+        tuple(tuple((i, m.data[i][j]) for i in range(n) if m.data[i][j])
+              for j in range(n))
+        for m in operators))
+
+
+def spin_cyclics_oracle(p, n, ops):
+    cyclics = {}
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            v = [0] * lead + [1, *tail]
+            rows, pivots, spun = [v], [lead], [v]
+            for w in spun:
+                for cols in ops:
+                    if len(rows) == n:
+                        break
+                    u = _apply_columns(cols, w, p)
+                    if _echelon_insert(rows, pivots, u, p):
+                        spun.append(u)
+            cyclics.setdefault(tuple(map(tuple, rows)), v)
+    return cyclics
+
+
+def stable_subspaces_oracle(field, n, operators, bound=None):
+    p = _enumerable_prime(field, n, bound)
+    cyclics = spin_cyclics_oracle(p, n, sparse_columns(n, operators))
+    lattice = {(): ()}
+    queue = [((), [])]
+    joins = 0
+    for rows, pivots in queue:
+        joins += len(cyclics)
+        if joins > JOIN_CAP:
+            raise EnumerationBound(
+                f"the stable-subspace lattice of {p}**{n} needs more than "
+                f"{JOIN_CAP} joins (JOIN_CAP)")
+        for crows, v in cyclics.items():
+            r, pv = list(rows), list(pivots)
+            if not _echelon_insert(r, pv, v, p):
+                continue
+            for c in crows:
+                _echelon_insert(r, pv, c, p)
+            key = tuple(map(tuple, r))
+            if key not in lattice:
+                lattice[key] = tuple(pv)
+                queue.append((key, pv))
+    return [Subspace(field, n, rows, pivots, _canonical=True)
+            for rows, pivots in sorted(lattice.items(),
+                                       key=lambda kv: (len(kv[0]), kv[1], kv[0]))]
+
+
+def lattice_or_refusal(enumerate_, field, n, ops):
+    try:
+        return [(s.rows, s.pivots) for s in enumerate_(field, n, ops, field.p ** n)]
+    except EnumerationBound:
+        return None
+
+
+def assert_cyclics_sifted(field, n, ops):
+    """The spin finds the old route's cyclics with the same generators, in
+    the same order; a kept cyclic is not the sum of the cyclics strictly
+    inside it, and every cyclic is the sum of the kept ones inside it."""
+    p = field.p
+    cyclics = linalg._spin_cyclics(p, n, sparse_columns(n, ops))
+    assert ([(rows, v) for rows, (v, _) in cyclics.items()]
+            == list(spin_cyclics_oracle(p, n, sparse_columns(n, ops)).items()))
+    kept, _ = linalg._join_irreducibles(p, n, cyclics)
+    spaces = {rows: Subspace.from_vectors(field, n, [list(r) for r in rows])
+              for rows in cyclics}
+    kept_rows = [rows for rows, _ in kept]
+    assert len(set(kept_rows)) == len(kept_rows)
+
+    def sum_inside(c, candidates, strictly):
+        total = Subspace.zero(field, n)
+        for rows in candidates:
+            d = spaces[rows]
+            if (d.dim < c.dim or not strictly) and d.le(c):
+                total = subspace_sum(total, d)
+        return total
+
+    for rows in kept_rows:
+        assert sum_inside(spaces[rows], cyclics, strictly=True) != spaces[rows]
+    for c in spaces.values():
+        assert sum_inside(c, kept_rows, strictly=False) == c
+    return cyclics, kept
+
+
+# With only scalar operators every subspace is stable, so the old route
+# pays |lines| joins per subspace: 2 s per call and route from F_2^6 up,
+# where the join cap already refuses F_2^7 (tests/test_linalg.py).  Such
+# sets stay at the ambient dimensions whose lattices are small.
+ALL_STABLE_TOP = {2: 4, 3: 3, 5: 2}
+
+
+@st.composite
+def operator_sets(draw):
+    """GF(p)^n, n <= 6, with up to three random, nilpotent (a strictly
+    upper triangular matrix on a shuffled basis), permutation or scalar
+    operators."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kinds = draw(st.lists(st.sampled_from(
+        ["random", "nilpotent", "permutation", "scalar"]), max_size=3))
+    top = 6 if set(kinds) - {"scalar"} else ALL_STABLE_TOP[p]
+    n = draw(st.integers(1, top))
+    field = GF(p)
+    entry = st.integers(0, p - 1)
+    ops = []
+    for kind in kinds:
+        if kind == "random":
+            data = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        elif kind == "nilpotent":
+            perm = draw(st.permutations(range(n)))
+            data = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    data[perm[i]][perm[j]] = draw(entry)
+        elif kind == "permutation":
+            perm = draw(st.permutations(range(n)))
+            data = [[int(perm[j] == i) for j in range(n)] for i in range(n)]
+        else:
+            c = draw(entry)
+            data = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+        ops.append(Matrix(field, n, n, data))
+    return field, n, ops
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(operator_sets())
+def test_stable_subspaces_match_old_route(case):
+    field, n, ops = case
+    got = lattice_or_refusal(stable_subspaces, field, n, ops)
+    want = lattice_or_refusal(stable_subspaces_oracle, field, n, ops)
+    if got is None:
+        # sifting adds its containment tests to the joins, so a refusal is
+        # only for lattices the old route refused as well
+        assert want is None
+    elif want is not None:
+        assert got == want
+    if want is not None:
+        assert_cyclics_sifted(field, n, ops)
+
+
+def kleinswap_operator_sets(ws):
+    """kleinswap's B = H* (x) A (dim 8 over F_2): the ideal and dot
+    operators of its H-ideals, and the operators of its stability scan."""
+    conv = ConvolutionAlgebra(ws.actions["kleinswap"])
+    B, F = conv.algebra, conv.field
+    scan = [B.right_mult_matrix(conv.ustar_matrix.vec_mul(
+        [F.one if t == r else F.zero for t in range(conv.hopf.dim)]))
+        for r in range(conv.hopf.dim)]
+    return F, B.dim, {"h-ideals": B.ideal_operators + conv.dot_operators,
+                      "stability-scan": scan + conv.rh_operators}
+
+
+@pytest.mark.parametrize("which", ["h-ideals", "stability-scan"])
+def test_stable_subspaces_match_old_route_on_kleinswap(ws, which, monkeypatch):
+    field, n, sets = kleinswap_operator_sets(ws)
+    ops = sets[which]
+    counts = {"new": 0, "old": 0}
+
+    def counting(side, apply):
+        def wrapped(cols, w, p):
+            counts[side] += 1
+            return apply(cols, w, p)
+        return wrapped
+
+    monkeypatch.setattr(linalg, "_apply_columns",
+                        counting("new", linalg._apply_columns))
+    monkeypatch.setitem(globals(), "_apply_columns",
+                        counting("old", _apply_columns))
+    got = stable_subspaces(field, n, ops)
+    want = stable_subspaces_oracle(field, n, ops)
+    assert [(s.rows, s.pivots) for s in got] == [(s.rows, s.pivots) for s in want]
+    # the lines already spun save operator applications
+    assert counts["new"] < counts["old"]
+    monkeypatch.undo()
+    cyclics, kept = assert_cyclics_sifted(field, n, ops)
+    assert len(kept) < len(cyclics)
