@@ -662,7 +662,7 @@ def _line(u, p):
 
 def _spin_cyclics(p, n, ops):
     """The distinct cyclic submodules <v> of F_p**n under ``ops`` (sparse
-    columns), in line order: RREF rows -> (the first line v that spins to
+    columns), in line order, as (RREF rows, the first line v that spins to
     them, their pivots).
 
     An image u of a spun vector that is an earlier line, whose cyclic is
@@ -687,9 +687,10 @@ def _spin_cyclics(p, n, ops):
                     elif _echelon_insert(rows, pivots, u, p):
                         spun.append(u)
             key = tuple(map(tuple, rows))
+            # the lines that spin to one cyclic share its rows object
+            key = cyclics.setdefault(key, (key, v, pivots))[0]
             known[tuple(v)] = key
-            cyclics.setdefault(key, (v, pivots))
-    return cyclics
+    return list(cyclics.values())
 
 
 def _refuse_joins(p, n):
@@ -708,7 +709,7 @@ def _join_irreducibles(p, n, cyclics):
     """
     kept = []
     tests = 0
-    for crows, (v, cpivots) in sorted(cyclics.items(), key=lambda kv: len(kv[0])):
+    for crows, v, cpivots in sorted(cyclics, key=lambda c: len(c[0])):
         dim = len(crows)
         rows, pivots = [], []
         for drows, u in kept:

@@ -2186,11 +2186,11 @@ def assert_cyclics_sifted(field, n, ops):
     inside it, and every cyclic is the sum of the kept ones inside it."""
     p = field.p
     cyclics = linalg._spin_cyclics(p, n, sparse_columns(n, ops))
-    assert ([(rows, v) for rows, (v, _) in cyclics.items()]
+    assert ([(rows, v) for rows, v, _ in cyclics]
             == list(spin_cyclics_oracle(p, n, sparse_columns(n, ops)).items()))
     kept, _ = linalg._join_irreducibles(p, n, cyclics)
     spaces = {rows: Subspace.from_vectors(field, n, [list(r) for r in rows])
-              for rows in cyclics}
+              for rows, _, _ in cyclics}
     kept_rows = [rows for rows, _ in kept]
     assert len(set(kept_rows)) == len(kept_rows)
 
@@ -2203,7 +2203,7 @@ def assert_cyclics_sifted(field, n, ops):
         return total
 
     for rows in kept_rows:
-        assert sum_inside(spaces[rows], cyclics, strictly=True) != spaces[rows]
+        assert sum_inside(spaces[rows], spaces, strictly=True) != spaces[rows]
     for c in spaces.values():
         assert sum_inside(c, kept_rows, strictly=False) == c
     return cyclics, kept
