@@ -22,12 +22,12 @@ factor major.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 
 from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, combine,
-                     is_stable, kron_sum, nonzero_terms, parse_dense, support,
-                     _enumerable_prime)
+                     is_stable, kron_sum, nonzero_terms, parse_dense, spin,
+                     support, _echelon_insert, _enumerable_prime, _residual)
 from .report import Report
 
 
@@ -113,55 +113,24 @@ class FiniteAlgebra:
 
         In ascending order, b is kept when e_b lies outside W, the span of
         the words g1 (g2 (... (gk 1))) in the generators kept so far; W is
-        spun from the unit with an exact sparse echelon basis.  The result
-        is deterministic.  When the unit is a right unit (so e_b = e_b 1 is
-        a word) the words of the generators span the algebra: k^X needs
-        |X| - 1 generators and a group algebra kG at most log2 |G|.
+        the unit spun under left multiplication by the generators
+        (:func:`~hopfact.linalg.spin`), and a new generator is applied once
+        to every vector spun before it.  The result is deterministic.  When
+        the unit is a right unit (so e_b = e_b 1 is a word) the words of the
+        generators span the algebra: k^X needs |X| - 1 generators and a
+        group algebra kG at most log2 |G|.
         """
-        F, n, sparse = self.field, self.dim, self.mult_sparse
-        echelon = {}    # pivot -> row {column: scalar}, zero before the pivot, 1 at it
-
-        def residual(w):
-            # a row only adds columns beyond its pivot: eliminate the
-            # smallest pivot left in w until none is
-            while True:
-                pc = min((k for k in w if k in echelon), default=None)
-                if pc is None:
-                    return w
-                c, w = w[pc], dict(w)
-                for k, y in echelon[pc].items():
-                    w[k] = w.get(k, 0) - c * y
-                w = support(F, w)
-
-        def insert(w):
-            w = residual(w)
-            if w:
-                pc = min(w)
-                inv = F.inv(w[pc])
-                echelon[pc] = dict(zip(w, F.reduce([inv * x for x in w.values()])))
-            return bool(w)
-
-        unit = {k: c for k, c in enumerate(self.unit) if c}
-        spun = [unit] if insert(unit) else []
-        gens = []
+        F, n = self.field, self.dim
+        rows, pivots = [], []
+        spun = [self.unit] if _echelon_insert(F, rows, pivots, self.unit) else []
+        gens, ops = [], []
         for b in range(n):
-            if len(echelon) == n:
-                break
-            if not residual({b: F.one}):
-                continue
-            gens.append(b)
-            old = len(spun)
-            for t, w in enumerate(spun):    # spun grows inside the loop
-                if len(echelon) == n:
-                    break
-                for g in (gens if t >= old else (b,)):
-                    u = {}
-                    for j, a in w.items():
-                        for k, c in sparse[g][j]:
-                            u[k] = u.get(k, 0) + a * c
-                    u = support(F, u)
-                    if insert(u):
-                        spun.append(u)
+            e = self.basis_vector(b)
+            if len(rows) < n and any(_residual(F, rows, pivots, e)):
+                gens.append(b)
+                ops.append(partial(self.multiply, e))
+                new = [u for u in map(ops[-1], spun) if _echelon_insert(F, rows, pivots, u)]
+                spun += spin(F, rows, pivots, new, ops)
         return gens
 
     @cached_property

@@ -675,15 +675,15 @@ def reformulation_check(act: ModuleAlgebraAction, ideal: Ideal) -> Report:
 
 def composite_core(lie_act, act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
     """Derivation core followed by the Hopf core, cross-checked against the
-    joint fixed point of both operator families."""
+    largest subspace stable under both operator families."""
     from .lie import lie_core
     step = lie_core(lie_act, ideal)
     out = core(act, step)
-    # joint fixed-point oracle: refine by all operators simultaneously
+    # joint oracle: stable under all operators at once
     joint = largest_stable_inside(ideal.space,
                                   lie_act.derivations + act.operator_matrices)
     if joint != out.space:
-        raise RuntimeError("composite core disagrees with the joint fixed point")
+        raise RuntimeError("composite core disagrees with the joint core")
     return out
 
 

@@ -349,6 +349,62 @@ def _rref_data(field, data, ncols):
     return rows, pivots
 
 
+def _residual(field, rows, pivots, v):
+    """v minus v[pc] times the row of each pivot column pc of the RREF basis
+    ``rows``.  Each row vanishes on the other pivot columns, so every
+    coefficient is read off v itself and the sums are reduced once per
+    entry."""
+    w = list(v)
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        if c:
+            for j, y in enumerate(row):
+                if y:
+                    w[j] -= c * y
+    return field.reduce(w)
+
+
+def _echelon_insert(field, rows, pivots, w):
+    """Add the vector ``w`` to the RREF basis ``rows`` (dense rows, pivots
+    ascending) in place; False when it is already spanned."""
+    w = _residual(field, rows, pivots, w)
+    if not any(w):
+        return False
+    pc = next(j for j, x in enumerate(w) if x)
+    if w[pc] != 1:
+        inv = field.inv(w[pc])
+        w = field.reduce([inv * x for x in w])
+    for i, row in enumerate(rows):
+        c = row[pc]
+        if c:
+            rows[i] = field.reduce([x - c * y for x, y in zip(row, w)])
+    k = bisect.bisect(pivots, pc)
+    rows.insert(k, w)
+    pivots.insert(k, pc)
+    return True
+
+
+def spin(field, rows, pivots, todo, ops):
+    """Close the RREF basis ``rows`` under the linear maps ``ops`` in place
+    when ``todo`` spans it modulo a part already closed: the MeatAxe spin
+    (Holt and Rees, J. Austral. Math. Soc. 57, 1994).  Each vector of
+    ``todo``, and each image that enlarges the basis (appended to
+    ``todo``, which is returned), gets each operator once."""
+    for w in todo:
+        for op in ops:
+            if len(rows) == len(w):
+                return todo
+            u = op(w)
+            if _echelon_insert(field, rows, pivots, u):
+                todo.append(u)
+    return todo
+
+
+def _echelon_subspace(field, n, rows, pivots):
+    return Subspace(field, n, tuple(map(tuple, rows)), tuple(pivots),
+                    _canonical=True)
+
+
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form; same shape, zero rows at the bottom."""
     rows, _ = _rref_data(m.field, m.data, m.ncols)
@@ -405,18 +461,7 @@ class Subspace:
         return Matrix.from_rows(self.field, self.basis_vectors() or [], self.ambient_dim)
 
     def reduce(self, v):
-        """Residual of v after elimination against the RREF basis: v minus
-        v[pc] times the row of each pivot column pc.  Each row vanishes on
-        the other pivot columns, so every coefficient is read off v itself
-        and the sums are reduced once per entry."""
-        w = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                for j, y in enumerate(row):
-                    if y:
-                        w[j] -= c * y
-        return self.field.reduce(w)
+        return _residual(self.field, self.rows, self.pivots, v)
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -455,8 +500,10 @@ class Subspace:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspace sum: ambient mismatch")
-    return Subspace.from_vectors(u.field, u.ambient_dim,
-                                 list(u.rows) + list(v.rows))
+    rows, pivots = list(u.rows), list(u.pivots)
+    for r in v.rows:
+        _echelon_insert(u.field, rows, pivots, r)
+    return _echelon_subspace(u.field, u.ambient_dim, rows, pivots)
 
 
 def annihilator(u: Subspace) -> Subspace:
@@ -528,35 +575,21 @@ def is_stable(space: Subspace, ops) -> bool:
 
 def closure(space: Subspace, ops) -> Subspace:
     """Smallest subspace containing ``space`` and mapped into itself by
-    every operator matrix in ``ops``."""
-    while True:
-        extra = []
-        for row in space.rows:
-            for op in ops:
-                w = op.vec_mul(list(row))
-                if not space.contains(w):
-                    extra.append(w)
-        if not extra:
-            return space
-        space = Subspace.from_vectors(space.field, space.ambient_dim,
-                                      list(space.rows) + extra)
+    every operator matrix in ``ops``: the basis rows of ``space`` spun
+    under ``ops`` (:func:`spin`), one echelon insert per image."""
+    rows, pivots = list(space.rows), list(space.pivots)
+    spin(space.field, rows, pivots, list(space.rows), [op.vec_mul for op in ops])
+    return _echelon_subspace(space.field, space.ambient_dim, rows, pivots)
 
 
 def largest_stable_inside(space: Subspace, ops) -> Subspace:
     """Largest subspace of ``space`` mapped into itself by every operator.
 
-    Fixed-point refinement: intersect with the preimage of the current stage
-    under every operator until nothing changes.  Dimensions strictly
-    decrease until the fixed point, so at most dim(space) rounds run.
+    A subspace U is T-stable iff its annihilator is stable under the
+    transpose of T, so this is the annihilator of the closure of the
+    annihilator of ``space`` under the transposed operators.
     """
-    while True:
-        proj = projection_matrix(space)
-        nxt = space
-        for op in ops:
-            nxt = subspace_intersect(nxt, kernel(proj.mat_mul(op)))
-        if nxt == space:
-            return space
-        space = nxt
+    return annihilator(closure(annihilator(space), [op.transpose() for op in ops]))
 
 
 def pull_back(embed: Matrix, image: Subspace, sub: Subspace) -> Subspace:
@@ -619,28 +652,6 @@ def enumerate_subspaces(field: Field, ambient_dim: int, bound=None):
                                tuple(pivots), _canonical=True)
 
 
-def _echelon_insert(rows, pivots, w, p):
-    """Add the int-mod-p vector ``w`` to the RREF basis ``rows`` (pivots
-    ascending) in place; False when it is already spanned."""
-    for row, pc in zip(rows, pivots):
-        c = w[pc]
-        if c:
-            w = [(x - c * y) % p for x, y in zip(w, row)]
-    pc = next((j for j, x in enumerate(w) if x), None)
-    if pc is None:
-        return False
-    inv = pow(w[pc], p - 2, p)
-    w = [x * inv % p for x in w]
-    for i, row in enumerate(rows):
-        c = row[pc]
-        if c:
-            rows[i] = [(x - c * y) % p for x, y in zip(row, w)]
-    k = bisect.bisect(pivots, pc)
-    rows.insert(k, w)
-    pivots.insert(k, pc)
-    return True
-
-
 def _apply_columns(cols, w, p):
     """Operator (as sparse columns ``cols[j] = ((i, a), ...)``) times ``w``."""
     out = [0] * len(w)
@@ -669,6 +680,7 @@ def _spin_cyclics(p, n, ops):
     known, adds that cyclic's rows unspun: <u> lies inside <v> and is
     already stable.  Any other image is added and spun.
     """
+    F = GF(p)
     cyclics = {}
     known = {}
     for lead in range(n):
@@ -683,8 +695,8 @@ def _spin_cyclics(p, n, ops):
                     sub = known.get(_line(u, p))
                     if sub is not None:
                         for c in sub:
-                            _echelon_insert(rows, pivots, c, p)
-                    elif _echelon_insert(rows, pivots, u, p):
+                            _echelon_insert(F, rows, pivots, c)
+                    elif _echelon_insert(F, rows, pivots, u):
                         spun.append(u)
             key = tuple(map(tuple, rows))
             # the lines that spin to one cyclic share its rows object
@@ -707,6 +719,7 @@ def _join_irreducibles(p, n, cyclics):
     A kept cyclic D lies inside C exactly when its generator does, and C
     is kept when the kept cyclics strictly inside it span less than C.
     """
+    F = GF(p)
     kept = []
     tests = 0
     for crows, v, cpivots in sorted(cyclics, key=lambda c: len(c[0])):
@@ -716,9 +729,9 @@ def _join_irreducibles(p, n, cyclics):
             if len(drows) == dim or len(rows) == dim:
                 break
             tests += 1
-            if not _echelon_insert(list(crows), list(cpivots), u, p):
+            if not any(_residual(F, crows, cpivots, u)):
                 for r in drows:
-                    _echelon_insert(rows, pivots, r, p)
+                    _echelon_insert(F, rows, pivots, r)
         if tests > JOIN_CAP:
             raise _refuse_joins(p, n)
         if len(rows) < dim:
@@ -739,17 +752,21 @@ def stable_subspaces(field: Field, n, operators, bound=None):
     The cost is p**n/(p - 1) spins, at most one containment test per pair
     of a kept cyclic and a larger cyclic, and |lattice| x |join-irreducible
     cyclics| joins, so it follows the size of the answer, not the number
-    of subspaces.  The worst case is a lattice of nearly every subspace:
-    with no operators over F_2 every line is join-irreducible, there are
-    no containment tests, and there are 11,594 joins at n = 5 and 3.7
-    million at n = 7 (41 s without the cap; Python 3.11, one core of a
-    2-vCPU VM).  The callers' lattices on the bundled fixtures have at
-    most 67 elements and 15 join-irreducible cyclics (kleinswap's stability
-    scan, 50 cyclics: 250 tests and 1,005 joins).
+    of subspaces.  Every insert is the shared :func:`_echelon_insert`, and
+    the sift's containment test reads its residual.  The worst case is a
+    lattice of every subspace: when every cyclic is a line (all operators
+    scalars, or none) every line is join-irreducible, there are no
+    containment tests, and the joins number exactly
+    :func:`subspace_count` x lines: 11,594 at F_2^5, 177,975 at F_2^6 and
+    3.7 million at F_2^7.  The callers' lattices on the bundled fixtures
+    have at most 67 elements and 15 join-irreducible cyclics (kleinswap's
+    stability scan, 50 cyclics: 250 tests and 1,005 joins).
 
     Refuses Q and p**n above the enumeration cap (:func:`enum_bound`), so
     the cap is the number of vectors spun, and refuses once the
-    containment tests and joins tried pass :data:`JOIN_CAP`.  The result
+    containment tests and joins tried pass :data:`JOIN_CAP`; when every
+    cyclic is a line that count is known before the first join, and the
+    refusal comes then.  The result
     is sorted by dimension, pivots and rows: the order of
     :func:`enumerate_subspaces`.
     """
@@ -758,7 +775,11 @@ def stable_subspaces(field: Field, n, operators, bound=None):
         tuple(tuple((i, m.data[i][j]) for i in range(n) if m.data[i][j])
               for j in range(n))
         for m in operators))
-    kept, joins = _join_irreducibles(p, n, _spin_cyclics(p, n, ops))
+    cyclics = _spin_cyclics(p, n, ops)
+    if (all(len(rows) == 1 for rows, _, _ in cyclics)
+            and subspace_count(p, n) * len(cyclics) > JOIN_CAP):
+        raise _refuse_joins(p, n)
+    kept, joins = _join_irreducibles(p, n, cyclics)
     lattice = {(): ()}
     queue = [((), [])]
     for rows, pivots in queue:
@@ -767,10 +788,10 @@ def stable_subspaces(field: Field, n, operators, bound=None):
             raise _refuse_joins(p, n)
         for crows, v in kept:
             r, pv = list(rows), list(pivots)
-            if not _echelon_insert(r, pv, v, p):
+            if not _echelon_insert(field, r, pv, v):
                 continue
             for c in crows:
-                _echelon_insert(r, pv, c, p)
+                _echelon_insert(field, r, pv, c)
             key = tuple(map(tuple, r))
             if key not in lattice:
                 lattice[key] = tuple(pv)

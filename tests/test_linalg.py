@@ -218,6 +218,10 @@ def test_stable_subspaces_join_cap():
     # only the join cap stops it
     with pytest.raises(EnumerationBound, match=f"{JOIN_CAP} joins"):
         stable_subspaces(GF(2), 7, [])
+    # likewise under the identity every cyclic of F_2^8 is a line: 255 x
+    # 417,199 joins, refused before the first
+    with pytest.raises(EnumerationBound, match=f"{JOIN_CAP} joins"):
+        stable_subspaces(GF(2), 8, [Matrix.identity(GF(2), 8)])
 
 
 def test_enumeration_order_deterministic():

@@ -15,6 +15,7 @@ lattice with its route that spun every line and joined every cyclic; the
 subspace helpers are compared with brute force over small prime fields.
 """
 
+import bisect
 import importlib.util
 import itertools
 import math
@@ -27,9 +28,10 @@ from hypothesis import given, settings, strategies as st
 
 from hopfact.linalg import (GF, JOIN_CAP, QQ, EnumerationBound, Matrix, Subspace,
                             apply_combination, closure, combine, kernel, kron_sum,
-                            largest_stable_inside, pull_back, solve,
-                            stable_subspaces, subspace_sum, _apply_columns,
-                            _echelon_insert, _enumerable_prime, _rref_data)
+                            largest_stable_inside, projection_matrix, pull_back,
+                            rational, solve, stable_subspaces, subspace_intersect,
+                            subspace_sum, support, _apply_columns, _echelon_insert,
+                            _enumerable_prime, _rref_data)
 from hopfact import linalg
 from hopfact.hopf import (FiniteAlgebra, HopfAlgebra, group_algebra,
                           cyclic_group_table, dual_hopf,
@@ -2129,6 +2131,28 @@ def sparse_columns(n, operators):
         for m in operators))
 
 
+def echelon_insert_oracle(rows, pivots, w, p):
+    """Add the int-mod-p vector ``w`` to the RREF basis ``rows`` (pivots
+    ascending) in place; False when it is already spanned."""
+    for row, pc in zip(rows, pivots):
+        c = w[pc]
+        if c:
+            w = [(x - c * y) % p for x, y in zip(w, row)]
+    pc = next((j for j, x in enumerate(w) if x), None)
+    if pc is None:
+        return False
+    inv = pow(w[pc], p - 2, p)
+    w = [x * inv % p for x in w]
+    for i, row in enumerate(rows):
+        c = row[pc]
+        if c:
+            rows[i] = [(x - c * y) % p for x, y in zip(row, w)]
+    k = bisect.bisect(pivots, pc)
+    rows.insert(k, w)
+    pivots.insert(k, pc)
+    return True
+
+
 def spin_cyclics_oracle(p, n, ops):
     cyclics = {}
     for lead in range(n):
@@ -2140,7 +2164,7 @@ def spin_cyclics_oracle(p, n, ops):
                     if len(rows) == n:
                         break
                     u = _apply_columns(cols, w, p)
-                    if _echelon_insert(rows, pivots, u, p):
+                    if echelon_insert_oracle(rows, pivots, u, p):
                         spun.append(u)
             cyclics.setdefault(tuple(map(tuple, rows)), v)
     return cyclics
@@ -2160,10 +2184,10 @@ def stable_subspaces_oracle(field, n, operators, bound=None):
                 f"{JOIN_CAP} joins (JOIN_CAP)")
         for crows, v in cyclics.items():
             r, pv = list(rows), list(pivots)
-            if not _echelon_insert(r, pv, v, p):
+            if not echelon_insert_oracle(r, pv, v, p):
                 continue
             for c in crows:
-                _echelon_insert(r, pv, c, p)
+                echelon_insert_oracle(r, pv, c, p)
             key = tuple(map(tuple, r))
             if key not in lattice:
                 lattice[key] = tuple(pv)
@@ -2227,25 +2251,28 @@ def operator_sets(draw):
     top = 6 if set(kinds) - {"scalar"} else ALL_STABLE_TOP[p]
     n = draw(st.integers(1, top))
     field = GF(p)
-    entry = st.integers(0, p - 1)
-    ops = []
-    for kind in kinds:
-        if kind == "random":
-            data = [[draw(entry) for _ in range(n)] for _ in range(n)]
-        elif kind == "nilpotent":
-            perm = draw(st.permutations(range(n)))
-            data = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    data[perm[i]][perm[j]] = draw(entry)
-        elif kind == "permutation":
-            perm = draw(st.permutations(range(n)))
-            data = [[int(perm[j] == i) for j in range(n)] for i in range(n)]
-        else:
-            c = draw(entry)
-            data = [[c if i == j else 0 for j in range(n)] for i in range(n)]
-        ops.append(Matrix(field, n, n, data))
-    return field, n, ops
+    return field, n, [draw_operator(draw, field, n, kind, st.integers(0, p - 1))
+                      for kind in kinds]
+
+
+def draw_operator(draw, field, n, kind, entry):
+    """A random, nilpotent (strictly upper triangular on a shuffled basis),
+    permutation or scalar n x n matrix with entries drawn from ``entry``."""
+    if kind == "random":
+        data = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    elif kind == "nilpotent":
+        perm = draw(st.permutations(range(n)))
+        data = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                data[perm[i]][perm[j]] = draw(entry)
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        data = [[int(perm[j] == i) for j in range(n)] for i in range(n)]
+    else:
+        c = draw(entry)
+        data = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    return Matrix(field, n, n, data)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -2262,6 +2289,27 @@ def test_stable_subspaces_match_old_route(case):
         assert got == want
     if want is not None:
         assert_cyclics_sifted(field, n, ops)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+def test_all_line_lattices_refuse_as_the_old_route(p, n, monkeypatch):
+    """With scalar operators every subspace is stable and the joins number
+    subspace_count x lines; at a cap one below that both routes refuse,
+    the new one before its sift, and at that cap both answer."""
+    field = GF(p)
+    ops = [Matrix(field, n, n, [[p - 1 if i == j else 0 for j in range(n)]
+                                for i in range(n)])]
+    joins = linalg.subspace_count(p, n) * (p ** n - 1) // (p - 1)
+    for cap in (joins - 1, joins):
+        monkeypatch.setattr(linalg, "JOIN_CAP", cap)
+        monkeypatch.setitem(globals(), "JOIN_CAP", cap)
+        if cap < joins:
+            monkeypatch.setattr(linalg, "_join_irreducibles", None)
+        got = lattice_or_refusal(stable_subspaces, field, n, ops)
+        want = lattice_or_refusal(stable_subspaces_oracle, field, n, ops)
+        assert got == want
+        assert (got is None) == (cap < joins)
+        monkeypatch.undo()
 
 
 def kleinswap_operator_sets(ws):
@@ -2300,3 +2348,148 @@ def test_stable_subspaces_match_old_route_on_kleinswap(ws, which, monkeypatch):
     monkeypatch.undo()
     cyclics, kept = assert_cyclics_sifted(field, n, ops)
     assert len(kept) < len(cyclics)
+
+
+# -- the echelon spinner against the routes it replaced ----------------------------
+#
+# closure re-ran Subspace.from_vectors on every row and image once per round;
+# largest_stable_inside intersected with operator preimages to a fixed point;
+# FiniteAlgebra.generators kept its own sparse-dict echelon basis; and the
+# lattice spin inserted with echelon_insert_oracle above.
+
+def closure_oracle(space, ops):
+    while True:
+        extra = []
+        for row in space.rows:
+            for op in ops:
+                w = op.vec_mul(list(row))
+                if not space.contains(w):
+                    extra.append(w)
+        if not extra:
+            return space
+        space = Subspace.from_vectors(space.field, space.ambient_dim,
+                                      list(space.rows) + extra)
+
+
+def largest_stable_inside_oracle(space, ops):
+    while True:
+        proj = projection_matrix(space)
+        nxt = space
+        for op in ops:
+            nxt = subspace_intersect(nxt, kernel(proj.mat_mul(op)))
+        if nxt == space:
+            return space
+        space = nxt
+
+
+def generators_oracle(alg):
+    F, n, sparse = alg.field, alg.dim, alg.mult_sparse
+    echelon = {}    # pivot -> row {column: scalar}, zero before the pivot, 1 at it
+
+    def residual(w):
+        while True:
+            pc = min((k for k in w if k in echelon), default=None)
+            if pc is None:
+                return w
+            c, w = w[pc], dict(w)
+            for k, y in echelon[pc].items():
+                w[k] = w.get(k, 0) - c * y
+            w = support(F, w)
+
+    def insert(w):
+        w = residual(w)
+        if w:
+            pc = min(w)
+            inv = F.inv(w[pc])
+            echelon[pc] = dict(zip(w, F.reduce([inv * x for x in w.values()])))
+        return bool(w)
+
+    unit = {k: c for k, c in enumerate(alg.unit) if c}
+    spun = [unit] if insert(unit) else []
+    gens = []
+    for b in range(n):
+        if len(echelon) == n:
+            break
+        if not residual({b: F.one}):
+            continue
+        gens.append(b)
+        old = len(spun)
+        for t, w in enumerate(spun):    # spun grows inside the loop
+            if len(echelon) == n:
+                break
+            for g in (gens if t >= old else (b,)):
+                u = {}
+                for j, a in w.items():
+                    for k, c in sparse[g][j]:
+                        u[k] = u.get(k, 0) + a * c
+                u = support(F, u)
+                if insert(u):
+                    spun.append(u)
+    return gens
+
+
+# Q entries are ints and Fractions; the prime fields draw residues.
+SPIN_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+QQ_ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def spun_subspaces(draw):
+    """A field of SPIN_FIELDS, n <= 6, one to three operators of the kinds
+    of operator_sets, and two subspaces spanned by one to n vectors each."""
+    field = draw(st.sampled_from(SPIN_FIELDS))
+    n = draw(st.integers(1, 6))
+    entry = (QQ_ENTRIES.map(field.parse) if field is QQ
+             else st.integers(0, field.p - 1))
+    kinds = draw(st.lists(st.sampled_from(
+        ["random", "nilpotent", "permutation", "scalar"]), min_size=1, max_size=3))
+    ops = [draw_operator(draw, field, n, kind, entry) for kind in kinds]
+    vectors = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n)
+    space, other = (Subspace.from_vectors(field, n, draw(vectors)) for _ in range(2))
+    return field, n, ops, space, other
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(spun_subspaces())
+def test_spinner_matches_old_routes(case):
+    field, n, ops, space, other = case
+    for some in (ops, ops[:1], []):
+        assert closure(space, some) == closure_oracle(space, some)
+        assert (largest_stable_inside(space, some)
+                == largest_stable_inside_oracle(space, some))
+    assert subspace_sum(space, other) == Subspace.from_vectors(
+        field, n, list(space.rows) + list(other.rows))
+    if field is not QQ:
+        # one insert at a time, the same basis and the same verdicts
+        rows, pivots, old_rows, old_pivots = [], [], [], []
+        for v in list(other.rows) + [op.vec_mul(list(r)) for op in ops
+                                     for r in space.rows]:
+            assert (_echelon_insert(field, rows, pivots, v)
+                    == echelon_insert_oracle(old_rows, old_pivots, list(v), field.p))
+            assert (rows, pivots) == (old_rows, old_pivots)
+
+
+def permuted_basis(alg, perm):
+    """alg in the basis whose i-th element is e_perm[i]."""
+    place = {old: new for new, old in enumerate(perm)}
+    terms = [[sorted((place[k], c) for k, c in alg.mult_sparse[i][j]) for j in perm]
+             for i in perm]
+    return FiniteAlgebra.from_terms(alg.field, alg.dim, terms,
+                                    [alg.unit[i] for i in perm], name=alg.name)
+
+
+def test_generators_match_old_route(ws):
+    algebras = [a for _, a in sorted(ws.algebras.items())]
+    algebras += [h.alg for _, h in sorted(ws.hopfs.items())]
+    rng = random.Random("generators")
+    for field in (QQ, GF(3)):
+        s3, s4 = (group_algebra(symmetric_group_table(k), field) for k in (3, 4))
+        c4 = group_algebra(cyclic_group_table(4), field)
+        algebras += [tensor_hopf(s3, s3).alg, tensor_hopf(s4, c4).alg]
+        # M_3 with its matrix units shuffled: a new generator's words on
+        # the left of older words are needed here
+        algebras += [permuted_basis(matrix_algebra(field, 3), rng.sample(range(9), 9))
+                     for _ in range(6)]
+    assert max(a.dim for a in algebras) == 96
+    for alg in algebras:
+        assert alg.generators == generators_oracle(alg), alg.name

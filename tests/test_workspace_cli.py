@@ -242,6 +242,14 @@ def test_cli_series_phi_rejects_bad_sizes(flags, capsys):
     assert flags[0] in report["reason"]
 
 
+def test_cli_series_phi_refuses_above_the_monomial_cap(capsys):
+    # C(8 + 10, 10) = 43,758 monomials
+    assert main(["series-phi", "--nvars", "8", "--degree", "10", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "error"
+    assert "SERIES_MONOMIAL_CAP" in report["reason"] and "43758" in report["reason"]
+
+
 def _k2_algebra():
     """k x k over F_2 in the dense fixture form."""
     return {"name": "k2", "field": {"kind": "prime-field", "p": 2}, "dim": 2,
