@@ -766,9 +766,8 @@ def stable_subspaces(field: Field, n, operators, bound=None):
     the cap is the number of vectors spun, and refuses once the
     containment tests and joins tried pass :data:`JOIN_CAP`; when every
     cyclic is a line that count is known before the first join, and the
-    refusal comes then.  The result
-    is sorted by dimension, pivots and rows: the order of
-    :func:`enumerate_subspaces`.
+    refusal comes then.  The result is sorted by dimension, pivots and
+    rows: the order of :func:`enumerate_subspaces`.
     """
     p = _enumerable_prime(field, n, bound)
     ops = list(dict.fromkeys(

@@ -10,9 +10,12 @@ oracles), and so are the plain-integer hot loops (matrix products,
 elimination, the operator sums, subspace reduction, the trace-form Gram
 matrix, polynomial evaluation) with their Field-method bodies, the
 verifiers' generator fast paths with full basis scans, and the block
-splitter with its route before the t^2 - t shortcut, and the stable-subspace
-lattice with its route that spun every line and joined every cyclic; the
-subspace helpers are compared with brute force over small prime fields.
+splitter with its route before the t^2 - t shortcut, the stable-subspace
+lattice with its route that spun every line and joined every cyclic, and
+the echelon spinner's closure, largest stable subspace, algebra generators
+and insert with the rounds, fixed point, sparse echelon and int-mod-p insert
+they replaced; the subspace helpers are compared with brute force over
+small prime fields.
 """
 
 import bisect
@@ -29,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from hopfact.linalg import (GF, JOIN_CAP, QQ, EnumerationBound, Matrix, Subspace,
                             apply_combination, closure, combine, kernel, kron_sum,
                             largest_stable_inside, projection_matrix, pull_back,
-                            rational, solve, stable_subspaces, subspace_intersect,
+                            solve, stable_subspaces, subspace_intersect,
                             subspace_sum, support, _apply_columns, _echelon_insert,
                             _enumerable_prime, _rref_data)
 from hopfact import linalg
