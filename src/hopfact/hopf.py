@@ -78,6 +78,15 @@ class FiniteAlgebra:
                         out[k] += ab * c
         return self.field.reduce(out)
 
+    def _left_basis_multiply(self, plane, y):
+        """e_b y for ``plane`` = mult_sparse[b], over the nonzero y_j only."""
+        out = [0] * self.dim
+        for j, a in enumerate(y):
+            if a:
+                for k, c in plane[j]:
+                    out[k] += a * c
+        return self.field.reduce(out)
+
     def basis_product(self, i, j):
         out = [self.field.zero] * self.dim
         for k, c in self.mult_sparse[i][j]:
@@ -128,7 +137,7 @@ class FiniteAlgebra:
             e = self.basis_vector(b)
             if len(rows) < n and any(_residual(F, rows, pivots, e)):
                 gens.append(b)
-                ops.append(partial(self.multiply, e))
+                ops.append(partial(self._left_basis_multiply, self.mult_sparse[b]))
                 new = [u for u in map(ops[-1], spun) if _echelon_insert(F, rows, pivots, u)]
                 spun += spin(F, rows, pivots, new, ops)
         return gens

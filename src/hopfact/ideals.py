@@ -40,6 +40,7 @@ from .convolution import ConvolutionAlgebra, transport_subspace
 from .report import Report, PASS, FAIL, ERROR, COUNTEREXAMPLE
 
 SPLITTER_BUDGET = 20_000    # splitting candidates _try_split tries per corner
+SPLITTER_GRID_MAX = 65_536  # largest p**d whose whole coordinate grid is tried
 
 
 class UnsupportedComputation(Exception):
@@ -340,7 +341,7 @@ def _splitter_candidates(Z: FiniteAlgebra, corner_basis):
     F = Z.field
     p = F.characteristic()
     d = len(corner_basis)
-    if p and p ** d <= 65536:
+    if p and p ** d <= SPLITTER_GRID_MAX:
         grid = itertools.product(range(p), repeat=d)
     else:
         grid = (coords for radius in (2, 3, 5)

@@ -652,56 +652,136 @@ def enumerate_subspaces(field: Field, ambient_dim: int, bound=None):
                                tuple(pivots), _canonical=True)
 
 
-def _apply_columns(cols, w, p):
-    """Operator (as sparse columns ``cols[j] = ((i, a), ...)``) times ``w``."""
-    out = [0] * len(w)
-    for x, col in zip(w, cols):
-        if x:
-            for i, a in col:
-                out[i] += x * a
-    return [y % p for y in out]
+class _Packed:
+    """F_p**n vectors as ints (the MeatAxe's packed rows, Parker 1984):
+    coordinate j is the k-bit digit at shift (n - 1 - j) k, 2**(k - 1) >= p,
+    so reduced vectors add with no carry between digits, one guard-bit test
+    per digit reduces the sum mod p (SWAR), and vectors compare as their
+    coordinate tuples.  A basis is an RREF dict {pivot shift: [-c row for c
+    in range(p)]}, row last; ``negs`` memoises those lists for one call."""
+
+    __slots__ = ("p", "n", "k", "digit", "shifts", "guard", "offset", "negs")
+
+    def __init__(self, p, n):
+        k = (p - 1).bit_length() + 1
+        self.p, self.n, self.k, self.digit = p, n, k, (1 << k) - 1
+        self.shifts = [(n - 1 - j) * k for j in range(n)]
+        ones = sum(1 << s for s in self.shifts)
+        self.guard, self.offset, self.negs = ones << (k - 1), ones * ((1 << (k - 1)) - p), {}
+
+    def pack(self, vec):
+        return sum(x << s for x, s in zip(vec, self.shifts))
+
+    def unpack(self, w):
+        return tuple(w >> s & self.digit for s in self.shifts)
+
+    def multiples(self, w):
+        """[c w for c in range(p)]."""
+        p, k1, guard, offset = self.p, self.k - 1, self.guard, self.offset
+        out = [0, w]
+        for _ in range(p - 2):
+            s = out[-1] + w
+            out.append(s - ((s + offset & guard) >> k1) * p)
+        return out
+
+    def negated(self, r):
+        if r not in self.negs:
+            m = self.multiples(r)
+            self.negs[r] = [m[-c] for c in range(self.p)]
+        return self.negs[r]
+
+    def tables(self, operators):
+        """Each distinct matrix as [(shift j, [c op(e_j) for c in range(p)])]."""
+        return [[(s, self.multiples(col)) for s, col in zip(self.shifts, cols) if col]
+                for cols in dict.fromkeys(
+                    tuple(self.pack([row[j] for row in m.data]) for j in range(self.n))
+                    for m in operators)]
+
+    def combine(self, pairs, w, u=0):
+        """u plus m[c] for each (shift, m) of ``pairs``, c the digit of ``w``
+        there: an operator image from a :meth:`tables` entry, or (u = w) the
+        residual of w from a basis, whose rows vanish on the other pivots."""
+        p, k1, digit, guard, offset = self.p, self.k - 1, self.digit, self.guard, self.offset
+        for sh, m in pairs:
+            c = w >> sh & digit
+            if c:
+                s = u + m[c]
+                u = s - ((s + offset & guard) >> k1) * p
+        return u
+
+    def insert(self, basis, w):
+        """Add ``w`` to ``basis`` in place; False when it is already spanned."""
+        w = self.combine(basis.items(), w, w)
+        if not w:
+            return False
+        sh = (w.bit_length() - 1) // self.k * self.k
+        if w >> sh != 1:
+            w = self.multiples(w)[pow(w >> sh, self.p - 2, self.p)]
+        neg = self.negated(w)
+        for s, other in basis.items():
+            if other[-1] >> sh & self.digit:
+                basis[s] = self.negated(self.combine([(sh, neg)], other[-1], other[-1]))
+        basis[sh] = neg
+        return True
 
 
-def _line(u, p):
-    """``u`` scaled to leading coefficient 1, as a tuple; None for zero."""
-    for x in u:
-        if x:
-            inv = pow(x, p - 2, p)
-            return tuple(y * inv % p for y in u)
-    return None
+def _components(graph):
+    """The strongly connected components of ``graph`` (successor lists of
+    0..len - 1), each after every component it reaches (Tarjan)."""
+    index, low, done, stack = {-1: -1}, {-1: -1}, set(), []
+    work = [(-1, iter(range(len(graph))))]     # a root that reaches them all
+    while work:
+        i, succ = work[-1]
+        for j in succ:
+            if j not in index:
+                index[j] = low[j] = len(index)
+                stack.append(j)
+                work.append((j, iter(graph[j])))
+                break
+            if j not in done:
+                low[i] = min(low[i], index[j])
+        else:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[i])
+                if low[i] == index[i]:
+                    at = bisect.bisect_left(stack, index[i], key=index.__getitem__)
+                    members, stack[at:] = stack[at:], []
+                    done.update(members)
+                    yield members
 
 
-def _spin_cyclics(p, n, ops):
-    """The distinct cyclic submodules <v> of F_p**n under ``ops`` (sparse
-    columns), in line order, as (RREF rows, the first line v that spins to
-    them, their pivots).
+def _spin_cyclics(pk, ops):
+    """The distinct cyclic submodules <v> of F_p**n under ``ops`` (tables
+    from :meth:`_Packed.tables`), in line order, as (packed RREF rows, the
+    first line v that spins to them, their basis).
 
-    An image u of a spun vector that is an earlier line, whose cyclic is
-    known, adds that cyclic's rows unspun: <u> lies inside <v> and is
-    already stable.  Any other image is added and spun.
-    """
-    F = GF(p)
+    <v> is v plus the cyclics of the lines of v's images (each computed
+    once, kept as its line), so the lines of one strongly connected
+    component of this image graph share their cyclic: the span of those
+    lines and of the cyclics of the components they reach."""
+    lines, tails = [], [0]
+    for sh in reversed(pk.shifts):
+        lines[:0] = [1 << sh | t for t in tails]
+        tails = [d << sh | t for d in range(pk.p) for t in tails]
+    line_of = {m: i for i, v in enumerate(lines) for m in pk.multiples(v)[1:]}
+    images = [[line_of[u] for u in (pk.combine(t, v) for t in ops) if u] for v in lines]
+    comp, bases = [None] * len(lines), []
+    for members in _components(images):
+        for m in members:
+            comp[m] = len(bases)
+        subs = sorted((bases[c] for c in {comp[j] for m in members for j in images[m]}
+                       - {len(bases)}), key=len, reverse=True)
+        basis = dict(subs[0]) if subs else {}
+        for r in ([neg[-1] for sub in subs[1:] for neg in sub.values()]
+                  + [lines[m] for m in members]):
+            pk.insert(basis, r)
+        bases.append(basis)
+    # the rows by ascending pivot
+    keys = [tuple(sorted([neg[-1] for neg in b.values()], reverse=True)) for b in bases]
     cyclics = {}
-    known = {}
-    for lead in range(n):
-        for tail in itertools.product(range(p), repeat=n - lead - 1):
-            v = [0] * lead + [1, *tail]
-            rows, pivots, spun = [v], [lead], [v]
-            for w in spun:
-                for cols in ops:
-                    if len(rows) == n:
-                        break
-                    u = _apply_columns(cols, w, p)
-                    sub = known.get(_line(u, p))
-                    if sub is not None:
-                        for c in sub:
-                            _echelon_insert(F, rows, pivots, c)
-                    elif _echelon_insert(F, rows, pivots, u):
-                        spun.append(u)
-            key = tuple(map(tuple, rows))
-            # the lines that spin to one cyclic share its rows object
-            key = cyclics.setdefault(key, (key, v, pivots))[0]
-            known[tuple(v)] = key
+    for v, c in zip(lines, comp):
+        cyclics.setdefault(keys[c], (keys[c], v, bases[c]))
     return list(cyclics.values())
 
 
@@ -711,7 +791,7 @@ def _refuse_joins(p, n):
         f"{JOIN_CAP} joins (JOIN_CAP)")
 
 
-def _join_irreducibles(p, n, cyclics):
+def _join_irreducibles(pk, cyclics):
     """The cyclics that are not sums of smaller cyclics, by ascending
     dimension, as (rows, generator) pairs, and the number of containment
     tests made to find them; refuses once the tests pass :data:`JOIN_CAP`.
@@ -719,22 +799,21 @@ def _join_irreducibles(p, n, cyclics):
     A kept cyclic D lies inside C exactly when its generator does, and C
     is kept when the kept cyclics strictly inside it span less than C.
     """
-    F = GF(p)
     kept = []
     tests = 0
-    for crows, v, cpivots in sorted(cyclics, key=lambda c: len(c[0])):
+    for crows, v, cbasis in sorted(cyclics, key=lambda c: len(c[0])):
         dim = len(crows)
-        rows, pivots = [], []
+        basis = {}
         for drows, u in kept:
-            if len(drows) == dim or len(rows) == dim:
+            if len(drows) == dim or len(basis) == dim:
                 break
             tests += 1
-            if not any(_residual(F, crows, cpivots, u)):
+            if not pk.combine(cbasis.items(), u, u):
                 for r in drows:
-                    _echelon_insert(F, rows, pivots, r)
+                    pk.insert(basis, r)
         if tests > JOIN_CAP:
-            raise _refuse_joins(p, n)
-        if len(rows) < dim:
+            raise _refuse_joins(pk.p, pk.n)
+        if len(basis) < dim:
             kept.append((crows, v))
     return kept, tests
 
@@ -745,56 +824,44 @@ def stable_subspaces(field: Field, n, operators, bound=None):
     Output-sensitive (the MeatAxe approach): every stable subspace is a sum
     of cyclic submodules <v>, and so of the join-irreducible ones, those
     that are not sums of smaller cyclics (Lux, Mueller and Ringe, J.
-    Symbolic Comput. 17, 1994).  The cyclic submodule of each of the
-    (p**n - 1)/(p - 1) lines is spun (:func:`_spin_cyclics`), the
-    join-irreducible ones are sifted out (:func:`_join_irreducibles`), and
-    {0} is closed under L + C for every join-irreducible C not inside L.
-    The cost is p**n/(p - 1) spins, at most one containment test per pair
-    of a kept cyclic and a larger cyclic, and |lattice| x |join-irreducible
-    cyclics| joins, so it follows the size of the answer, not the number
-    of subspaces.  Every insert is the shared :func:`_echelon_insert`, and
-    the sift's containment test reads its residual.  The worst case is a
-    lattice of every subspace: when every cyclic is a line (all operators
-    scalars, or none) every line is join-irreducible, there are no
-    containment tests, and the joins number exactly
-    :func:`subspace_count` x lines: 11,594 at F_2^5, 177,975 at F_2^6 and
-    3.7 million at F_2^7.  The callers' lattices on the bundled fixtures
-    have at most 67 elements and 15 join-irreducible cyclics (kleinswap's
-    stability scan, 50 cyclics: 250 tests and 1,005 joins).
+    Symbolic Comput. 17, 1994).  The cyclics of the (p**n - 1)/(p - 1)
+    lines come from one pass over the graph of their operator images, each
+    computed once (:func:`_spin_cyclics`); the join-irreducible ones are
+    sifted out (:func:`_join_irreducibles`), and {0} is closed under L + C
+    for every join-irreducible C not inside L, so the joins number
+    |lattice| x |join-irreducibles|.  Vectors are packed ints
+    (:class:`_Packed`), unpacked only into the returned subspaces.  When
+    every cyclic is a line (all operators scalars, or none) every subspace
+    is stable: 177,975 joins at F_2^6 and 3.7 million at F_2^7.
 
-    Refuses Q and p**n above the enumeration cap (:func:`enum_bound`), so
-    the cap is the number of vectors spun, and refuses once the
-    containment tests and joins tried pass :data:`JOIN_CAP`; when every
-    cyclic is a line that count is known before the first join, and the
-    refusal comes then.  The result is sorted by dimension, pivots and
-    rows: the order of :func:`enumerate_subspaces`.
+    Refuses Q and p**n above the enumeration cap (:func:`enum_bound`), and
+    refuses once the sift's containment tests and the joins tried pass
+    :data:`JOIN_CAP` (before the first join when every cyclic is a line).
+    The result is in the order of :func:`enumerate_subspaces`.
     """
     p = _enumerable_prime(field, n, bound)
-    ops = list(dict.fromkeys(
-        tuple(tuple((i, m.data[i][j]) for i in range(n) if m.data[i][j])
-              for j in range(n))
-        for m in operators))
-    cyclics = _spin_cyclics(p, n, ops)
+    pk = _Packed(p, n)
+    cyclics = _spin_cyclics(pk, pk.tables(operators))
     if (all(len(rows) == 1 for rows, _, _ in cyclics)
             and subspace_count(p, n) * len(cyclics) > JOIN_CAP):
         raise _refuse_joins(p, n)
-    kept, joins = _join_irreducibles(p, n, cyclics)
-    lattice = {(): ()}
-    queue = [((), [])]
-    for rows, pivots in queue:
+    kept, joins = _join_irreducibles(pk, cyclics)
+    lattice = {(): {}}
+    queue = [{}]
+    for basis in queue:
         joins += len(kept)
         if joins > JOIN_CAP:
             raise _refuse_joins(p, n)
         for crows, v in kept:
-            r, pv = list(rows), list(pivots)
-            if not _echelon_insert(field, r, pv, v):
+            if not pk.combine(basis.items(), v, v):
                 continue
-            for c in crows:
-                _echelon_insert(field, r, pv, c)
-            key = tuple(map(tuple, r))
-            if key not in lattice:
-                lattice[key] = tuple(pv)
-                queue.append((key, pv))
-    return [Subspace(field, n, rows, pivots, _canonical=True)
-            for rows, pivots in sorted(lattice.items(),
-                                       key=lambda kv: (len(kv[0]), kv[1], kv[0]))]
+            joined = dict(basis)
+            for r in crows:
+                pk.insert(joined, r)
+            key = tuple(sorted([neg[-1] for neg in joined.values()], reverse=True))
+            if lattice.setdefault(key, joined) is joined:
+                queue.append(joined)
+    return [Subspace(field, n, tuple(map(pk.unpack, rows)), pivots, _canonical=True)
+            for _, pivots, rows in sorted(
+                (len(rows), tuple(n - 1 - (r.bit_length() - 1) // pk.k for r in rows), rows)
+                for rows in lattice)]

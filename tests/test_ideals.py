@@ -400,6 +400,23 @@ def test_splitter_budget_is_named(monkeypatch):
         split_primitive_idempotents(product_field_algebra(QQ, 2))
 
 
+@pytest.mark.parametrize("cap,grid", [(9, True), (8, False)])
+def test_splitter_grid_switch_is_named(monkeypatch, cap, grid):
+    """A corner of dimension d over F_p gets the whole grid of p**d
+    combinations when p**d is at most SPLITTER_GRID_MAX, and the radius
+    2, 3, 5 integer supply above it."""
+    Z = product_field_algebra(GF(3), 2)
+    corner = [Z.basis_vector(0), Z.basis_vector(1)]
+    monkeypatch.setattr(ideals, "SPLITTER_GRID_MAX", cap)
+    got = list(ideals._splitter_candidates(Z, corner))[4:]
+    if grid:
+        want = [[a, b] for a in range(3) for b in range(3)]
+    else:
+        want = [[a % 3, b % 3] for r in (2, 3, 5)
+                for a in range(-r, r + 1) for b in range(-r, r + 1) if (a, b) != (0, 0)]
+    assert got == want
+
+
 @st.composite
 def permutation_groups(draw):
     """(n, elements, table): the group generated by one or two random

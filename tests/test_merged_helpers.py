@@ -11,11 +11,12 @@ elimination, the operator sums, subspace reduction, the trace-form Gram
 matrix, polynomial evaluation) with their Field-method bodies, the
 verifiers' generator fast paths with full basis scans, and the block
 splitter with its route before the t^2 - t shortcut, the stable-subspace
-lattice with its route that spun every line and joined every cyclic, and
-the echelon spinner's closure, largest stable subspace, algebra generators
-and insert with the rounds, fixed point, sparse echelon and int-mod-p insert
-they replaced; the subspace helpers are compared with brute force over
-small prime fields.
+lattice with its route that spun every line and joined every cyclic and
+with the dense-row route its packed rows replaced, the packed-row
+primitives with list arithmetic mod p, and the echelon spinner's closure,
+largest stable subspace, algebra generators and insert with the rounds,
+fixed point, sparse echelon and int-mod-p insert they replaced; the
+subspace helpers are compared with brute force over small prime fields.
 """
 
 import bisect
@@ -33,8 +34,8 @@ from hopfact.linalg import (GF, JOIN_CAP, QQ, EnumerationBound, Matrix, Subspace
                             apply_combination, closure, combine, kernel, kron_sum,
                             largest_stable_inside, projection_matrix, pull_back,
                             solve, stable_subspaces, subspace_intersect,
-                            subspace_sum, support, _apply_columns, _echelon_insert,
-                            _enumerable_prime, _rref_data)
+                            subspace_sum, support, _echelon_insert,
+                            _enumerable_prime, _refuse_joins, _residual, _rref_data)
 from hopfact import linalg
 from hopfact.hopf import (FiniteAlgebra, HopfAlgebra, group_algebra,
                           cyclic_group_table, dual_hopf,
@@ -2121,17 +2122,40 @@ def test_generator_lemmas_need_their_preconditions(field):
         assert loop(*args, range(alg.dim)), name
 
 
-# -- the stable-subspace lattice against its old route -----------------------------
+# -- the stable-subspace lattice against its old routes ----------------------------
 #
-# The old stable_subspaces spun every line's cyclic submodule from scratch and
-# joined every lattice element with every distinct cyclic; the body below is
-# its loop, with the spin split off so that its cyclics can be compared too.
+# The first stable_subspaces spun every line's cyclic submodule from scratch and
+# joined every lattice element with every distinct cyclic; stable_subspaces_oracle
+# below is its loop, with the spin split off so that its cyclics can be compared
+# too.  The dense route after it is the one the packed rows replaced: dense
+# int-mod-p rows through the shared _echelon_insert, an earlier line's known
+# cyclic added unspun, the join-irreducible cyclics sifted out, and only those
+# joined.
 
 def sparse_columns(n, operators):
     return list(dict.fromkeys(
         tuple(tuple((i, m.data[i][j]) for i in range(n) if m.data[i][j])
               for j in range(n))
         for m in operators))
+
+
+def apply_columns(cols, w, p):
+    """Operator (as sparse columns ``cols[j] = ((i, a), ...)``) times ``w``."""
+    out = [0] * len(w)
+    for x, col in zip(w, cols):
+        if x:
+            for i, a in col:
+                out[i] += x * a
+    return [y % p for y in out]
+
+
+def line_oracle(u, p):
+    """``u`` scaled to leading coefficient 1, as a tuple; None for zero."""
+    for x in u:
+        if x:
+            inv = pow(x, p - 2, p)
+            return tuple(y * inv % p for y in u)
+    return None
 
 
 def echelon_insert_oracle(rows, pivots, w, p):
@@ -2166,7 +2190,7 @@ def spin_cyclics_oracle(p, n, ops):
                 for cols in ops:
                     if len(rows) == n:
                         break
-                    u = _apply_columns(cols, w, p)
+                    u = apply_columns(cols, w, p)
                     if echelon_insert_oracle(rows, pivots, u, p):
                         spun.append(u)
             cyclics.setdefault(tuple(map(tuple, rows)), v)
@@ -2200,6 +2224,94 @@ def stable_subspaces_oracle(field, n, operators, bound=None):
                                        key=lambda kv: (len(kv[0]), kv[1], kv[0]))]
 
 
+def dense_spin_cyclics(p, n, ops):
+    """The distinct cyclics in line order, as (dense RREF rows, the first
+    line that spins to them, pivots); an image whose line was spun before
+    adds that line's cyclic unspun."""
+    F = GF(p)
+    cyclics = {}
+    known = {}
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            v = [0] * lead + [1, *tail]
+            rows, pivots, spun = [v], [lead], [v]
+            for w in spun:
+                for cols in ops:
+                    if len(rows) == n:
+                        break
+                    u = apply_columns(cols, w, p)
+                    sub = known.get(line_oracle(u, p))
+                    if sub is not None:
+                        for c in sub:
+                            _echelon_insert(F, rows, pivots, c)
+                    elif _echelon_insert(F, rows, pivots, u):
+                        spun.append(u)
+            key = tuple(map(tuple, rows))
+            key = cyclics.setdefault(key, (key, v, pivots))[0]
+            known[tuple(v)] = key
+    return list(cyclics.values())
+
+
+def dense_join_irreducibles(p, n, cyclics):
+    F = GF(p)
+    kept = []
+    tests = 0
+    for crows, v, cpivots in sorted(cyclics, key=lambda c: len(c[0])):
+        dim = len(crows)
+        rows, pivots = [], []
+        for drows, u in kept:
+            if len(drows) == dim or len(rows) == dim:
+                break
+            tests += 1
+            if not any(_residual(F, crows, cpivots, u)):
+                for r in drows:
+                    _echelon_insert(F, rows, pivots, r)
+        if tests > JOIN_CAP:
+            raise _refuse_joins(p, n)
+        if len(rows) < dim:
+            kept.append((crows, v))
+    return kept, tests
+
+
+def dense_stable_subspaces(field, n, operators, bound=None):
+    p = _enumerable_prime(field, n, bound)
+    cyclics = dense_spin_cyclics(p, n, sparse_columns(n, operators))
+    if (all(len(rows) == 1 for rows, _, _ in cyclics)
+            and linalg.subspace_count(p, n) * len(cyclics) > JOIN_CAP):
+        raise _refuse_joins(p, n)
+    kept, joins = dense_join_irreducibles(p, n, cyclics)
+    lattice = {(): ()}
+    queue = [((), [])]
+    for rows, pivots in queue:
+        joins += len(kept)
+        if joins > JOIN_CAP:
+            raise _refuse_joins(p, n)
+        for crows, v in kept:
+            r, pv = list(rows), list(pivots)
+            if not _echelon_insert(field, r, pv, v):
+                continue
+            for c in crows:
+                _echelon_insert(field, r, pv, c)
+            key = tuple(map(tuple, r))
+            if key not in lattice:
+                lattice[key] = tuple(pv)
+                queue.append((key, pv))
+    return [Subspace(field, n, rows, pivots, _canonical=True)
+            for rows, pivots in sorted(lattice.items(),
+                                       key=lambda kv: (len(kv[0]), kv[1], kv[0]))]
+
+
+def packed_cyclics(field, n, ops):
+    """The packed route's cyclics as (rows, generator) and its kept
+    join-irreducible cyclics and containment tests, unpacked."""
+    pk = linalg._Packed(field.p, n)
+    cyclics = linalg._spin_cyclics(pk, pk.tables(ops))
+    kept, tests = linalg._join_irreducibles(pk, cyclics)
+    rows = lambda packed: tuple(map(pk.unpack, packed))  # noqa: E731
+    return ([(rows(c), list(pk.unpack(v))) for c, v, _ in cyclics],
+            [(rows(c), list(pk.unpack(v))) for c, v in kept], tests)
+
+
 def lattice_or_refusal(enumerate_, field, n, ops):
     try:
         return [(s.rows, s.pivots) for s in enumerate_(field, n, ops, field.p ** n)]
@@ -2212,12 +2324,10 @@ def assert_cyclics_sifted(field, n, ops):
     the same order; a kept cyclic is not the sum of the cyclics strictly
     inside it, and every cyclic is the sum of the kept ones inside it."""
     p = field.p
-    cyclics = linalg._spin_cyclics(p, n, sparse_columns(n, ops))
-    assert ([(rows, v) for rows, v, _ in cyclics]
-            == list(spin_cyclics_oracle(p, n, sparse_columns(n, ops)).items()))
-    kept, _ = linalg._join_irreducibles(p, n, cyclics)
+    cyclics, kept, _ = packed_cyclics(field, n, ops)
+    assert cyclics == list(spin_cyclics_oracle(p, n, sparse_columns(n, ops)).items())
     spaces = {rows: Subspace.from_vectors(field, n, [list(r) for r in rows])
-              for rows, _, _ in cyclics}
+              for rows, _ in cyclics}
     kept_rows = [rows for rows, _ in kept]
     assert len(set(kept_rows)) == len(kept_rows)
 
@@ -2240,18 +2350,20 @@ def assert_cyclics_sifted(field, n, ops):
 # pays |lines| joins per subspace: 2 s per call and route from F_2^6 up,
 # where the join cap already refuses F_2^7 (tests/test_linalg.py).  Such
 # sets stay at the ambient dimensions whose lattices are small.
-ALL_STABLE_TOP = {2: 4, 3: 3, 5: 2}
+ALL_STABLE_TOP = {2: 4, 3: 3, 5: 2, 7: 2}
+# the largest n drawn for GF(p) otherwise
+TOP = {2: 6, 3: 6, 5: 6, 7: 4}
 
 
 @st.composite
-def operator_sets(draw):
-    """GF(p)^n, n <= 6, with up to three random, nilpotent (a strictly
-    upper triangular matrix on a shuffled basis), permutation or scalar
-    operators."""
-    p = draw(st.sampled_from([2, 3, 5]))
+def operator_sets(draw, primes=(2, 3, 5)):
+    """GF(p)^n, n <= 6 (n <= 4 for p = 7), with up to three random,
+    nilpotent (a strictly upper triangular matrix on a shuffled basis),
+    permutation or scalar operators."""
+    p = draw(st.sampled_from(primes))
     kinds = draw(st.lists(st.sampled_from(
         ["random", "nilpotent", "permutation", "scalar"]), max_size=3))
-    top = 6 if set(kinds) - {"scalar"} else ALL_STABLE_TOP[p]
+    top = TOP[p] if set(kinds) - {"scalar"} else ALL_STABLE_TOP[p]
     n = draw(st.integers(1, top))
     field = GF(p)
     return field, n, [draw_operator(draw, field, n, kind, st.integers(0, p - 1))
@@ -2312,6 +2424,7 @@ def test_all_line_lattices_refuse_as_the_old_route(p, n, monkeypatch):
         want = lattice_or_refusal(stable_subspaces_oracle, field, n, ops)
         assert got == want
         assert (got is None) == (cap < joins)
+        assert got == lattice_or_refusal(dense_stable_subspaces, field, n, ops)
         monkeypatch.undo()
 
 
@@ -2331,26 +2444,99 @@ def kleinswap_operator_sets(ws):
 def test_stable_subspaces_match_old_route_on_kleinswap(ws, which, monkeypatch):
     field, n, sets = kleinswap_operator_sets(ws)
     ops = sets[which]
+    distinct = len(linalg._Packed(2, n).tables(ops))
     counts = {"new": 0, "old": 0}
 
-    def counting(side, apply):
-        def wrapped(cols, w, p):
-            counts[side] += 1
-            return apply(cols, w, p)
-        return wrapped
+    class CountingTable(list):
+        """An operator table of the packed route: each iteration is one
+        operator application."""
 
-    monkeypatch.setattr(linalg, "_apply_columns",
-                        counting("new", linalg._apply_columns))
-    monkeypatch.setitem(globals(), "_apply_columns",
-                        counting("old", _apply_columns))
+        def __iter__(self):
+            counts["new"] += 1
+            return super().__iter__()
+
+    def counting(cols, w, p, apply=apply_columns):
+        counts["old"] += 1
+        return apply(cols, w, p)
+
+    tables = linalg._Packed.tables
+    monkeypatch.setattr(linalg._Packed, "tables",
+                        lambda pk, mats: [CountingTable(t) for t in tables(pk, mats)])
+    monkeypatch.setitem(globals(), "apply_columns", counting)
     got = stable_subspaces(field, n, ops)
     want = stable_subspaces_oracle(field, n, ops)
     assert [(s.rows, s.pivots) for s in got] == [(s.rows, s.pivots) for s in want]
-    # the lines already spun save operator applications
-    assert counts["new"] < counts["old"]
+    # each distinct operator is applied once to each line, where the old
+    # route applied every operator to every vector of every line's spin
+    assert counts["new"] == (2 ** n - 1) * distinct
+    assert 0 < counts["new"] < counts["old"]
     monkeypatch.undo()
+    assert lattice_or_refusal(dense_stable_subspaces, field, n, ops) == [
+        (s.rows, s.pivots) for s in got]
     cyclics, kept = assert_cyclics_sifted(field, n, ops)
     assert len(kept) < len(cyclics)
+
+
+def lattice_or_message(enumerate_, field, n, ops):
+    try:
+        return [(s.rows, s.pivots) for s in enumerate_(field, n, ops, field.p ** n)]
+    except EnumerationBound as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(operator_sets(primes=(2, 3, 5, 7)))
+def test_packed_route_matches_dense_route(case):
+    """The packed rows give the dense route's lattice or refusal, its
+    cyclics with their generators in line order, and its join-irreducible
+    cyclics and containment tests."""
+    field, n, ops = case
+    assert (lattice_or_message(stable_subspaces, field, n, ops)
+            == lattice_or_message(dense_stable_subspaces, field, n, ops))
+    dense = dense_spin_cyclics(field.p, n, sparse_columns(n, ops))
+    try:
+        want = dense_join_irreducibles(field.p, n, dense)
+    except EnumerationBound:
+        with pytest.raises(EnumerationBound):
+            packed_cyclics(field, n, ops)
+        return
+    cyclics, kept, tests = packed_cyclics(field, n, ops)
+    assert cyclics == [(rows, v) for rows, v, _ in dense]
+    assert (kept, tests) == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_packed_primitives_match_list_arithmetic(data):
+    """Packing, scaling, operator images, residuals, inserts and the line
+    order of the packed rows against plain lists mod p, with the vector
+    and the matrix whose every entry is p - 1 (every digit sum then sets
+    its guard bit) always among the cases."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 251]))
+    n = 1 if p == 251 else data.draw(st.integers(1, TOP[p]))
+    F, pk = GF(p), linalg._Packed(p, n)
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    vectors = data.draw(st.lists(entries, min_size=1, max_size=6)) + [[p - 1] * n]
+    mats = [data.draw(st.lists(entries, min_size=n, max_size=n)), [[p - 1] * n] * n]
+    for u in vectors:
+        w = pk.pack(u)
+        assert pk.unpack(w) == tuple(u)
+        assert [pk.pack(v) < w for v in vectors] == [v < u for v in vectors]
+        assert pk.multiples(w) == [pk.pack([c * x % p for x in u]) for c in range(p)]
+        assert pk.negated(w) == [pk.pack([-c * x % p for x in u]) for c in range(p)]
+    for m, table in zip(mats, pk.tables([Matrix(F, n, n, m) for m in mats])):
+        for u in vectors:
+            assert pk.combine(table, pk.pack(u)) == pk.pack(Matrix(F, n, n, m).vec_mul(u))
+    basis, rows, pivots = {}, [], []
+    for u in vectors + [list(r) for r in reversed(mats[0])]:
+        w = pk.pack(u)
+        assert pk.combine(basis.items(), w, w) == pk.pack(_residual(F, rows, pivots, u))
+        assert pk.insert(basis, w) == _echelon_insert(F, rows, pivots, u)
+        assert (sorted([neg[-1] for neg in basis.values()], reverse=True)
+                == [pk.pack(r) for r in rows])
+    lines = [tuple([0] * lead + [1, *tail]) for lead in range(n)
+             for tail in itertools.product(range(p), repeat=n - lead - 1)]
+    assert [pk.unpack(v) for _, v, _ in linalg._spin_cyclics(pk, [])] == lines
 
 
 # -- the echelon spinner against the routes it replaced ----------------------------
@@ -2481,6 +2667,17 @@ def permuted_basis(alg, perm):
                                     [alg.unit[i] for i in perm], name=alg.name)
 
 
+def unitriangular_basis(alg, rng):
+    """alg in the basis e_i + sum_{j > i} r_ij e_j for random r_ij in -1..1:
+    its products have several terms."""
+    F, n = alg.field, alg.dim
+    basis = [[F.zero] * i + [F.one] + [F.from_int(rng.randint(-1, 1)) for _ in range(i + 1, n)]
+             for i in range(n)]
+    P = Matrix.from_rows(F, basis).transpose()
+    return FiniteAlgebra(F, n, [[solve(P, alg.multiply(u, v)) for v in basis] for u in basis],
+                         solve(P, alg.unit), name=alg.name)
+
+
 def test_generators_match_old_route(ws):
     algebras = [a for _, a in sorted(ws.algebras.items())]
     algebras += [h.alg for _, h in sorted(ws.hopfs.items())]
@@ -2493,6 +2690,7 @@ def test_generators_match_old_route(ws):
         # the left of older words are needed here
         algebras += [permuted_basis(matrix_algebra(field, 3), rng.sample(range(9), 9))
                      for _ in range(6)]
+        algebras += [unitriangular_basis(matrix_algebra(field, 3), rng) for _ in range(3)]
     assert max(a.dim for a in algebras) == 96
     for alg in algebras:
         assert alg.generators == generators_oracle(alg), alg.name
