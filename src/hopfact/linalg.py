@@ -694,7 +694,7 @@ class _Packed:
         """Each distinct matrix as [(shift j, [c op(e_j) for c in range(p)])]."""
         return [[(s, self.multiples(col)) for s, col in zip(self.shifts, cols) if col]
                 for cols in dict.fromkeys(
-                    tuple(self.pack([row[j] for row in m.data]) for j in range(self.n))
+                    tuple(self.pack([row[j] % self.p for row in m.data]) for j in range(self.n))
                     for m in operators)]
 
     def combine(self, pairs, w, u=0):

@@ -2528,6 +2528,9 @@ def test_packed_primitives_match_list_arithmetic(data):
         assert [pk.pack(v) < w for v in vectors] == [v < u for v in vectors]
         assert pk.multiples(w) == [pk.pack([c * x % p for x in u]) for c in range(p)]
         assert pk.negated(w) == [pk.pack([-c * x % p for x in u]) for c in range(p)]
+    # entries outside 0..p - 1 are read mod p, as the dense route read them
+    assert pk.tables([Matrix(F, n, n, [[x - p for x in row] for row in mats[1]])]) == \
+        pk.tables([Matrix(F, n, n, mats[1])])
     for m, table in zip(mats, pk.tables([Matrix(F, n, n, m) for m in mats])):
         for u in vectors:
             assert pk.combine(table, pk.pack(u)) == pk.pack(Matrix(F, n, n, m).vec_mul(u))
