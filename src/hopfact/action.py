@@ -200,8 +200,11 @@ def invariants_of(ops, counit) -> Subspace:
     """Joint eigenspace {v : op_i v = eps_i v}: the kernel of the stacked
     op_i - eps_i I, one operator per Hopf basis element."""
     F = ops[0].field
-    rows = [[F.sub(x, e) if r == c else x for c, x in enumerate(row)]
-            for op, e in zip(ops, counit) for r, row in enumerate(op.data)]
+    rows = []
+    for op, e in zip(ops, counit):
+        for r, row in enumerate(op.data):
+            rows.append(list(row))
+            rows[-1][r] = F.sub(row[r], e)
     return kernel(Matrix.from_rows(F, rows, ops[0].ncols))
 
 

@@ -21,8 +21,9 @@ from functools import cached_property
 # ``kernel`` is unused here but stays bound: bench/tests/test_tracer.py checks
 # that the tracer patches this module's copy of it.
 from .linalg import (Matrix, Subspace, apply_combination, combine, is_stable,
-                     kernel, kron_sum, nonzero_terms, pull_back,
-                     enumerate_subspaces, stable_subspaces, subspace_count)
+                     kernel, kron_sum, nonzero_terms, pull_back, sparse_apply,
+                     support, enumerate_subspaces, stable_subspaces,
+                     subspace_count)
 from .hopf import (FiniteAlgebra, dual_hopf, ideal_closure, is_cocommutative,
                    subspace_is_ideal, tensor_algebra_prod, verify_algebra)
 from .action import (ModuleAlgebraAction, comodule_map, hit_action,
@@ -191,6 +192,11 @@ class ConvolutionAlgebra:
         return invariants_of(ops, self.hopf.counit)
 
     @cached_property
+    def translation_invariants(self) -> Subspace:
+        """The right-translation invariants, computed once for every battery."""
+        return self.invariants_of(self.rh_operators)
+
+    @cached_property
     def iota_image(self) -> Subspace:
         return Subspace.from_vectors(self.field, self.dim,
                                      self.iota_matrix.transpose().data)
@@ -214,6 +220,15 @@ class ConvolutionAlgebra:
 
 
 # -- identity batteries --------------------------------------------------------
+# Every identity is compared column by column: vectors are dicts of their
+# nonzero coordinates, canonical (linalg.support), so dict equality is
+# equality of vectors.
+
+def _basis_images(m: Matrix):
+    """m e_r for every basis vector e_r, as canonical dicts: the column
+    terms of m, whose entries are canonical scalars."""
+    return [dict(col) for col in m.columns]
+
 
 def embedding_report(conv: ConvolutionAlgebra) -> Report:
     """The three canonical maps into B are unital algebra embeddings, and
@@ -228,29 +243,28 @@ def embedding_report(conv: ConvolutionAlgebra) -> Report:
     eps = list(H.counit)
     if conv.ustar(eps).coords != B.unit:
         rep.fail({"map": "ustar", "identity": "unit"})
+    mul = B.sparse_multiply
+    embs = [(tag, m, _basis_images(m))
+            for tag, m in (("iota", conv.iota_matrix), ("del", conv.del_matrix))]
     for i in range(A.dim):
         for j in range(A.dim):
-            prod = A.basis_product(i, j)
-            for tag, emb in (("iota", conv.iota), ("del", conv.del_embed)):
-                lhs = emb(prod).coords
-                rhs = conv.mul(emb(A.basis_vector(i)), emb(A.basis_vector(j))).coords
-                if lhs != rhs:
+            prod = dict(A.mult_sparse[i][j])
+            for tag, m, cols in embs:
+                if sparse_apply(m, prod) != mul(cols[i], cols[j]):
                     rep.fail({"map": tag, "pair": [i, j]})
     nH = H.dim
     dual = dual_hopf(H).alg
+    ustar = _basis_images(conv.ustar_matrix)
     for i in range(nH):
-        fi = dual.basis_vector(i)
         for j in range(nH):
-            lhs = conv.ustar(dual.basis_product(i, j)).coords
-            rhs = conv.mul(conv.ustar(fi), conv.ustar(dual.basis_vector(j))).coords
-            if lhs != rhs:
+            lhs = sparse_apply(conv.ustar_matrix, dict(dual.mult_sparse[i][j]))
+            if lhs != mul(ustar[i], ustar[j]):
                 rep.fail({"map": "ustar", "pair": [i, j]})
     # iota(A) commutes with ustar(H*)
+    iota = embs[0][2]
     for i in range(A.dim):
-        a = conv.iota(A.basis_vector(i))
         for j in range(nH):
-            f = conv.ustar(dual.basis_vector(j))
-            if conv.mul(a, f).coords != conv.mul(f, a).coords:
+            if mul(iota[i], ustar[j]) != mul(ustar[j], iota[i]):
                 rep.fail({"identity": "iota-ustar-commute", "pair": [i, j]})
     return rep
 
@@ -259,33 +273,23 @@ def check_intertwining(conv: ConvolutionAlgebra) -> Report:
     """Phi((iota a) b) = (del a)(Phi b) and Phi(h.b) = h->(Phi b), with the
     inverse-twist forms, on every basis element.  Needs no cocommutativity."""
     rep = Report("intertwining", details={"fixture": conv.action.name})
-    A, H = conv.alg, conv.hopf
-    F = conv.field
-    nB = conv.dim
-    basis = [ConvElement(conv, [F.one if t == r else F.zero for t in range(nB)])
-             for r in range(nB)]
-    for i in range(A.dim):
-        a = A.basis_vector(i)
-        ia, da = conv.iota(a), conv.del_embed(a)
+    mul = conv.algebra.sparse_multiply
+    phi, psi = conv.phi_matrix, conv.psi_matrix
+    phib, psib = _basis_images(phi), _basis_images(psi)
+    basis = [{r: 1} for r in range(conv.dim)]
+    for i, (ia, da) in enumerate(zip(_basis_images(conv.iota_matrix),
+                                     _basis_images(conv.del_matrix))):
         for r, b in enumerate(basis):
-            lhs = conv.phi(conv.mul(ia, b)).coords
-            rhs = conv.mul(da, conv.phi(b)).coords
-            if lhs != rhs:
+            if sparse_apply(phi, mul(ia, b)) != mul(da, phib[r]):
                 rep.fail({"identity": "phi-iota", "a": i, "b": r})
-            lhs2 = conv.psi(conv.mul(da, b)).coords
-            rhs2 = conv.mul(ia, conv.psi(b)).coords
-            if lhs2 != rhs2:
+            if sparse_apply(psi, mul(da, b)) != mul(ia, psib[r]):
                 rep.fail({"identity": "psi-del", "a": i, "b": r})
-    for hidx in range(H.dim):
-        h = [F.one if t == hidx else F.zero for t in range(H.dim)]
-        for r, b in enumerate(basis):
-            lhs = conv.phi(conv.dot_act(h, b)).coords
-            rhs = conv.rh_act(h, conv.phi(b)).coords
-            if lhs != rhs:
+    for hidx, (dot, rh) in enumerate(zip(conv.dot_operators, conv.rh_operators)):
+        dotb, rhb = _basis_images(dot), _basis_images(rh)
+        for r in range(conv.dim):
+            if sparse_apply(phi, dotb[r]) != sparse_apply(rh, phib[r]):
                 rep.fail({"identity": "phi-exchanges-actions", "h": hidx, "b": r})
-            lhs2 = conv.dot_act(h, conv.psi(b)).coords
-            rhs2 = conv.psi(conv.rh_act(h, b)).coords
-            if lhs2 != rhs2:
+            if sparse_apply(dot, psib[r]) != sparse_apply(psi, rhb[r]):
                 rep.fail({"identity": "psi-exchanges-actions", "h": hidx, "b": r})
     return rep
 
@@ -314,36 +318,25 @@ def identity_report(conv: ConvolutionAlgebra) -> Report:
         rep.witnesses.extend(emb.witnesses[:3])
 
     # action formulas against the tensor-split forms, via the hit action
-    hit = hit_action(H)
-    for i in range(nH):
-        h = [F.one if t == i else F.zero for t in range(nH)]
+    hit = [[nonzero_terms(F, row) for row in plane] for plane in hit_action(H).tensor]
+    act = [[nonzero_terms(F, row) for row in plane] for plane in conv.action.tensor]
+    for i, (rh, dot) in enumerate(zip(conv.rh_operators, conv.dot_operators)):
+        rhb, dotb = _basis_images(rh), _basis_images(dot)
         for p in range(nH):
             for q in range(nA):
-                b = ConvElement(conv, [F.one if t == conv.index(p, q) else F.zero
-                                       for t in range(nB)])
+                b = conv.index(p, q)
                 # h -> (a (x) f) = a (x) (h -> f)
-                lhs = conv.rh_act(h, b).coords
-                rhs = [F.zero] * nB
-                for l in range(nH):
-                    c = hit.tensor[i][p][l]
-                    if not F.is_zero(c):
-                        rhs[conv.index(l, q)] = c
-                if lhs != rhs:
+                rhs = {conv.index(l, q): c for l, c in hit[i][p]}
+                if rhb[b] != support(F, rhs):
                     rep.fail({"identity": "translation-splits", "h": i, "basis": [p, q]})
                 # h . (a (x) f) = h_1.a (x) (h_2 -> f)
-                lhs = conv.dot_act(h, b).coords
-                rhs = [F.zero] * nB
+                rhs = {}
                 for (u, v, c) in H.comul_sparse[i]:
-                    for m in range(nA):
-                        t1 = conv.action.tensor[u][q][m]
-                        if F.is_zero(t1):
-                            continue
-                        for l in range(nH):
-                            t2 = hit.tensor[v][p][l]
-                            if not F.is_zero(t2):
-                                idx = conv.index(l, m)
-                                rhs[idx] = F.add(rhs[idx], F.mul(c, F.mul(t1, t2)))
-                if lhs != rhs:
+                    for m, t1 in act[u][q]:
+                        for l, t2 in hit[v][p]:
+                            idx = conv.index(l, m)
+                            rhs[idx] = rhs.get(idx, 0) + c * t1 * t2
+                if dotb[b] != support(F, rhs):
                     rep.fail({"identity": "twist-splits", "h": i, "basis": [p, q]})
 
     inter = check_intertwining(conv)
@@ -370,7 +363,7 @@ def identity_report(conv: ConvolutionAlgebra) -> Report:
         rep.fail({"identity": "phi-iota-is-del"})
 
     # right-translation invariants are exactly the constant-value copy of A
-    inv_rh = conv.invariants_of(conv.rh_operators)
+    inv_rh = conv.translation_invariants
     if inv_rh != conv.iota_image:
         rep.fail({"identity": "translation-invariants",
                   "got-dim": inv_rh.dim, "want-dim": conv.iota_image.dim})
@@ -386,19 +379,17 @@ def check_dotinv(conv: ConvolutionAlgebra) -> Report:
     pair it with the fixture's cocommutativity flag.
     """
     rep = Report("twist-multiplicativity", details={"fixture": conv.action.name})
-    F = conv.field
     nB = conv.dim
     cocomm = is_cocommutative(conv.hopf)
     rep.details["cocommutative"] = cocomm
     witness = None
-    phicols = [conv.phi_matrix.vec_mul([F.one if t == r else F.zero
-                                        for t in range(nB)]) for r in range(nB)]
+    phi = conv.phi_matrix
+    phicols = _basis_images(phi)
     B = conv.algebra
+    mul = B.sparse_multiply
     for i in range(nB):
         for j in range(nB):
-            lhs = conv.phi_matrix.vec_mul(B.basis_product(i, j))
-            rhs = B.multiply(phicols[i], phicols[j])
-            if lhs != rhs:
+            if sparse_apply(phi, dict(B.mult_sparse[i][j])) != mul(phicols[i], phicols[j]):
                 witness = {"pair": [i, j]}
                 break
         if witness:
@@ -415,8 +406,7 @@ def check_dotinv(conv: ConvolutionAlgebra) -> Report:
     if cocomm and not rep.details["twist-invariants-match"]:
         rep.status = "fail"
         rep.witnesses.append({"identity": "twist-invariants"})
-    inv_rh = conv.invariants_of(conv.rh_operators)
-    if inv_rh != conv.iota_image:
+    if conv.translation_invariants != conv.iota_image:
         rep.status = "fail"
         rep.witnesses.append({"identity": "translation-invariants"})
     return rep

@@ -78,6 +78,18 @@ class FiniteAlgebra:
                         out[k] += ab * c
         return self.field.reduce(out)
 
+    def sparse_multiply(self, x, y):
+        """x y for vectors given as dicts {i: a} of their nonzero
+        coordinates, as the same kind of dict (canonical, via ``support``)."""
+        out = {}
+        for i, a in x.items():
+            plane = self.mult_sparse[i]
+            for j, b in y.items():
+                ab = a * b
+                for k, c in plane[j]:
+                    out[k] = out.get(k, 0) + ab * c
+        return support(self.field, out)
+
     def _left_basis_multiply(self, plane, y):
         """e_b y for ``plane`` = mult_sparse[b], over the nonzero y_j only."""
         out = [0] * self.dim

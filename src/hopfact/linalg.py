@@ -183,13 +183,19 @@ def support(field, terms):
     """The dict ``terms`` of accumulated sums of products, reduced, without
     its zero entries: scalars are canonical, so two such dicts are equal iff
     the sums agree."""
-    return {key: c for key, c in zip(terms, field.reduce(list(terms.values()))) if c}
+    if not terms:
+        return {}
+    return {key: c for key, c in zip(terms, field.reduce([*terms.values()])) if c}
 
 
 class Matrix:
-    """Dense matrix over one Field; rows are lists of scalars."""
+    """Dense matrix over one Field; rows are lists of scalars.
 
-    __slots__ = ("field", "nrows", "ncols", "data")
+    The nonzero terms of each column are computed on the first product and
+    kept, so ``data`` must not be written once a product has been taken.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "data", "_columns")
 
     def __init__(self, field, nrows, ncols, data):
         if len(data) != nrows or any(len(r) != ncols for r in data):
@@ -198,6 +204,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.data = [list(r) for r in data]
+        self._columns = None
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
@@ -215,10 +222,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        z, one = field.zero, field.one
+        return cls(field, n, n, [[one if j == i else z for j in range(n)]
+                                 for i in range(n)])
 
     def transpose(self):
         return Matrix(self.field, self.ncols, self.nrows,
@@ -239,17 +245,23 @@ class Matrix:
             rows.append(F.reduce(orow))
         return Matrix(F, self.nrows, other.ncols, rows)
 
+    @property
+    def columns(self):
+        """columns[j] = [(i, b)] for the nonzero entries b of column j."""
+        if self._columns is None:
+            self._columns = [[(i, b) for i, b in enumerate(col) if b]
+                             for col in zip(*self.data)] or [[]] * self.ncols
+        return self._columns
+
     def vec_mul(self, v):
         """Matrix times coordinate column vector (a list)."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         out = [0] * self.nrows
-        for j, a in enumerate(v):
+        for a, col in zip(v, self.columns):
             if a:
-                for i, row in enumerate(self.data):
-                    b = row[j]
-                    if b:
-                        out[i] += a * b
+                for i, b in col:
+                    out[i] += a * b
         return self.field.reduce(out)
 
     def __eq__(self, other):
@@ -307,6 +319,17 @@ def kron_sum(terms) -> Matrix:
                     for k, l, y in bterms:
                         rows[i * rb + k][j * cb + l] += cx * y
     return Matrix(F, nrows, ncols, [F.reduce(row) for row in rows])
+
+
+def sparse_apply(m: Matrix, v):
+    """m v for the vector ``v`` given as a dict {j: a} of its nonzero
+    coordinates, as the same kind of dict (canonical, via :func:`support`)."""
+    cols = m.columns
+    out = {}
+    for j, a in v.items():
+        for i, b in cols[j]:
+            out[i] = out.get(i, 0) + a * b
+    return support(m.field, out)
 
 
 def apply_combination(coeffs, mats, v):

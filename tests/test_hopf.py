@@ -181,3 +181,19 @@ def test_dual_commutativity_flip_whole_corpus(ws):
             assert d.alg.is_commutative(), name
         if h.alg.is_commutative():
             assert is_cocommutative(d), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_sparse_multiply_is_multiply(ws, field):
+    """x y on dicts of nonzero coordinates equals the dense product."""
+    import random
+    rng = random.Random(f"sparse-multiply/{field!r}")
+    algs = [a for a in ws.algebras.values() if a.field == field]
+    algs += [matrix_algebra(field, 2), group_algebra(symmetric_group_table(3), field).alg]
+    for alg in algs:
+        for _ in range(6):
+            x, y = ([field.parse(rng.choice([0, 0, 1, -1, 2])) for _ in range(alg.dim)]
+                    for _ in range(2))
+            got = alg.sparse_multiply({i: c for i, c in enumerate(x) if c},
+                                      {j: c for j, c in enumerate(y) if c})
+            assert got == {k: c for k, c in enumerate(alg.multiply(x, y)) if c}, alg.name

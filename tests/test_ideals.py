@@ -20,6 +20,7 @@ from hopfact.ideals import (Ideal, ideal_sum, ideal_intersect, ideal_product,
                             semiprime_core_check, reformulation_check,
                             composite_core, UnsupportedComputation)
 from hopfact import ideals
+from hopfact.convolution import DEFAULT_DIM_CAP
 
 
 def test_ideal_construction_checks(ws):
@@ -443,25 +444,33 @@ def orbit_rule_core(n, elements, subset):
     return [x for x in range(n) if all(p[x] in subset for p in elements)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(permutation_groups(), st.data())
-def test_permutation_cores_follow_the_orbit_rule(group, data):
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(permutation_groups(), st.sampled_from([QQ, GF(2), GF(3), GF(5)]), st.data())
+def test_permutation_cores_follow_the_orbit_rule(group, field, data):
+    """Over Q and F_p, the three core routes give the orbit rule's ideal;
+    core_via_psi refuses past the convolution dimension cap."""
     n, elements, table = group
-    hopf = group_algebra(table, QQ, name="G")
-    alg = product_field_algebra(QQ, n)
-    mats = [Matrix(QQ, n, n, [[1 if p[j] == k else 0 for j in range(n)]
-                              for k in range(n)]) for p in elements]
+    hopf = group_algebra(table, field, name="G")
+    alg = product_field_algebra(field, n)
+    mats = [Matrix(field, n, n, [[1 if p[j] == k else 0 for j in range(n)]
+                                 for k in range(n)]) for p in elements]
     act = action_from_operators(hopf, alg, mats, name="perm")
     assert verify_action(act).ok
     subset = set(data.draw(st.lists(st.integers(0, n - 1), unique=True)))
     basis = [[1 if t == x else 0 for t in range(n)] for x in range(n)]
     ideal = Ideal.generate(alg, [basis[x] for x in sorted(subset)])
     want = Subspace.from_vectors(
-        QQ, n, [basis[x] for x in orbit_rule_core(n, elements, subset)])
+        field, n, [basis[x] for x in orbit_rule_core(n, elements, subset)])
     assert core(act, ideal).space == want
     assert group_core_by_intersection(act, ideal).space == want
-    # the paper's second theorem in characteristic 0: every ideal of Q^X is
-    # semiprime, and so is its core under the cocommutative kG
+    if len(elements) * n <= DEFAULT_DIM_CAP:
+        assert core_via_psi(act, ideal).space == want
+    else:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            core_via_psi(act, ideal)
+    # k^X is a product of fields, so every ideal is semiprime, and so is its
+    # core: in characteristic 0 this is the paper's second theorem for the
+    # cocommutative kG
     rep = semiprime_core_check(act, ideal)
     assert rep.status == "pass" and rep.details["core-semiprime"]
     assert rep.details["core-dim"] == want.dim

@@ -288,3 +288,53 @@ def test_kron_sum_shapes():
     assert (both.nrows, both.ncols) == (9, 3)
     with pytest.raises(ValueError):
         kron_sum([(QQ.one, a, col), (QQ.one, ident, ident)])
+
+
+def dense_product(m, v):
+    """m v entry by entry with Field methods: no column terms are read."""
+    F = m.field
+    out = []
+    for row in m.data:
+        acc = F.zero
+        for x, a in zip(row, v):
+            acc = F.add(acc, F.mul(x, a))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_vec_mul_is_the_dense_product_for_every_constructor(field):
+    """vec_mul and sparse_apply read column terms computed on the first
+    product; every constructor must have finished writing ``data`` by then."""
+    from hopfact.hopf import matrix_algebra
+    from hopfact.linalg import combine, sparse_apply
+    rng = random.Random(f"columns/{field!r}")
+
+    def entries(nrows, ncols):
+        return [[field.parse(rng.choice([0, 0, 1, -1, 2])) for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    a = Matrix.from_rows(field, entries(3, 4))
+    b = Matrix.from_rows(field, entries(4, 2))
+    alg = matrix_algebra(field, 2)
+    x = alg.basis_vector(1)
+    built = {
+        "from_rows": a,
+        "zeros": Matrix.zeros(field, 3, 4),
+        "identity": Matrix.identity(field, 4),
+        "transpose": a.transpose(),
+        "mat_mul": a.mat_mul(b),
+        "combine": combine([field.one, field.parse(2)], [a, Matrix.from_rows(field, entries(3, 4))]),
+        "kron_sum": kron_sum([(field.one, b, a)]),
+        "left_mult_matrix": alg.left_mult_matrix(x),
+        "right_mult_matrix": alg.right_mult_matrix(x),
+        "no rows": Matrix(field, 0, 3, []),
+    }
+    for name, m in built.items():
+        for _ in range(4):
+            v = [field.parse(rng.choice([0, 1, -1, 3])) for _ in range(m.ncols)]
+            want = dense_product(m, v)
+            assert m.vec_mul(v) == want, name
+            assert sparse_apply(m, {j: c for j, c in enumerate(v) if c}) == \
+                {i: c for i, c in enumerate(want) if c}, name
+    assert Matrix.identity(field, 3).data == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
