@@ -244,8 +244,9 @@ def embedding_report(conv: ConvolutionAlgebra) -> Report:
     if conv.ustar(eps).coords != B.unit:
         rep.fail({"map": "ustar", "identity": "unit"})
     mul = B.sparse_multiply
-    embs = [(tag, m, _basis_images(m))
-            for tag, m in (("iota", conv.iota_matrix), ("del", conv.del_matrix))]
+    iota = _basis_images(conv.iota_matrix)
+    embs = (("iota", conv.iota_matrix, iota),
+            ("del", conv.del_matrix, _basis_images(conv.del_matrix)))
     for i in range(A.dim):
         for j in range(A.dim):
             prod = dict(A.mult_sparse[i][j])
@@ -261,7 +262,6 @@ def embedding_report(conv: ConvolutionAlgebra) -> Report:
             if lhs != mul(ustar[i], ustar[j]):
                 rep.fail({"map": "ustar", "pair": [i, j]})
     # iota(A) commutes with ustar(H*)
-    iota = embs[0][2]
     for i in range(A.dim):
         for j in range(nH):
             if mul(iota[i], ustar[j]) != mul(ustar[j], iota[i]):
