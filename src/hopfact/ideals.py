@@ -31,7 +31,8 @@ from fractions import Fraction
 from .linalg import (Field, Matrix, Subspace, kernel, kron_sum, solve,
                      subspace_intersect, subspace_sum, stable_subspaces,
                      projection_matrix, closure, largest_stable_inside,
-                     nonzero_terms, pull_back, rational, EnumerationBound)
+                     nonzero_terms, pull_back, rational, sparse_apply, support,
+                     EnumerationBound)
 from .hopf import (FiniteAlgebra, ideal_closure, subspace_is_ideal,
                    is_cocommutative, is_group_basis, tensor_algebra_prod)
 from .action import (ModuleAlgebraAction, action_from_operators, hit_action,
@@ -127,7 +128,11 @@ def _same_alg(i, j):
 # -- quotients and subalgebras -------------------------------------------------
 
 def quotient_algebra(alg: FiniteAlgebra, sub: Subspace, name=None):
-    """(A / I, projection, lift) with basis the non-pivot coordinates."""
+    """(A / I, projection, lift) with basis the non-pivot coordinates.
+
+    The product of two representatives e_a e_b is the projection of the
+    terms ``mult_sparse[a][b]``, taken over the nonzero entries of the
+    projection's columns."""
     F = alg.field
     n = alg.dim
     proj = projection_matrix(sub)
@@ -135,12 +140,9 @@ def quotient_algebra(alg: FiniteAlgebra, sub: Subspace, name=None):
     d = len(nonpiv)
     lift = Matrix(F, n, d, [[F.one if j == k else F.zero for k in nonpiv]
                             for j in range(n)])
-    mult = [[None] * d for _ in range(d)]
-    for a in range(d):
-        ea = [F.one if t == nonpiv[a] else F.zero for t in range(n)]
-        for b in range(d):
-            eb = [F.one if t == nonpiv[b] else F.zero for t in range(n)]
-            mult[a][b] = nonzero_terms(F, proj.vec_mul(alg.multiply(ea, eb)))
+    planes = [alg.mult_sparse[a] for a in nonpiv]
+    mult = [[sorted(sparse_apply(proj, dict(plane[b])).items()) for b in nonpiv]
+            for plane in planes]
     unit = proj.vec_mul(alg.unit)
     q = FiniteAlgebra.from_terms(
         F, d, mult, unit,
@@ -150,18 +152,26 @@ def quotient_algebra(alg: FiniteAlgebra, sub: Subspace, name=None):
 
 def subalgebra_structure(alg: FiniteAlgebra, sub: Subspace, name=None):
     """(S, embed) for a unital subalgebra given as a subspace (must contain
-    the unit and be multiplicatively closed)."""
+    the unit and be multiplicatively closed).
+
+    Products of basis vectors are taken on their nonzero coordinates; the
+    coordinates of a product are its entries at the pivot columns."""
     F = alg.field
     basis = sub.basis_vectors()
     d = len(basis)
+    sparse = [dict(nonzero_terms(F, v)) for v in basis]
     mult = [[None] * d for _ in range(d)]
     for a in range(d):
         for b in range(d):
-            prod = alg.multiply(basis[a], basis[b])
-            coords = sub.coords_in_basis(prod)
-            if coords is None:
+            prod = alg.sparse_multiply(sparse[a], sparse[b])
+            coords = [(r, prod[pc]) for r, pc in enumerate(sub.pivots) if pc in prod]
+            rest = dict(prod)
+            for r, c in coords:
+                for j, y in sparse[r].items():
+                    rest[j] = rest.get(j, 0) - c * y
+            if support(F, rest):
                 raise ValueError("subspace is not multiplicatively closed")
-            mult[a][b] = nonzero_terms(F, coords)
+            mult[a][b] = coords
     unit = sub.coords_in_basis(alg.unit)
     if unit is None:
         raise ValueError("subspace does not contain the unit")
@@ -171,15 +181,42 @@ def subalgebra_structure(alg: FiniteAlgebra, sub: Subspace, name=None):
 
 
 def center_subspace(alg: FiniteAlgebra) -> Subspace:
-    """Solutions of x e_i = e_i x for all basis elements."""
-    F = alg.field
-    n = alg.dim
-    ops = alg.ideal_operators
+    """Solutions of x g = g x for the generators g of
+    :attr:`~hopfact.hopf.FiniteAlgebra.ideal_generators` (the x commuting
+    with an element form a subalgebra): n rows per generator, read off
+    ``mult_sparse``, zero rows dropped.  Kept on the algebra."""
+    return _kept(alg, "_center", _center_subspace)
+
+
+def _center_subspace(alg: FiniteAlgebra) -> Subspace:
+    F, n, sparse = alg.field, alg.dim, alg.mult_sparse
     rows = []
-    for L, R in zip(ops[0::2], ops[1::2]):
-        for r in range(n):
-            rows.append([F.sub(L.data[r][c], R.data[r][c]) for c in range(n)])
+    for g in alg.ideal_generators:
+        # row k: the coefficient of e_k in g e_j - e_j g, over j
+        block = [{} for _ in range(n)]
+        for j in range(n):
+            for k, c in sparse[g][j]:
+                block[k][j] = block[k].get(j, 0) + c
+            for k, c in sparse[j][g]:
+                block[k][j] = block[k].get(j, 0) - c
+        for terms in block:
+            terms = support(F, terms)
+            if terms:
+                row = [F.zero] * n
+                for j, c in terms.items():
+                    row[j] = c
+                rows.append(row)
     return kernel(Matrix.from_rows(F, rows, n))
+
+
+def _kept(obj, key, compute):
+    """compute(obj), computed once and kept on ``obj``: algebras and actions
+    are immutable after construction, as their cached properties assume.  A
+    refusal raises and keeps nothing, so the next call refuses again."""
+    kept = obj.__dict__.get(key)
+    if kept is None:
+        kept = obj.__dict__[key] = compute(obj)
+    return kept
 
 
 # -- polynomials through sympy ---------------------------------------------------
@@ -267,18 +304,20 @@ def poly_eval_in_algebra(alg: FiniteAlgebra, coeffs, x, unit=None):
 # -- radical -------------------------------------------------------------------
 
 def _trace_form_kernel(alg: FiniteAlgebra) -> Subspace:
-    """Kernel of the Gram matrix tr(L_i L_j) of left multiplications."""
+    """Kernel of the Gram matrix tr(L_i L_j) of left multiplications.
+
+    L_i L_j = L_(e_i e_j) in an associative algebra, so tr(L_i L_j) =
+    sum_m c_ij^m t_m with t_m = tr(L_m) = sum_k c_mk^k, all read off
+    ``mult_sparse`` with no L_i built (Ronyai, J. Symbolic Comput. 9, 1990;
+    Cohen, Ivanyos and Wales, J. Pure Appl. Algebra 117-118, 1997)."""
     F = alg.field
     n = alg.dim
-    L = [m.data for m in alg.ideal_operators[0::2]]
-    cols = [list(zip(*m)) for m in L]
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(
-                x * y for row, col in zip(L[i], cols[j])
-                for x, y in zip(row, col) if x)
-    return kernel(Matrix(F, n, n, [F.reduce(row) for row in gram]))
+    sparse = alg.mult_sparse
+    t = F.reduce([sum(c for k, terms in enumerate(plane) for q, c in terms if q == k)
+                  for plane in sparse])
+    gram = [F.reduce([sum(c * t[m] for m, c in terms) for terms in plane])
+            for plane in sparse]
+    return kernel(Matrix(F, n, n, gram))
 
 
 def _frobenius_kernel(alg: FiniteAlgebra) -> Subspace:
@@ -297,6 +336,11 @@ def _frobenius_kernel(alg: FiniteAlgebra) -> Subspace:
 
 
 def radical_subspace(alg: FiniteAlgebra) -> Subspace:
+    """The radical as a subspace, kept on the algebra; refusals are not kept."""
+    return _kept(alg, "_radical", _radical_subspace)
+
+
+def _radical_subspace(alg: FiniteAlgebra) -> Subspace:
     F = alg.field
     p = F.characteristic()
     if p == 0 or p > alg.dim:
@@ -423,7 +467,7 @@ def split_primitive_idempotents(Z: FiniteAlgebra):
     return done
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumEntry:
     prime: Ideal
     simple_quotient_dim: int
@@ -438,11 +482,18 @@ class SpectrumEntry:
 
 
 def spectrum(alg: FiniteAlgebra):
-    """All prime (= maximal) two-sided ideals with block and heart data."""
+    """All prime (= maximal) two-sided ideals with block and heart data.
+
+    Computed once per algebra and kept on it; each call returns a new list.
+    A refusal (:class:`UnsupportedComputation`) is not kept."""
+    return list(_kept(alg, "_spectrum", _spectrum))
+
+
+def _spectrum(alg: FiniteAlgebra):
     rad = radical_subspace(alg)
     S, proj, lift = quotient_algebra(alg, rad)
     if S.dim == 0:
-        return []
+        return ()
     zsub = center_subspace(S)
     Z, zembed = subalgebra_structure(S, zsub, name="center")
     idems = split_primitive_idempotents(Z)
@@ -459,13 +510,12 @@ def spectrum(alg: FiniteAlgebra):
         entries.append(SpectrumEntry(prime, block_dim, heart_dim,
                                      inert=heart_dim > 1))
     entries.sort(key=lambda e: [[str(c) for c in row] for row in e.prime.space.rows])
-    return entries
+    return tuple(entries)
 
 
-def _simple_center(alg: FiniteAlgebra, ideal: Ideal):
-    """The center of A/I when A/I is simple (nonzero, semisimple, one
-    block), else None."""
-    q, _, _ = quotient_algebra(alg, ideal.space)
+def _simple_center(q: FiniteAlgebra):
+    """The center of the quotient q = A/I when q is simple (nonzero,
+    semisimple, one block), else None; q keeps its radical and center."""
     if q.dim == 0 or radical_subspace(q).dim != 0:
         return None
     Z, _ = subalgebra_structure(q, center_subspace(q))
@@ -474,7 +524,7 @@ def _simple_center(alg: FiniteAlgebra, ideal: Ideal):
 
 def is_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
     """Finite-dimensional prime = simple quotient: semiprime with one block."""
-    return _simple_center(alg, ideal) is not None
+    return _simple_center(quotient_algebra(alg, ideal.space)[0]) is not None
 
 
 def is_completely_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
@@ -488,7 +538,7 @@ def is_completely_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
 
 def heart(alg: FiniteAlgebra, prime: Ideal):
     """Center of the simple quotient: a field, reported by its dimension."""
-    Z = _simple_center(alg, prime)
+    Z = _simple_center(quotient_algebra(alg, prime.space)[0])
     if Z is None:
         raise ValueError("heart of a non-prime ideal")
     return {"field": alg.field.to_json(), "dim": Z.dim}
@@ -555,8 +605,8 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
     rep = Report("h-prime-certificate", details={"dim": ideal.dim})
     try:
         if is_prime(act.alg, ideal):
-            for entry in spectrum(act.alg):
-                if core(act, entry.prime).space == ideal.space:
+            for _, c in _prime_cores(act):
+                if c.space == ideal.space:
                     rep.details["route"] = "core-of-prime"
                     return rep
     except UnsupportedComputation:
@@ -583,6 +633,13 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
     return rep
 
 
+def _prime_cores(act: ModuleAlgebraAction):
+    """(entry, core of its prime) for each entry of the spectrum of the
+    acted algebra, in spectrum order: computed once per action and kept."""
+    return _kept(act, "_prime_cores",
+                 lambda act: tuple((e, core(act, e.prime)) for e in spectrum(act.alg)))
+
+
 def h_spectrum(act: ModuleAlgebraAction):
     """Distinct cores of the primes: the reachable H-prime ideals."""
     return [c for c, _ in strata(act)]
@@ -590,10 +647,8 @@ def h_spectrum(act: ModuleAlgebraAction):
 
 def strata(act: ModuleAlgebraAction):
     """Fibers of the core map on the spectrum: core -> list of entries."""
-    entries = spectrum(act.alg)
     fibers = {}
-    for e in entries:
-        c = core(act, e.prime)
+    for e, c in _prime_cores(act):
         fibers.setdefault(c.space.rows, (c, []))[1].append(e)
     out = []
     for key in sorted(fibers, key=lambda rows: [[str(c) for c in r] for r in rows]):
@@ -652,7 +707,7 @@ def reformulation_check(act: ModuleAlgebraAction, ideal: Ideal) -> Report:
              for i in range(act.hopf.dim) for r in sqrt_i.space.rows]
     acted_span = Subspace.from_vectors(F, alg.dim, acted)
     # the smallest action-stable ideal containing I
-    j_space = closure(ideal.space, alg.ideal_operators + act.operator_matrices)
+    j_space = closure(ideal.space, alg.generator_operators + act.operator_matrices)
     j = Ideal(alg, j_space, check=True, h_stable=True)
     # with a bijective antipode the plain acted span is already that ideal
     hi_span = Subspace.from_vectors(
@@ -690,11 +745,13 @@ def composite_core(lie_act, act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
 
 # -- strata ----------------------------------------------------------------------
 
-def induced_action(act: ModuleAlgebraAction, sub: Subspace, name=None):
-    """Action on the quotient modulo an action-stable ideal subspace."""
+def induced_action(act: ModuleAlgebraAction, sub: Subspace, name=None,
+                   quotient=None):
+    """Action on the quotient modulo an action-stable ideal subspace;
+    ``quotient`` is :func:`quotient_algebra` of ``sub`` when already built."""
     if not act.subspace_stable(sub):
         raise ValueError("subspace is not action-stable; no induced action")
-    q, proj, lift = quotient_algebra(act.alg, sub)
+    q, proj, lift = quotient or quotient_algebra(act.alg, sub)
     tbar = []
     for i in range(act.hopf.dim):
         comp = proj.mat_mul(act.operator_matrices[i].mat_mul(lift))
@@ -720,11 +777,13 @@ class StratumAlgebra:
     notes: dict = dc_field(default_factory=dict)
 
 
-def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal):
-    """Everything the stratum checks need; raises on structural failures."""
+def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal, quotient=None):
+    """Everything the stratum checks need; raises on structural failures.
+    ``quotient`` is :func:`quotient_algebra` of the base when the caller has
+    built it."""
     if not act.subspace_stable(ideal.space):
         raise ValueError("stratum base must be an action-stable ideal")
-    bar, q, proj, lift = induced_action(act, ideal.space)
+    bar, q, proj, lift = induced_action(act, ideal.space, quotient=quotient)
     zsub = center_subspace(q)
     if not bar.subspace_stable(zsub):
         raise ValueError("induced action does not stabilize the center")
@@ -764,11 +823,12 @@ def stratum_algebra(act: ModuleAlgebraAction, ideal: Ideal) -> StratumAlgebra:
     collapse identifies the heart with the center of a simple quotient, and
     cores of primes are prime only under that hypothesis.
     """
-    if not is_prime(act.alg, ideal):
+    quotient = quotient_algebra(act.alg, ideal.space)
+    if _simple_center(quotient[0]) is None:
         raise ValueError(
             "stratum base does not have a prime quotient; the heart-center "
             "identification needs a simple quotient")
-    pieces = _build_stratum_pieces(act, ideal)
+    pieces = _build_stratum_pieces(act, ideal, quotient)
     check = verify_action(pieces["c_act"])
     if not check.ok:
         raise ValueError(
@@ -806,20 +866,22 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
         return rep
 
     try:
-        entries = spectrum(act.alg)
+        prime_cores = _prime_cores(act)
     except UnsupportedComputation as exc:
         rep.status = ERROR
         rep.details["reason"] = str(exc)
         return rep
-    stratum = [e for e in entries if core(act, e.prime).space == ideal.space]
+    stratum = [e for e, c in prime_cores if c.space == ideal.space]
     rep.details["stratum-size"] = len(stratum)
     if not stratum:
         rep.details["verdict"] = "empty-stratum"
         return rep
 
-    q_probe, _, _ = quotient_algebra(act.alg, ideal.space)
+    # the base quotient, built once: its radical and center are kept on it
+    quotient = quotient_algebra(act.alg, ideal.space)
+    q = quotient[0]
     try:
-        base_semiprime = radical_subspace(q_probe).dim == 0
+        base_semiprime = radical_subspace(q).dim == 0
     except UnsupportedComputation:
         base_semiprime = False
         notes.append("base semiprimeness undecidable (radical refusal)")
@@ -827,14 +889,14 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
         notes.append("base quotient not semiprime: center collapse unavailable")
         rep.details["verdict"] = "undefined-base"
         return rep
-    base_prime = is_prime(act.alg, ideal)
+    base_prime = _simple_center(q) is not None
     rep.details["base-prime"] = base_prime
     if not base_prime:
         notes.append("base quotient not prime: using the center of a "
                      "semiprime quotient")
 
     try:
-        pieces = _build_stratum_pieces(act, ideal)
+        pieces = _build_stratum_pieces(act, ideal, quotient)
     except ValueError as exc:
         notes.append(str(exc))
         rep.details["verdict"] = "undefined-structure"

@@ -346,7 +346,9 @@ def apply_combination(coeffs, mats, v):
 
 
 def _rref_data(field, data, ncols):
-    """In-place style RREF on a copy; returns (rows, pivot_columns)."""
+    """RREF of a copy of ``data``; returns (rows, pivot_columns).  A pivot
+    of 1 is not inverted, and a row is cleared only on the columns where
+    the pivot row is nonzero (the others do not change)."""
     F = field
     rows = [list(r) for r in data]
     nrows = len(rows)
@@ -357,14 +359,16 @@ def _rref_data(field, data, ncols):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != 1:
+        if rows[r][c] != 1:
+            inv = F.inv(rows[r][c])
             rows[r] = F.reduce([inv * x for x in rows[r]])
-        rr = rows[r]
+        terms = [(j, y) for j, y in enumerate(rows[r]) if y]
         for i in range(nrows):
-            f = rows[i][c]
+            row = rows[i]
+            f = row[c]
             if f and i != r:
-                rows[i] = F.reduce([x - f * y for x, y in zip(rows[i], rr)])
+                for (j, _), x in zip(terms, F.reduce([row[j] - f * y for j, y in terms])):
+                    row[j] = x
         pivots.append(c)
         r += 1
         if r == nrows:

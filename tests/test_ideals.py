@@ -140,6 +140,39 @@ def test_spectrum_examples(ws):
     assert inter == radical(ut).space
 
 
+def spectrum_key(entries):
+    return [(e.prime.space, e.simple_quotient_dim, e.heart_dim, e.inert) for e in entries]
+
+
+def test_kept_spectrum_is_not_shared_with_callers(ws):
+    """The spectrum is computed once per algebra; callers get new lists of
+    frozen entries, so nothing they do reaches the kept one."""
+    import dataclasses
+    from hopfact.workspace import load_bundled
+    alg = ws.algebras["qs3"]
+    first, second = spectrum(alg), spectrum(alg)
+    assert first == second and first is not second
+    want = spectrum_key(first)
+    first.clear()
+    second.reverse()
+    second.append(None)
+    assert spectrum_key(spectrum(alg)) == want
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum(alg)[0].heart_dim = 7
+    # strata do not depend on whether the spectrum was kept before them
+    warm, cold = (load_bundled(verify=False).actions["swap"] for _ in range(2))
+    spectrum(warm.alg)
+    assert ([(c.space, spectrum_key(es)) for c, es in strata(warm)]
+            == [(c.space, spectrum_key(es)) for c, es in strata(cold)])
+
+
+def test_refused_spectrum_is_refused_again(ws):
+    alg = ws.hopfs["f3sweedler"].alg    # non-commutative over F_3, dim 4 >= 3
+    for _ in range(2):
+        with pytest.raises(UnsupportedComputation):
+            spectrum(alg)
+
+
 def test_spectrum_inert_entries(ws):
     # Q C_3 = Q x Q(omega): the cyclotomic factor stays inert over Q
     entries = spectrum(ws.algebras["qc3"])

@@ -118,3 +118,30 @@ def test_stratum_algebra_base_field_hopf(ws):
     assert len(sa.stable_primes) == 1
     rep = verify_strat_bijection(act, Ideal.zero(ws.algebras["m2q"]))
     assert rep.details["verdict"] == "bijection-verified"
+
+
+def test_s4_adjoint_strata_and_cap_refusals():
+    """kS4 acting on kS4 by conjugation over Q (built here, not bundled):
+    five strata; the two dim-23 bases verify, and the convolution
+    algebras of the others (dim 96 and 216) pass DEFAULT_DIM_CAP."""
+    from hopfact.action import ModuleAlgebraAction
+    from hopfact.hopf import group_algebra, symmetric_group_table
+    from hopfact.linalg import QQ
+    table = symmetric_group_table(4)
+    n = len(table)
+    inverse = [row.index(0) for row in table]
+    tensor = [[[1 if k == table[table[g][x]][inverse[g]] else 0 for k in range(n)]
+               for x in range(n)] for g in range(n)]
+    act = ModuleAlgebraAction(group_algebra(table, QQ, name="kS4"),
+                              group_algebra(table, QQ, name="kS4").alg, tensor,
+                              name="s4-adjoint")
+    fibers = strata(act)
+    assert [base.dim for base, _ in fibers] == [20, 23, 23, 15, 15]
+    for base, _ in fibers:
+        rep = verify_strat_bijection(act, base)
+        assert rep.status == "pass", (base.dim, rep.witnesses)
+        if base.dim == 23:
+            assert rep.details["verdict"] == "bijection-verified"
+        else:
+            assert rep.details["verdict"] == "undefined-structure"
+            assert any("cap 64" in note for note in rep.details["notes"])
