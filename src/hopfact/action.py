@@ -46,8 +46,15 @@ class ModuleAlgebraAction:
     def act_basis(self, i, avec):
         return self.operator_matrices[i].vec_mul(avec)
 
+    @cached_property
+    def generator_operators(self):
+        """The operators of H's generators (:attr:`FiniteAlgebra.generators`
+        of ``hopf.alg``): the h with h.W in W form a subalgebra of H, so
+        these keep exactly the action-stable subspaces."""
+        return [self.operator_matrices[g] for g in self.hopf.alg.generators]
+
     def subspace_stable(self, sub: Subspace) -> bool:
-        return is_stable(sub, self.operator_matrices)
+        return is_stable(sub, self.generator_operators)
 
     def to_json(self):
         F = self.field

@@ -472,10 +472,12 @@ def check_transport(conv: ConvolutionAlgebra, sub_a: Subspace) -> Report:
 
 
 def enumerate_h_ideals(conv: ConvolutionAlgebra, bound=None):
-    """All twist-stable two-sided ideals of B by exhaustion (prime fields)."""
+    """All twist-stable two-sided ideals of B (prime fields): the subspaces
+    kept by multiplication by B's generators and by the twisted operators
+    of H's generators, enumerated by :func:`~hopfact.linalg.stable_subspaces`."""
     B = conv.algebra
-    return stable_subspaces(conv.field, B.dim,
-                            B.ideal_operators + conv.dot_operators, bound)
+    dots = [conv.dot_operators[g] for g in conv.hopf.alg.generators]
+    return stable_subspaces(conv.field, B.dim, B.generator_operators + dots, bound)
 
 
 def check_dotinv_lattice(conv: ConvolutionAlgebra, bound=None) -> Report:
@@ -487,7 +489,7 @@ def check_dotinv_lattice(conv: ConvolutionAlgebra, bound=None) -> Report:
     """
     rep = Report("ideal-lattice-bijection", details={"fixture": conv.action.name})
     A = conv.alg
-    ideals_a = stable_subspaces(conv.field, A.dim, A.ideal_operators, bound)
+    ideals_a = stable_subspaces(conv.field, A.dim, A.generator_operators, bound)
     rep.details["ideals-of-A"] = len(ideals_a)
     transported = {}
     for ia in ideals_a:
@@ -519,12 +521,12 @@ def stability_scan(conv: ConvolutionAlgebra, bound=None) -> Report:
         rep.status = "error"
         rep.details["reason"] = "stability scan is an F_2 oracle"
         return rep
-    B = conv.algebra
-    ops = []
-    for r in range(conv.hopf.dim):
-        f = [F.one if t == r else F.zero for t in range(conv.hopf.dim)]
-        ops.append(B.right_mult_matrix(conv.ustar_matrix.vec_mul(f)))
-    ops.extend(conv.rh_operators)
+    # f -> f (x) 1 is a unital algebra map from H* and right translation a
+    # module action of H, so their generators suffice
+    B, dual = conv.algebra, dual_hopf(conv.hopf).alg
+    ops = [B.right_mult_matrix(conv.ustar_matrix.vec_mul(dual.basis_vector(r)))
+           for r in dual.generators]
+    ops += [conv.rh_operators[g] for g in conv.hopf.alg.generators]
     stable = stable_subspaces(F, conv.dim, ops, bound)
     rep.details["stable-count"] = len(stable)
     expected = {}

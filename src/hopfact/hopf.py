@@ -128,7 +128,7 @@ class FiniteAlgebra:
                         rows[k][j] += a * c
         return Matrix(F, self.dim, self.dim, [F.reduce(row) for row in rows])
 
-    @property
+    @cached_property
     def generators(self):
         """Basis indices b whose elements e_b generate the algebra.
 
@@ -139,13 +139,9 @@ class FiniteAlgebra:
         to every vector spun before it.  The result is deterministic.  When
         the unit is a right unit (so e_b = e_b 1 is a word) the words of the
         generators span the algebra: k^X needs |X| - 1 generators and a
-        group algebra kG at most log2 |G|.
+        group algebra kG at most log2 |G|.  When the words fall short of
+        the algebra, every basis index is a generator.
         """
-        return self._generator_spin[0]
-
-    @cached_property
-    def _generator_spin(self):
-        """(generators, dim W) for the final span W of their words."""
         F, n = self.field, self.dim
         rows, pivots = [], []
         spun = [self.unit] if _echelon_insert(F, rows, pivots, self.unit) else []
@@ -157,38 +153,17 @@ class FiniteAlgebra:
                 ops.append(partial(self._left_basis_multiply, self.mult_sparse[b]))
                 new = [u for u in map(ops[-1], spun) if _echelon_insert(F, rows, pivots, u)]
                 spun += spin(F, rows, pivots, new, ops)
-        return gens, len(rows)
-
-    @cached_property
-    def ideal_generators(self):
-        """The basis indices whose multiplications test two-sided ideals.
-
-        In an associative unital algebra the x with x W in W form a unital
-        subalgebra, and so do the x with W x in W, so W is an ideal exactly
-        when both multiplications by each generator keep it.  That needs the
-        generators to generate: these are
-        :attr:`generators` when their words span the algebra (dim W = n),
-        and every basis index when they fall short."""
-        gens, spanned = self._generator_spin
-        return gens if spanned == self.dim else list(range(self.dim))
-
-    @cached_property
-    def ideal_operators(self):
-        """Left and right multiplication by every basis element: the two-sided
-        ideals are exactly the subspaces these operators stabilize."""
-        return self._multiplications(range(self.dim))
+        return gens if len(rows) == n else list(range(n))
 
     @cached_property
     def generator_operators(self):
-        """Left and right multiplication by each of :attr:`ideal_generators`:
-        the ideal test of :attr:`ideal_operators` with fewer operators."""
-        if len(self.ideal_generators) == self.dim:
-            return self.ideal_operators
-        return self._multiplications(self.ideal_generators)
+        """Left and right multiplication by each of :attr:`generators`.
 
-    def _multiplications(self, indices):
+        In an associative unital algebra the x with x W in W form a unital
+        subalgebra, and so do the x with W x in W, so these operators keep
+        exactly the two-sided ideals."""
         ops = []
-        for i in indices:
+        for i in self.generators:
             e = self.basis_vector(i)
             ops.append(self.left_mult_matrix(e))
             ops.append(self.right_mult_matrix(e))
@@ -795,14 +770,14 @@ def dual_number_plane_algebra(field: Field, name="plane-jet") -> FiniteAlgebra:
 
 def ideal_closure(alg: FiniteAlgebra, vectors) -> Subspace:
     """The two-sided ideal generated by the vectors: their span closed under
-    multiplication by the generators (:attr:`FiniteAlgebra.ideal_generators`)."""
+    multiplication by the generators (:attr:`FiniteAlgebra.generators`)."""
     return closure(Subspace.from_vectors(alg.field, alg.dim, vectors),
                    alg.generator_operators)
 
 
 def subspace_is_ideal(alg: FiniteAlgebra, sub: Subspace) -> bool:
     """Closed under left and right multiplication by the generators
-    (:attr:`FiniteAlgebra.ideal_generators`), so by every element."""
+    (:attr:`FiniteAlgebra.generators`), so by every element."""
     return is_stable(sub, alg.generator_operators)
 
 

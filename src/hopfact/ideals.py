@@ -182,7 +182,7 @@ def subalgebra_structure(alg: FiniteAlgebra, sub: Subspace, name=None):
 
 def center_subspace(alg: FiniteAlgebra) -> Subspace:
     """Solutions of x g = g x for the generators g of
-    :attr:`~hopfact.hopf.FiniteAlgebra.ideal_generators` (the x commuting
+    :attr:`~hopfact.hopf.FiniteAlgebra.generators` (the x commuting
     with an element form a subalgebra): n rows per generator, read off
     ``mult_sparse``, zero rows dropped.  Kept on the algebra."""
     return _kept(alg, "_center", _center_subspace)
@@ -191,7 +191,7 @@ def center_subspace(alg: FiniteAlgebra) -> Subspace:
 def _center_subspace(alg: FiniteAlgebra) -> Subspace:
     F, n, sparse = alg.field, alg.dim, alg.mult_sparse
     rows = []
-    for g in alg.ideal_generators:
+    for g in alg.generators:
         # row k: the coefficient of e_k in g e_j - e_j g, over j
         block = [{} for _ in range(n)]
         for j in range(n):
@@ -547,23 +547,16 @@ def heart(alg: FiniteAlgebra, prime: Ideal):
 # -- H-cores ---------------------------------------------------------------------
 
 def core(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
-    """The largest action-stable ideal inside the given ideal.
+    """The H-core: the largest action-stable ideal inside the given ideal.
 
-    Solved as the joint linear system: the image of a under every Hopf basis
-    operator must fall back into the ideal.
+    The h with h.W in W form a subalgebra of H, so this is the largest
+    subspace of the ideal that the operators of H's generators keep
+    (:attr:`~hopfact.action.ModuleAlgebraAction.generator_operators`,
+    :func:`~hopfact.linalg.largest_stable_inside`).
     """
     if ideal.alg is not act.alg:
         raise ValueError("ideal does not live on the acted algebra")
-    F = act.field
-    proj = projection_matrix(ideal.space)
-    rows = []
-    for op in act.operator_matrices:
-        comp = proj.mat_mul(op)
-        rows.extend(comp.data)
-    if not rows:
-        space = ideal.space
-    else:
-        space = kernel(Matrix.from_rows(F, rows, act.alg.dim))
+    space = largest_stable_inside(ideal.space, act.generator_operators)
     out = Ideal(act.alg, space, check=True, h_stable=True, name="core")
     if not out.space.le(ideal.space):
         raise RuntimeError("computed core escapes the ideal")
@@ -599,8 +592,10 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
     """Certify H-primeness of an action-stable ideal.
 
     Route (a): the ideal is the core of a computed prime and is itself prime.
-    Route (b): pairwise product check over the exhaustively enumerated
-    action-stable ideal lattice (prime fields within the enumeration cap).
+    Route (b): pairwise product check over the lattice of action-stable
+    ideals (prime fields within the enumeration cap), enumerated as the
+    subspaces kept by multiplication by A's generators and by the operators
+    of H's generators.
     """
     rep = Report("h-prime-certificate", details={"dim": ideal.dim})
     try:
@@ -613,7 +608,7 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
         pass
     try:
         lattice = stable_subspaces(act.field, act.alg.dim,
-                                   act.alg.ideal_operators + act.operator_matrices,
+                                   act.alg.generator_operators + act.generator_operators,
                                    bound)
     except EnumerationBound:
         rep.status = ERROR
@@ -707,7 +702,7 @@ def reformulation_check(act: ModuleAlgebraAction, ideal: Ideal) -> Report:
              for i in range(act.hopf.dim) for r in sqrt_i.space.rows]
     acted_span = Subspace.from_vectors(F, alg.dim, acted)
     # the smallest action-stable ideal containing I
-    j_space = closure(ideal.space, alg.generator_operators + act.operator_matrices)
+    j_space = closure(ideal.space, alg.generator_operators + act.generator_operators)
     j = Ideal(alg, j_space, check=True, h_stable=True)
     # with a bijective antipode the plain acted span is already that ideal
     hi_span = Subspace.from_vectors(

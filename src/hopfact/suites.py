@@ -248,7 +248,7 @@ def criterion_lie(ws) -> Report:
                     rep.witnesses.extend(sub.witnesses[:2])
         else:
             lattice = stable_subspaces(lact.field, lact.alg.dim,
-                                       lact.alg.ideal_operators + lact.derivations,
+                                       lact.alg.generator_operators + lact.derivations,
                                        bound=4096)
             rep.details[f"{name}-stable-ideals"] = len(lattice)
             for iname, ideal in sorted(ideals.items()):

@@ -22,6 +22,8 @@ from hopfact.ideals import (Ideal, ideal_sum, ideal_intersect, ideal_product,
 from hopfact import ideals
 from hopfact.convolution import DEFAULT_DIM_CAP
 
+from test_merged_helpers import ideal_operators_oracle
+
 
 def test_ideal_construction_checks(ws):
     m2 = ws.algebras["m2q"]
@@ -239,7 +241,7 @@ def test_core_idempotent_and_maximal(ws):
     assert c.space.le(aug.space)
     # maximality against the enumerated action-stable ideal lattice
     lattice = stable_subspaces(act.field, act.alg.dim,
-                               act.alg.ideal_operators + act.operator_matrices,
+                               ideal_operators_oracle(act.alg) + act.operator_matrices,
                                bound=4096)
     for stable in lattice:
         if stable.le(aug.space):
@@ -249,7 +251,7 @@ def test_core_idempotent_and_maximal(ws):
 def test_h_ideal_generated(ws):
     act = ws.actions["grading2"]
     out = closure(Subspace.from_vectors(act.field, 2, [[1, 1]]),
-                  act.alg.ideal_operators + act.operator_matrices)
+                  ideal_operators_oracle(act.alg) + act.operator_matrices)
     # acting by the grading projections splits 1+g into components
     assert out.dim == 2
 

@@ -18,7 +18,10 @@ largest stable subspace, algebra generators and insert with the rounds,
 fixed point, sparse echelon and int-mod-p insert they replaced, the
 structure layer (trace form, center, quotients, subalgebras, ideal tests
 and closures on algebra generators) with the dense loops it replaced, and
-elimination with its loop that inverted every pivot and cleared whole rows;
+elimination with its loop that inverted every pivot and cleared whole rows,
+and the stability tests on generators (core, subspace_stable, the H-ideal,
+ideal and stability-scan lattices, certify_h_prime, reformulation_check)
+with the joint-kernel core and the all-basis operator lists they replaced;
 the subspace helpers are compared with brute force over small prime fields.
 """
 
@@ -54,6 +57,7 @@ from hopfact.action import (ModuleAlgebraAction, Representation,
                             coefficient_comul_report, coefficient_subalgebra,
                             hit_action, invariants, matrix_coefficients,
                             verify_action, verify_sub_hopf)
+from hopfact import convolution
 from hopfact.convolution import ConvElement, ConvolutionAlgebra
 from hopfact.ideals import (Ideal, UnsupportedComputation, _build_stratum_pieces,
                             _frobenius_kernel, core, h_spectrum, spectrum)
@@ -68,6 +72,26 @@ _spec.loader.exec_module(goldens)
 
 
 # -- the direct loops, as oracles ------------------------------------------------
+
+def ideal_operators_oracle(alg):
+    """Left and right multiplication by every basis element, L_b and R_b in
+    basis order: the all-basis ideal test that the generators replaced."""
+    ops = []
+    for b in range(alg.dim):
+        e = alg.basis_vector(b)
+        ops += [alg.left_mult_matrix(e), alg.right_mult_matrix(e)]
+    return ops
+
+
+def core_oracle(act, ideal):
+    """The H-core as one joint kernel: the a with h.a in the ideal for every
+    Hopf basis element h, the projection modulo the ideal of every basis
+    operator stacked into one system."""
+    F = act.field
+    proj = projection_matrix(ideal.space)
+    rows = [row for op in act.operator_matrices for row in proj.mat_mul(op).data]
+    return kernel(Matrix.from_rows(F, rows, act.alg.dim)) if rows else ideal.space
+
 
 def phi_oracle(conv):
     """b -> (h -> h_1 . b(h_2)) by the direct loop."""
@@ -1389,7 +1413,7 @@ def trace_form_kernel_oracle(alg):
     """_trace_form_kernel with a Field call per scalar."""
     F = alg.field
     n = alg.dim
-    L = alg.ideal_operators[0::2]
+    L = ideal_operators_oracle(alg)[0::2]
     gram = [[F.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -2470,22 +2494,40 @@ def test_all_line_lattices_refuse_as_the_old_route(p, n, monkeypatch):
         monkeypatch.undo()
 
 
-def kleinswap_operator_sets(ws):
-    """kleinswap's B = H* (x) A (dim 8 over F_2): the ideal and dot
-    operators of its H-ideals, and the operators of its stability scan."""
+def passed_operators(monkeypatch, fn, conv):
+    """The operators that ``fn(conv)`` hands to stable_subspaces."""
+    passed = []
+
+    def recording(field, n, ops, bound=None):
+        passed.append(ops)
+        return stable_subspaces(field, n, ops, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(convolution, "stable_subspaces", recording)
+        fn(conv)
+    [ops] = passed
+    return ops
+
+
+def kleinswap_operator_sets(ws, monkeypatch):
+    """kleinswap's B = H* (x) A (dim 8 over F_2): the operators of its
+    H-ideals and of its stability scan, as the all-basis lists and as the
+    generator sets that enumerate_h_ideals and stability_scan pass."""
     conv = ConvolutionAlgebra(ws.actions["kleinswap"])
     B, F = conv.algebra, conv.field
     scan = [B.right_mult_matrix(conv.ustar_matrix.vec_mul(
         [F.one if t == r else F.zero for t in range(conv.hopf.dim)]))
         for r in range(conv.hopf.dim)]
-    return F, B.dim, {"h-ideals": B.ideal_operators + conv.dot_operators,
-                      "stability-scan": scan + conv.rh_operators}
+    every = {"h-ideals": ideal_operators_oracle(B) + conv.dot_operators,
+             "stability-scan": scan + conv.rh_operators}
+    generators = {"h-ideals": passed_operators(monkeypatch, convolution.enumerate_h_ideals, conv),
+                  "stability-scan": passed_operators(monkeypatch, convolution.stability_scan, conv)}
+    return F, B.dim, every, generators
 
 
-@pytest.mark.parametrize("which", ["h-ideals", "stability-scan"])
-def test_stable_subspaces_match_old_route_on_kleinswap(ws, which, monkeypatch):
-    field, n, sets = kleinswap_operator_sets(ws)
-    ops = sets[which]
+def packed_route_on(field, n, ops, monkeypatch):
+    """(lattice, distinct tables, packed applications) of stable_subspaces
+    on ``ops``, checked against the old, the dense and the sifting routes."""
     distinct = len(linalg._Packed(2, n).tables(ops))
     counts = {"new": 0, "old": 0}
 
@@ -2502,21 +2544,37 @@ def test_stable_subspaces_match_old_route_on_kleinswap(ws, which, monkeypatch):
         return apply(cols, w, p)
 
     tables = linalg._Packed.tables
-    monkeypatch.setattr(linalg._Packed, "tables",
-                        lambda pk, mats: [CountingTable(t) for t in tables(pk, mats)])
-    monkeypatch.setitem(globals(), "apply_columns", counting)
-    got = stable_subspaces(field, n, ops)
-    want = stable_subspaces_oracle(field, n, ops)
-    assert [(s.rows, s.pivots) for s in got] == [(s.rows, s.pivots) for s in want]
+    with monkeypatch.context() as m:
+        m.setattr(linalg._Packed, "tables",
+                  lambda pk, mats: [CountingTable(t) for t in tables(pk, mats)])
+        m.setitem(globals(), "apply_columns", counting)
+        got = [(s.rows, s.pivots) for s in stable_subspaces(field, n, ops)]
+        want = stable_subspaces_oracle(field, n, ops)
+    assert got == [(s.rows, s.pivots) for s in want]
     # each distinct operator is applied once to each line, where the old
     # route applied every operator to every vector of every line's spin
     assert counts["new"] == (2 ** n - 1) * distinct
     assert 0 < counts["new"] < counts["old"]
-    monkeypatch.undo()
-    assert lattice_or_refusal(dense_stable_subspaces, field, n, ops) == [
-        (s.rows, s.pivots) for s in got]
+    assert lattice_or_refusal(dense_stable_subspaces, field, n, ops) == got
     cyclics, kept = assert_cyclics_sifted(field, n, ops)
     assert len(kept) < len(cyclics)
+    return got, distinct, counts["new"]
+
+
+# distinct tables of the all-basis lists and of the generator sets
+KLEINSWAP_TABLES = {"h-ideals": (10, 6), "stability-scan": (4, 2)}
+
+
+@pytest.mark.parametrize("which", ["h-ideals", "stability-scan"])
+def test_stable_subspaces_match_old_route_on_kleinswap(ws, which, monkeypatch):
+    """The generator sets give the lattice of the all-basis lists from fewer
+    distinct tables, so with fewer operator applications."""
+    field, n, every, generators = kleinswap_operator_sets(ws, monkeypatch)
+    old = packed_route_on(field, n, every[which], monkeypatch)
+    new = packed_route_on(field, n, generators[which], monkeypatch)
+    assert new[0] == old[0]
+    assert (old[1], new[1]) == KLEINSWAP_TABLES[which]
+    assert new[2] < old[2]
 
 
 def lattice_or_message(enumerate_, field, n, ops):
@@ -2825,7 +2883,7 @@ def center_oracle(alg):
     """Solutions of x e_i = e_i x for every basis element: n^2 rows of the
     ideal operators."""
     F, n = alg.field, alg.dim
-    ops = alg.ideal_operators
+    ops = ideal_operators_oracle(alg)
     rows = [[F.sub(L.data[r][c], R.data[r][c]) for c in range(n)]
             for L, R in zip(ops[0::2], ops[1::2]) for r in range(n)]
     return kernel(Matrix.from_rows(F, rows, n))
@@ -2890,19 +2948,19 @@ def test_structure_layer_matches_dense_loops(ws, field):
                  unitriangular_basis(group_algebra(symmetric_group_table(3), field).alg, rng)]
     short = short_spin_algebras(field)
     for alg in short:
-        assert alg.generators != list(range(alg.dim))
-        assert alg.ideal_generators == list(range(alg.dim))
-        assert alg.generator_operators is alg.ideal_operators
-    assert sum(len(a.ideal_generators) < a.dim for a in algebras) >= len(algebras) // 2
+        assert alg.generators == list(range(alg.dim))
+        assert alg.generator_operators == ideal_operators_oracle(alg)
+    assert sum(len(a.generators) < a.dim for a in algebras) >= len(algebras) // 2
     verdicts = []
     for alg in algebras + short:
         F, n = alg.field, alg.dim
+        every = ideal_operators_oracle(alg)
         assert ideals._trace_form_kernel(alg) == trace_form_kernel_oracle(alg), alg.name
         center = ideals.center_subspace(alg)
         assert center == center_oracle(alg), alg.name
         vectors = [[F.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(3)]
         spaces = [Subspace.from_vectors(F, n, vectors[:k]) for k in (1, 2, 3)]
-        ideals_ = [closure(s, alg.ideal_operators) for s in spaces[:2]]
+        ideals_ = [closure(s, every) for s in spaces[:2]]
         for k, ideal in enumerate(ideals_):
             assert ideals.ideal_closure(alg, vectors[:k + 1]) == ideal, alg.name
         try:
@@ -2911,7 +2969,7 @@ def test_structure_layer_matches_dense_loops(ws, field):
             primes = []
         for sub in (spaces + ideals_ + primes
                     + [center, Subspace.zero(F, n), Subspace.full(F, n)]):
-            want = linalg.is_stable(sub, alg.ideal_operators)
+            want = linalg.is_stable(sub, every)
             assert ideals.subspace_is_ideal(alg, sub) == want, alg.name
             verdicts.append(want)
             if want:
@@ -2920,3 +2978,136 @@ def test_structure_layer_matches_dense_loops(ws, field):
             assert subalgebra_or_refusal(alg, sub) == subalgebra_oracle(alg, sub), alg.name
     # non-ideals: at least one subspace per algebra on average
     assert verdicts.count(False) >= len(algebras) + len(short)
+
+
+# -- stability on generators against the all-basis operator lists ----------------
+#
+# core solved one joint kernel over every Hopf basis operator (core_oracle);
+# subspace_stable, certify_h_prime, reformulation_check and the lattices of
+# enumerate_h_ideals, check_dotinv_lattice and stability_scan took L_b and R_b
+# for every basis element b (ideal_operators_oracle) and one operator per
+# basis element of H and of H*.  With every basis index as the generators
+# (old_route), the same code runs on exactly those lists.
+
+LATTICE_VECTORS = 3 ** 8    # p ** dim B up to which the lattices are compared
+
+
+def lattice_bound(act):
+    """p ** dim B when the lattices of ``act`` are compared, else None."""
+    p = act.field.p
+    vectors = p ** (act.hopf.dim * act.alg.dim) if p else None
+    return vectors if vectors and vectors <= LATTICE_VECTORS else None
+
+
+def old_route(monkeypatch):
+    """Every basis index as the generators of every algebra."""
+    monkeypatch.setattr(FiniteAlgebra, "generators",
+                        property(lambda alg: list(range(alg.dim))))
+
+
+def fresh_action(act):
+    """A new action with the structure of ``act``: nothing kept on ``act``
+    or on its algebras carries over."""
+    h = act.hopf
+    hopf = HopfAlgebra(algebra_copy(h.alg), h.comul_sparse, h.counit,
+                       h.antipode_sparse, name=h.name)
+    return ModuleAlgebraAction(hopf, algebra_copy(act.alg), act.tensor, name=act.name)
+
+
+def generated_permutation_action(field, rng, npts, ngens):
+    """kG acting on k^X by permuting ``npts`` points, G generated by
+    ``ngens`` random permutations, its elements in random order."""
+    compose = lambda g, s: tuple(g[s[x]] for x in range(npts))     # noqa: E731
+    gens = [tuple(rng.sample(range(npts), npts)) for _ in range(ngens)]
+    elems, todo = {tuple(range(npts))}, [tuple(range(npts))]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            if compose(g, s) not in elems:
+                elems.add(compose(g, s))
+                todo.append(compose(g, s))
+    elems = sorted(elems)
+    rng.shuffle(elems)
+    index = {g: i for i, g in enumerate(elems)}
+    table = [[index[compose(g, s)] for s in elems] for g in elems]
+    tensor = [[[field.one if g[x] == y else field.zero for y in range(npts)]
+               for x in range(npts)] for g in elems]
+    return ModuleAlgebraAction(group_algebra(table, field),
+                               product_field_algebra(field, npts), tensor,
+                               name=f"perm{npts}-order{len(elems)}")
+
+
+def ideals_to_test(act, rng):
+    """Ideals of the acted algebra: two generated by random vectors, the
+    primes, zero and the whole algebra; most are not H-stable."""
+    alg, F = act.alg, act.field
+    out = [Ideal.zero(alg), Ideal.full(alg)]
+    for k in (1, 2):
+        vectors = [[F.from_int(rng.randint(-1, 1)) for _ in range(alg.dim)]
+                   for _ in range(k)]
+        out.append(Ideal.generate(alg, vectors))
+    try:
+        out += [e.prime for e in spectrum(alg)]
+    except UnsupportedComputation:
+        pass
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).to_json_dict(with_timing=False)
+    except UnsupportedComputation as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def stability_outcomes(act, rng):
+    """Reports and lattices of the stability tests on ``act``, with the
+    generator sets checked against their oracles on the way, and the
+    number of subspaces found not H-stable."""
+    alg, F, p = act.alg, act.field, act.field.p
+    A_bound = p ** alg.dim if p else None
+    out, unstable = [], 0
+    for ideal in ideals_to_test(act, rng):
+        c = core(act, ideal)
+        assert c.space == core_oracle(act, ideal), act.name
+        others = [Subspace.from_vectors(F, alg.dim, [[F.from_int(rng.randint(-1, 1))
+                                                      for _ in range(alg.dim)]])]
+        for sub in [ideal.space, c.space] + others:
+            want = linalg.is_stable(sub, act.operator_matrices)
+            assert act.subspace_stable(sub) == want, act.name
+            unstable += not want
+        out += [outcome(ideals.reformulation_check, act, ideal),
+                outcome(ideals.certify_h_prime, act, c, A_bound)]
+    bound = lattice_bound(act)
+    if bound:
+        conv = ConvolutionAlgebra(act)
+        B = conv.algebra
+        got = convolution.enumerate_h_ideals(conv, bound)
+        assert got == stable_subspaces(
+            F, B.dim, ideal_operators_oracle(B) + conv.dot_operators, bound), act.name
+        out += [[s.rows for s in got], outcome(convolution.check_dotinv_lattice, conv, bound),
+                outcome(convolution.stability_scan, conv, bound)]
+    return out, unstable
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS, ids=repr)
+def test_stability_on_generators_matches_every_basis_operator(ws, field, monkeypatch):
+    rng = random.Random(f"generator-sets/{field!r}")
+    actions = [a for _, a in sorted(ws.actions.items()) if a.field == field]
+    actions += stock_actions(field)
+    actions += [generated_permutation_action(field, rng, 2 + k % 3, 1 + k // 4)
+                for k in range(8)]
+    seeds = [rng.random() for _ in actions]
+    unstable = lattices = 0
+    for act, seed in zip(actions, seeds):
+        new, count = stability_outcomes(fresh_action(act), random.Random(seed))
+        with monkeypatch.context() as m:
+            old_route(m)
+            old = fresh_action(act)
+            assert old.alg.generator_operators == ideal_operators_oracle(old.alg)
+            assert old.generator_operators == old.operator_matrices
+            assert stability_outcomes(old, random.Random(seed)) == (new, count), act.name
+        unstable += count
+        lattices += lattice_bound(act) is not None
+    assert unstable >= len(actions)
+    assert lattices >= (0 if field is QQ else 3)
