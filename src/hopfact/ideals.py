@@ -37,8 +37,10 @@ from .hopf import (FiniteAlgebra, ideal_closure, subspace_is_ideal,
                    is_cocommutative, is_group_basis, tensor_algebra_prod)
 from .action import (ModuleAlgebraAction, action_from_operators, hit_action,
                      verify_action)
-from .convolution import ConvolutionAlgebra, transport_subspace
 from .report import Report, PASS, FAIL, ERROR, COUNTEREXAMPLE
+
+# convolution is imported inside the three functions that use it, so that a
+# fixture load that builds ideals does not compile it.
 
 SPLITTER_BUDGET = 20_000    # splitting candidates _try_split tries per corner
 SPLITTER_GRID_MAX = 65_536  # largest p**d whose whole coordinate grid is tried
@@ -568,6 +570,7 @@ def core(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
 def core_via_psi(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
     """Independent route: inverse-twist the ideal's dual tensor inside the
     convolution algebra and intersect with the constant-value copy of A."""
+    from .convolution import ConvolutionAlgebra, transport_subspace
     conv = ConvolutionAlgebra(act)
     t = transport_subspace(conv, ideal.space)
     space = pull_back(conv.iota_matrix, conv.iota_image, t)
@@ -776,6 +779,7 @@ def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal, quotient=None)
     """Everything the stratum checks need; raises on structural failures.
     ``quotient`` is :func:`quotient_algebra` of the base when the caller has
     built it."""
+    from .convolution import ConvolutionAlgebra
     if not act.subspace_stable(ideal.space):
         raise ValueError("stratum base must be an action-stable ideal")
     bar, q, proj, lift = induced_action(act, ideal.space, quotient=quotient)
@@ -851,6 +855,7 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
     prime, dual coefficients not a domain) degrade the verdict instead of
     failing: the report names the check that could not be asserted.
     """
+    from .convolution import transport_subspace
     rep = Report("stratum-bijection", details={"fixture": act.name})
     notes = []
     rep.details["notes"] = notes

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 PASS = "pass"
@@ -12,7 +11,6 @@ ERROR = "error"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass
 class Report:
     """Outcome of one check: status plus explicit witnesses on failure.
 
@@ -20,13 +18,32 @@ class Report:
     ``details`` holds check-specific values worth echoing.  The JSON and the
     human rendering come from the same structure; ``timing_ms`` is excluded
     from comparisons.
+
+    A plain class rather than a dataclass: importing ``dataclasses`` pulls in
+    ``inspect``, a large share of a fixture load's import time.
     """
 
-    check: str
-    status: str = PASS
-    witnesses: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    timing_ms: float | None = None
+    _FIELDS = ("check", "status", "witnesses", "details", "timing_ms")
+
+    def __init__(self, check: str, status: str = PASS, witnesses: list | None = None,
+                 details: dict | None = None, timing_ms: float | None = None):
+        self.check = check
+        self.status = status
+        self.witnesses = [] if witnesses is None else witnesses
+        self.details = {} if details is None else details
+        self.timing_ms = timing_ms
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def ok(self):

@@ -9,9 +9,10 @@ from .linalg import Field, nonzero_terms, parse_dense
 from .hopf import (FiniteAlgebra, HopfAlgebra, group_algebra, verify_algebra,
                    verify_hopf)
 from .action import ModuleAlgebraAction, Representation, verify_action
-from .lie import LieAction, verify_lie_action
-from .ideals import Ideal
 from .report import Report
+
+# The lie and ideals layers are imported only by the fixture kinds that need
+# them, so that a load of Hopf algebras, algebras and actions stays small.
 
 
 class WorkspaceError(Exception):
@@ -106,6 +107,7 @@ class Workspace:
                 _require(verify_action(act), name)
             self._register(self.actions, name, act)
         elif kind == "lie":
+            from .lie import LieAction, verify_lie_action
             alg = self._get(self.algebras, obj["algebra"], "algebra")
             lact = LieAction(alg, obj["derivations"], obj.get("brackets"),
                              name=name)
@@ -113,6 +115,7 @@ class Workspace:
                 _require(verify_lie_action(lact), name)
             self._register(self.lie_actions, name, lact)
         elif kind == "ideal":
+            from .ideals import Ideal
             alg = self._get(self.algebras, obj["algebra"], "algebra")
             ideal = Ideal.generate(alg, obj.get("generators", []), name=name)
             self._register(self.ideals, name, ideal)
@@ -147,6 +150,8 @@ class Workspace:
             rep = verify_action(act)
             rep.details["object"] = name
             out.append(rep)
+        if self.lie_actions:
+            from .lie import verify_lie_action
         for name, lact in sorted(self.lie_actions.items()):
             rep = verify_lie_action(lact)
             rep.details["object"] = name
