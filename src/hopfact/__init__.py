@@ -19,19 +19,17 @@ _EXPORTS = {
         enumerate_subspaces gaussian_binomial subspace_count EnumerationBound""",
     "hopf": """FiniteAlgebra HopfAlgebra verify_algebra verify_hopf
         is_cocommutative is_group_basis group_algebra dual_hopf tensor_hopf
-        tensor_algebra_prod is_grouplike enumerate_grouplikes primitives
-        sweedler_hopf restricted_line_hopf ideal_closure""",
-    "action": """ModuleAlgebraAction Representation verify_action invariants
-        comodule_map matrix_coefficients coefficient_subalgebra hit_action
-        group_coeff_antipode_check""",
+        tensor_algebra_prod sweedler_hopf restricted_line_hopf ideal_closure""",
+    "action": """ModuleAlgebraAction Representation verify_action comodule_map
+        matrix_coefficients coefficient_subalgebra hit_action""",
     "convolution": """ConvolutionAlgebra ConvElement identity_report
         check_intertwining check_dotinv check_transport check_dotinv_lattice
         stability_scan transport_subspace restrict_subspace""",
-    "ideals": """Ideal ideal_sum ideal_intersect ideal_product core core_via_psi
-        group_core_by_intersection radical radical_of_ideal is_semiprime is_prime
-        spectrum SpectrumEntry center_subspace heart h_spectrum strata
-        stratum_algebra verify_strat_bijection composite_core reformulation_check
-        semiprime_core_check UnsupportedComputation""",
+    "ideals": """Ideal core core_via_psi group_core_by_intersection radical
+        radical_of_ideal is_semiprime is_prime spectrum SpectrumEntry
+        center_subspace h_spectrum strata stratum_algebra verify_strat_bijection
+        composite_core reformulation_check semiprime_core_check
+        UnsupportedComputation""",
     "lie": """LieAction verify_lie_action lie_core lie_semiprime_transfer_check
         pbw_comul TruncatedSeries monomial_cmp lowest_coefficient
         charp_grouplike_demo""",

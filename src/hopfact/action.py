@@ -16,8 +16,7 @@ from functools import cached_property
 from .linalg import (Matrix, Subspace, apply_combination, closure, combine,
                      is_stable, kernel, kron_sum, parse_dense, support)
 from .hopf import (FiniteAlgebra, HopfAlgebra, coassociativity_failures,
-                   counit_failures, dual_hopf, is_group_basis, scan_generators,
-                   verify_algebra)
+                   counit_failures, dual_hopf, scan_generators, verify_algebra)
 from .report import Report
 
 
@@ -215,11 +214,6 @@ def invariants_of(ops, counit) -> Subspace:
     return kernel(Matrix.from_rows(F, rows, ops[0].ncols))
 
 
-def invariants(act: ModuleAlgebraAction) -> Subspace:
-    """{a : h.a = eps(h) a for every Hopf basis element h}."""
-    return invariants_of(act.operator_matrices, act.hopf.counit)
-
-
 def comodule_map(act: ModuleAlgebraAction) -> Matrix:
     """The coaction A -> A (x) H* determined by evaluation against the action.
 
@@ -243,22 +237,6 @@ def matrix_coefficients(rep: Representation):
     for i in range(rep.dim_v):
         for j in range(rep.dim_v):
             out.append([rep.rho[k].data[i][j] for k in range(n)])
-    return out
-
-
-def coefficient_comul_report(rep: Representation) -> Report:
-    """Delta rho_{i,j} = sum_k rho_{i,k} (x) rho_{k,j} inside the dual."""
-    out = Report("coefficient-comultiplication", details={"name": rep.name})
-    F = rep.hopf.field
-    nv = rep.dim_v
-    dual = dual_hopf(rep.hopf)
-    rows = [Matrix.from_rows(F, [f]) for f in matrix_coefficients(rep)]
-    for i in range(nv):
-        for j in range(nv):
-            rhs = kron_sum([(F.one, rows[i * nv + k], rows[k * nv + j])
-                            for k in range(nv)])
-            if dual.delta(rows[i * nv + j].data[0]) != rhs.data[0]:
-                out.fail({"coefficient": [i, j]})
     return out
 
 
@@ -317,75 +295,6 @@ def hit_action(h: HopfAlgebra, name=None) -> ModuleAlgebraAction:
     if not check.ok:
         raise ValueError(f"hit action failed measuring verification: {check.witnesses[:3]}")
     return act
-
-
-def determinant(m: Matrix):
-    """Exact determinant by elimination (small matrices only)."""
-    F = m.field
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.nrows
-    rows = [list(r) for r in m.data]
-    det = F.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not F.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return F.zero
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = F.neg(det)
-        det = F.mul(det, rows[c][c])
-        inv = F.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if not F.is_zero(rows[i][c]):
-                f = F.mul(rows[i][c], inv)
-                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[c][j])) for j in range(n)]
-    return det
-
-
-def cofactor(m: Matrix, i, j):
-    """(i, j) cofactor: signed minor with row i and column j removed."""
-    F = m.field
-    sub = [[m.data[r][c] for c in range(m.ncols) if c != j]
-           for r in range(m.nrows) if r != i]
-    minor = determinant(Matrix.from_rows(F, sub, m.ncols - 1)) if m.nrows > 1 else F.one
-    return minor if (i + j) % 2 == 0 else F.neg(minor)
-
-
-def group_coeff_antipode_check(rep: Representation) -> Report:
-    """For group-algebra representations: the antipode image of each matrix
-    coefficient evaluates at g to cofactor_{j,i}(rho g) / det(rho g)."""
-    out = Report("grouplike-coefficient-cofactors", details={"name": rep.name})
-    h = rep.hopf
-    F = h.field
-    n = h.dim
-    if not is_group_basis(h):
-        out.status = "error"
-        out.details["reason"] = "hopf algebra basis is not grouplike"
-        return out
-    dual = dual_hopf(h)
-    coeffs = matrix_coefficients(rep)
-    nv = rep.dim_v
-    for g in range(n):
-        mat = rep.rho[g]
-        det = determinant(mat)
-        if F.is_zero(det):
-            out.status = "error"
-            out.details["reason"] = f"rho of group element {g} is singular"
-            return out
-        dinv = F.inv(det)
-        for i in range(nv):
-            for j in range(nv):
-                srho = dual.s_apply(coeffs[i * nv + j])
-                lhs = srho[g]
-                rhs = F.mul(cofactor(mat, j, i), dinv)
-                if lhs != rhs:
-                    out.fail({"group-element": g, "coefficient": [i, j]})
-    return out
 
 
 # -- stock action builders -----------------------------------------------------

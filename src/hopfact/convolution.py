@@ -64,14 +64,14 @@ class ConvElement:
 class ConvolutionAlgebra:
     """B = Hom(H, A) with (f*g)(h) = f(h_1) g(h_2), built from an action."""
 
-    def __init__(self, act: ModuleAlgebraAction, dim_cap=DEFAULT_DIM_CAP):
+    def __init__(self, act: ModuleAlgebraAction):
         self.action = act
         self.hopf = act.hopf
         self.alg = act.alg
         self.dim = self.hopf.dim * self.alg.dim
-        if self.dim > dim_cap:
-            raise ValueError(
-                f"convolution algebra dim {self.dim} exceeds cap {dim_cap}")
+        if self.dim > DEFAULT_DIM_CAP:
+            raise ValueError(f"convolution algebra dim {self.dim} exceeds cap "
+                             f"{DEFAULT_DIM_CAP}")
         self.field = act.field
 
     def index(self, p, q):

@@ -25,9 +25,9 @@ import itertools
 from functools import cached_property, partial
 from math import comb
 
-from .linalg import (GF, Field, Matrix, Subspace, kernel, closure, combine,
-                     is_stable, kron_sum, nonzero_terms, parse_dense, spin,
-                     support, _echelon_insert, _enumerable_prime, _residual)
+from .linalg import (GF, Field, Matrix, Subspace, closure, is_stable,
+                     nonzero_terms, parse_dense, spin, support, _echelon_insert,
+                     _residual)
 from .report import Report
 
 
@@ -507,24 +507,6 @@ def is_cocommutative(h: HopfAlgebra) -> bool:
                for col in h.comul_sparse)
 
 
-def antipode_involutory(h: HopfAlgebra) -> bool:
-    return h.antipode.mat_mul(h.antipode) == Matrix.identity(h.field, h.dim)
-
-
-def antipode_antihom_report(h: HopfAlgebra) -> Report:
-    """S(xy) = S(y)S(x) on all basis pairs."""
-    rep = Report("antipode-antihomomorphism", details={"name": h.name})
-    F, n, alg = h.field, h.dim, h.alg
-    scol = [h.s_apply([F.one if t == i else F.zero for t in range(n)]) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = h.s_apply(alg.basis_product(i, j))
-            rhs = alg.multiply(scol[j], scol[i])
-            if lhs != rhs:
-                rep.fail({"pair": [i, j]})
-    return rep
-
-
 # -- constructors --------------------------------------------------------------
 
 def _check_group_table(table):
@@ -642,35 +624,6 @@ def is_group_basis(h: HopfAlgebra) -> bool:
                for j in range(h.dim))
 
 
-def is_grouplike(h: HopfAlgebra, x) -> bool:
-    """delta x = x (x) x and eps(x) = 1."""
-    F = h.field
-    row = Matrix.from_rows(F, [x])
-    return (h.eps(x) == F.one
-            and h.delta(x) == kron_sum([(F.one, row, row)]).data[0])
-
-
-def enumerate_grouplikes(h: HopfAlgebra, bound=None):
-    """All grouplikes by exhaustion over F_p**n (prime fields, small dims)."""
-    F = h.field
-    p = _enumerable_prime(F, h.dim, bound)
-    out = []
-    for coords in itertools.product(range(p), repeat=h.dim):
-        x = [F.from_int(c) for c in coords]
-        if is_grouplike(h, x):
-            out.append(x)
-    return out
-
-
-def primitives(h: HopfAlgebra) -> Subspace:
-    """Solution space of delta x = x (x) 1 + 1 (x) x."""
-    F = h.field
-    ident = Matrix.identity(F, h.dim)
-    unit = Matrix.from_rows(F, [h.alg.unit]).transpose()
-    twice = kron_sum([(F.one, ident, unit), (F.one, unit, ident)])
-    return kernel(combine([F.one, F.neg(F.one)], [h.comul, twice]))
-
-
 # -- bundled constructors used across the fixture corpus ----------------------
 
 def cyclic_group_table(n):
@@ -713,13 +666,6 @@ def sweedler_hopf(field: Field, name="sweedler4") -> HopfAlgebra:
     # S(g) = g, S(x) = -gx, S(gx) = x
     antipode = [[(0, one)], [(1, one)], [(3, neg)], [(2, one)]]
     return HopfAlgebra(alg, comul, [one, one, z, z], antipode, name=name)
-
-
-def trivial_hopf(field: Field, name="base-field") -> HopfAlgebra:
-    """H = k: the one-dimensional Hopf algebra."""
-    F = field
-    alg = FiniteAlgebra.from_terms(F, 1, [[[(0, F.one)]]], [F.one], name=name)
-    return HopfAlgebra(alg, [[(0, 0, F.one)]], [F.one], [[(0, F.one)]], name=name)
 
 
 def matrix_algebra(field: Field, n, name=None) -> FiniteAlgebra:
@@ -796,24 +742,3 @@ def restricted_line_hopf(p, name=None) -> HopfAlgebra:
     antipode = [[(k, F.from_int((-1) ** k))] for k in range(p)]
     counit = [F.one] + [F.zero] * (p - 1)
     return HopfAlgebra(alg, comul, counit, antipode, name=alg.name)
-
-
-def poly_quotient_algebra(field: Field, minpoly, name=None) -> FiniteAlgebra:
-    """k[t]/(m) for a monic polynomial m given by its coefficient list."""
-    F = field
-    coeffs = [F.parse(c) for c in minpoly]
-    if coeffs[-1] != F.one:
-        raise ValueError("minimal polynomial must be monic")
-    n = len(coeffs) - 1
-    # reduction of t^n
-    red = [F.neg(c) for c in coeffs[:n]]
-    powers = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-    # powers[i] = coords of t^i; extend through t^(2n-2)
-    for i in range(n, 2 * n - 1):
-        prev = powers[i - 1]
-        shifted = [F.zero] + prev[:-1]
-        top = prev[-1]
-        powers.append([F.add(shifted[j], F.mul(top, red[j])) for j in range(n)])
-    terms = [[nonzero_terms(F, powers[i + j]) for j in range(n)] for i in range(n)]
-    unit = [F.one] + [F.zero] * (n - 1)
-    return FiniteAlgebra.from_terms(F, n, terms, unit, name=name)

@@ -25,14 +25,13 @@ distinct cores of the primes, each with its fiber of the spectrum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Field, Matrix, Subspace, kernel, kron_sum, solve,
-                     subspace_intersect, subspace_sum, stable_subspaces,
-                     projection_matrix, closure, largest_stable_inside,
-                     nonzero_terms, pull_back, rational, sparse_apply, support,
-                     EnumerationBound)
+                     subspace_intersect, stable_subspaces, projection_matrix,
+                     closure, largest_stable_inside, nonzero_terms, pull_back,
+                     rational, sparse_apply, support, EnumerationBound)
 from .hopf import (FiniteAlgebra, ideal_closure, subspace_is_ideal,
                    is_cocommutative, is_group_basis, tensor_algebra_prod)
 from .action import (ModuleAlgebraAction, action_from_operators, hit_action,
@@ -54,14 +53,13 @@ class Ideal:
     """A two-sided ideal of a FiniteAlgebra in canonical subspace form."""
 
     def __init__(self, alg: FiniteAlgebra, space: Subspace, check=True,
-                 h_stable=None, name=None):
+                 name=None):
         if space.ambient_dim != alg.dim:
             raise ValueError("ideal subspace must live in the algebra")
         if check and not subspace_is_ideal(alg, space):
             raise ValueError("subspace is not a two-sided ideal")
         self.alg = alg
         self.space = space
-        self.h_stable = h_stable
         self.name = name
 
     @classmethod
@@ -102,29 +100,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self.name or '?'}, dim={self.dim} of {self.alg.name})"
-
-
-def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
-    _same_alg(i, j)
-    return Ideal(i.alg, subspace_sum(i.space, j.space), check=False)
-
-
-def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
-    _same_alg(i, j)
-    return Ideal(i.alg, subspace_intersect(i.space, j.space), check=False)
-
-
-def ideal_product(i: Ideal, j: Ideal) -> Ideal:
-    """Span of pairwise products; already two-sided for two-sided inputs."""
-    _same_alg(i, j)
-    alg = i.alg
-    vecs = [alg.multiply(list(x), list(y)) for x in i.space.rows for y in j.space.rows]
-    return Ideal(alg, Subspace.from_vectors(alg.field, alg.dim, vecs), check=True)
-
-
-def _same_alg(i, j):
-    if i.alg is not j.alg:
-        raise ValueError("ideals live in different algebras")
 
 
 # -- quotients and subalgebras -------------------------------------------------
@@ -538,14 +513,6 @@ def is_completely_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
     return is_prime(alg, ideal)
 
 
-def heart(alg: FiniteAlgebra, prime: Ideal):
-    """Center of the simple quotient: a field, reported by its dimension."""
-    Z = _simple_center(quotient_algebra(alg, prime.space)[0])
-    if Z is None:
-        raise ValueError("heart of a non-prime ideal")
-    return {"field": alg.field.to_json(), "dim": Z.dim}
-
-
 # -- H-cores ---------------------------------------------------------------------
 
 def core(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
@@ -559,7 +526,7 @@ def core(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
     if ideal.alg is not act.alg:
         raise ValueError("ideal does not live on the acted algebra")
     space = largest_stable_inside(ideal.space, act.generator_operators)
-    out = Ideal(act.alg, space, check=True, h_stable=True, name="core")
+    out = Ideal(act.alg, space, check=True, name="core")
     if not out.space.le(ideal.space):
         raise RuntimeError("computed core escapes the ideal")
     if not act.subspace_stable(out.space):
@@ -574,7 +541,7 @@ def core_via_psi(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
     conv = ConvolutionAlgebra(act)
     t = transport_subspace(conv, ideal.space)
     space = pull_back(conv.iota_matrix, conv.iota_image, t)
-    return Ideal(act.alg, space, check=True, h_stable=True, name="core-via-twist")
+    return Ideal(act.alg, space, check=True, name="core-via-twist")
 
 
 def group_core_by_intersection(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
@@ -706,7 +673,7 @@ def reformulation_check(act: ModuleAlgebraAction, ideal: Ideal) -> Report:
     acted_span = Subspace.from_vectors(F, alg.dim, acted)
     # the smallest action-stable ideal containing I
     j_space = closure(ideal.space, alg.generator_operators + act.generator_operators)
-    j = Ideal(alg, j_space, check=True, h_stable=True)
+    j = Ideal(alg, j_space, check=True)
     # with a bijective antipode the plain acted span is already that ideal
     hi_span = Subspace.from_vectors(
         F, alg.dim, [act.act_basis(i, list(r))
@@ -772,7 +739,6 @@ class StratumAlgebra:
     entries: list                         # spectrum of the stratum algebra
     h_primes: list                        # distinct cores of its primes
     stable_primes: list                   # primes literally action-stable
-    notes: dict = dc_field(default_factory=dict)
 
 
 def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal, quotient=None):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hopfact.linalg import QQ, Matrix, Subspace, is_stable, subspace_count
-from hopfact.hopf import verify_algebra, trivial_hopf
+from hopfact import convolution
+from hopfact.hopf import cyclic_group_table, group_algebra, verify_algebra
 from hopfact.action import trivial_action
 from hopfact.convolution import (ConvolutionAlgebra, ConvElement, identity_report,
                                  embedding_report, check_intertwining,
@@ -30,7 +31,7 @@ def test_dimensions_and_unit(ws):
 def test_degenerate_factors():
     # H = k: the convolution algebra is A itself
     from hopfact.hopf import matrix_algebra
-    k = trivial_hopf(QQ)
+    k = group_algebra(cyclic_group_table(1), QQ)
     a = matrix_algebra(QQ, 2)
     conv = ConvolutionAlgebra(trivial_action(k, a))
     assert conv.dim == 4
@@ -215,16 +216,17 @@ def test_stability_scan_degenerate_hopf(ws):
     # H = k: every subspace of A is of the form W (x) k
     from hopfact.action import trivial_action
     from hopfact.linalg import GF, subspace_count
-    k = trivial_hopf(GF(2))
+    k = group_algebra(cyclic_group_table(1), GF(2))
     conv = ConvolutionAlgebra(trivial_action(k, ws.algebras["f2xf2"]))
     rep = stability_scan(conv)
     assert rep.status == "pass"
     assert rep.details["stable-count"] == subspace_count(2, 2)
 
 
-def test_dim_cap(ws):
+def test_dim_cap(ws, monkeypatch):
+    monkeypatch.setattr(convolution, "DEFAULT_DIM_CAP", 4)
     with pytest.raises(ValueError):
-        ConvolutionAlgebra(ws.actions["conj"], dim_cap=4)
+        ConvolutionAlgebra(ws.actions["conj"])
 
 
 def test_f3_sweedler_lattice_at_full_bound(ws):

@@ -2,15 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfact.linalg import QQ, GF, EnumerationBound
+from hopfact.linalg import QQ, GF
 from hopfact.hopf import (FiniteAlgebra, group_algebra, dual_hopf, tensor_hopf,
                           tensor_algebra_prod, verify_algebra, verify_hopf,
-                          is_cocommutative, is_grouplike, enumerate_grouplikes,
-                          primitives, restricted_line_hopf,
+                          is_cocommutative, restricted_line_hopf,
                           cyclic_group_table, symmetric_group_table,
-                          matrix_algebra, antipode_involutory,
-                          antipode_antihom_report, ideal_closure,
-                          trivial_hopf)
+                          matrix_algebra, ideal_closure)
 
 
 def test_verify_algebra_examples(ws):
@@ -104,57 +101,16 @@ def test_tensor_products(ws):
     klein = group_algebra([[i ^ j for j in range(4)] for i in range(4)], QQ)
     assert t.alg.mult == klein.alg.mult
     # tensoring with the base field changes nothing
-    k = trivial_hopf(QQ)
+    k = group_algebra(cyclic_group_table(1), QQ)
     ta = tensor_algebra_prod(c2.alg, k.alg)
     assert ta.mult == c2.alg.mult and ta.unit == c2.alg.unit
 
 
-def test_grouplikes(ws):
-    c2 = ws.hopfs["qc2"]
-    assert is_grouplike(c2, [0, 1])
-    f2c2 = ws.hopfs["f2c2"]
-    assert not is_grouplike(f2c2, [1, 1])   # 1 + g
-    dq = ws.hopfs["qc2dual"]
-    # the two characters of C2 in the idempotent basis
-    assert is_grouplike(dq, [1, 1]) and is_grouplike(dq, [1, -1])
-    assert not is_grouplike(dq, [1, 0])
-    # over F_2 the dual has only the counit as grouplike
-    d2 = ws.hopfs["f2c2dual"]
-    assert enumerate_grouplikes(d2) == [[1, 1]]
-    with pytest.raises(EnumerationBound):
-        enumerate_grouplikes(ws.hopfs["qc2"])
-
-
-def test_group_algebra_grouplikes_contain_basis(ws):
-    s3 = ws.hopfs["qs3"]
-    for j in range(6):
-        assert is_grouplike(s3, s3.basis_vector(j))
-
-
 def test_primitives():
-    # oracle: coproduct of a group algebra is diagonal, so the primitive
-    # system forces x = 0 over Q
-    assert primitives(group_algebra(cyclic_group_table(2), QQ)).dim == 0
-    # group algebra in char 2: still none (1+g is NOT primitive; its
-    # coproduct is 1(x)1 + g(x)g)
-    assert primitives(group_algebra(cyclic_group_table(2), GF(2))).dim == 0
-    # the dual in char 2 has the delta-at-g functional primitive
-    d2 = dual_hopf(group_algebra(cyclic_group_table(2), GF(2)))
-    assert primitives(d2).rows == ((0, 1),)
-    # truncated polynomial bialgebra: span of the degree-one generator
+    # x primitive, x -> x (x) 1 + 1 (x) x, is multiplicative on F_p[x]/(x^p)
+    # because the binomial coefficients of (x (x) 1 + 1 (x) x)^p vanish mod p
     for p in (2, 3, 5):
-        line = restricted_line_hopf(p)
-        assert verify_hopf(line).status == "pass"
-        prim = primitives(line)
-        assert prim.rows == (tuple(1 if i == 1 else 0 for i in range(p)),)
-
-
-def test_antipode_properties(ws):
-    for name in ("qc2", "qs3", "qc2dual", "qs3dual", "sweedler4"):
-        assert antipode_antihom_report(ws.hopfs[name]).status == "pass"
-    # cocommutative implies involutory; the Sweedler antipode has order 4
-    assert antipode_involutory(ws.hopfs["qs3"])
-    assert not antipode_involutory(ws.hopfs["sweedler4"])
+        assert verify_hopf(restricted_line_hopf(p)).status == "pass"
 
 
 def test_sweedler_relations(ws):

@@ -5,24 +5,45 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfact.linalg import QQ, GF, Matrix, Subspace, closure, kernel, stable_subspaces
+from hopfact.linalg import (QQ, GF, Matrix, Subspace, closure, kernel,
+                            nonzero_terms, stable_subspaces)
 from hopfact.action import action_from_operators, verify_action
-from hopfact.hopf import (matrix_algebra, truncated_poly_algebra,
+from hopfact.hopf import (FiniteAlgebra, matrix_algebra, truncated_poly_algebra,
                           product_field_algebra, upper_triangular_algebra,
-                          poly_quotient_algebra, group_algebra,
-                          cyclic_group_table)
-from hopfact.ideals import (Ideal, ideal_sum, ideal_intersect, ideal_product,
-                            quotient_algebra, center_subspace, minimal_polynomial,
-                            factor_irreducible, radical, split_primitive_idempotents,
-                            is_semiprime, is_prime, is_completely_prime, spectrum,
-                            heart, core, core_via_psi, group_core_by_intersection,
-                            h_spectrum, strata, certify_h_prime,
-                            semiprime_core_check, reformulation_check,
-                            composite_core, UnsupportedComputation)
+                          group_algebra, cyclic_group_table)
+from hopfact.ideals import (Ideal, quotient_algebra, center_subspace,
+                            minimal_polynomial, factor_irreducible, radical,
+                            split_primitive_idempotents, is_semiprime, is_prime,
+                            is_completely_prime, spectrum, core, core_via_psi,
+                            group_core_by_intersection, h_spectrum, strata,
+                            certify_h_prime, semiprime_core_check,
+                            reformulation_check, composite_core,
+                            UnsupportedComputation)
 from hopfact import ideals
 from hopfact.convolution import DEFAULT_DIM_CAP
 
 from test_merged_helpers import ideal_operators_oracle
+
+
+def poly_quotient_algebra(field, minpoly, name=None):
+    """k[t]/(m) for a monic polynomial m given by its coefficient list."""
+    F = field
+    coeffs = [F.parse(c) for c in minpoly]
+    if coeffs[-1] != F.one:
+        raise ValueError("minimal polynomial must be monic")
+    n = len(coeffs) - 1
+    # reduction of t^n
+    red = [F.neg(c) for c in coeffs[:n]]
+    powers = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    # powers[i] = coords of t^i; extend through t^(2n-2)
+    for i in range(n, 2 * n - 1):
+        prev = powers[i - 1]
+        shifted = [F.zero] + prev[:-1]
+        top = prev[-1]
+        powers.append([F.add(shifted[j], F.mul(top, red[j])) for j in range(n)])
+    terms = [[nonzero_terms(F, powers[i + j]) for j in range(n)] for i in range(n)]
+    unit = [F.one] + [F.zero] * (n - 1)
+    return FiniteAlgebra.from_terms(F, n, terms, unit, name=name)
 
 
 def test_ideal_construction_checks(ws):
@@ -30,21 +51,7 @@ def test_ideal_construction_checks(ws):
     with pytest.raises(ValueError):
         Ideal(m2, Subspace.from_vectors(QQ, 4, [[0, 1, 0, 0]]))
     assert Ideal.generate(m2, [[0, 1, 0, 0]]).dim == 4
-
-
-def test_ideal_ops(ws):
-    split = ws.algebras["qxq"]
-    e1 = Ideal.generate(split, [[1, 0]])
-    e2 = Ideal.generate(split, [[0, 1]])
-    assert ideal_sum(e1, e2).dim == 2
-    assert ideal_intersect(e1, e2).dim == 0
-    assert ideal_product(e1, e2).dim == 0
-    assert ideal_product(e1, e1).space == e1.space
-    # in F_2 C_2 the augmentation ideal squares to zero: (1+g)^2 = 0
-    f2c2 = ws.algebras["f2c2"]
-    aug = ws.ideals["aug2"]
-    assert ideal_product(aug, aug).dim == 0
-    assert Ideal.generate(split, []).dim == 0
+    assert Ideal.generate(ws.algebras["qxq"], []).dim == 0
 
 
 def test_quotient_algebra():
@@ -99,9 +106,11 @@ def test_radical_power_vanishes(ws):
     for name in ("f2c2", "qx3", "upper2q", "qjet"):
         alg = ws.algebras[name]
         rad = radical(alg)
-        power = rad
+        power = rad.space
         for _ in range(alg.dim):
-            power = ideal_product(power, rad)
+            power = Subspace.from_vectors(alg.field, alg.dim, [
+                alg.multiply(list(x), list(y)) for x in power.rows
+                for y in rad.space.rows])
         assert power.dim == 0
         q, _, _ = quotient_algebra(alg, rad.space)
         from hopfact.ideals import radical_subspace
@@ -188,15 +197,6 @@ def test_spectrum_inert_entries(ws):
     entries = spectrum(ws.algebras["f2c3"]) if "f2c3" in ws.algebras else \
         spectrum(group_algebra(cyclic_group_table(3), GF(2)).alg)
     assert sorted(e.heart_dim for e in entries) == [1, 2]
-
-
-def test_heart(ws):
-    m2 = ws.algebras["m2q"]
-    assert heart(m2, Ideal.zero(m2)) == {"field": {"kind": "rationals"}, "dim": 1}
-    x3 = ws.algebras["qx3"]
-    assert heart(x3, spectrum(x3)[0].prime)["dim"] == 1
-    with pytest.raises(ValueError):
-        heart(ws.algebras["qxq"], Ideal.zero(ws.algebras["qxq"]))
 
 
 def test_core_examples(ws):

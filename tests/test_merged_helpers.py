@@ -2,22 +2,21 @@
 
 The structure-constant builders, the convolution algebra, the twist and
 H-action builders, the Kronecker-product operators (embeddings, H* (x) W,
-the stratum action and embedding, primitives, grouplikes, coefficient
-coproducts, sub-Hopf pair spans), the coaction, the invariant solvers, the
-dual operations, the operator sums, the Frobenius kernel and the H-spectrum
-are compared with the direct loops they replaced (kept here as test-only
-oracles), and so are the plain-integer hot loops (matrix products,
-elimination, the operator sums, subspace reduction, the trace-form Gram
-matrix, polynomial evaluation) with their Field-method bodies, the
-verifiers' generator fast paths with full basis scans, and the block
-splitter with its route before the t^2 - t shortcut, the stable-subspace
-lattice with its route that spun every line and joined every cyclic and
-with the dense-row route its packed rows replaced, the packed-row
+the stratum action and embedding, sub-Hopf pair spans), the coaction, the
+invariant solvers, the dual operations, the operator sums, the Frobenius
+kernel and the H-spectrum are compared with the direct loops they replaced
+(kept here as test-only oracles), and so are the plain-integer hot loops
+(matrix products, elimination, the operator sums, subspace reduction, the
+trace-form Gram matrix, polynomial evaluation) with their Field-method
+bodies, the verifiers' generator fast paths with full basis scans, and the
+block splitter with its route before the t^2 - t shortcut, the
+stable-subspace lattice with its route that spun every line and joined every
+cyclic and with the dense-row route its packed rows replaced, the packed-row
 primitives with list arithmetic mod p, and the echelon spinner's closure,
 largest stable subspace, algebra generators and insert with the rounds,
 fixed point, sparse echelon and int-mod-p insert they replaced, the
-structure layer (trace form, center, quotients, subalgebras, ideal tests
-and closures on algebra generators) with the dense loops it replaced, and
+structure layer (trace form, center, quotients, subalgebras, ideal tests and
+closures on algebra generators) with the dense loops it replaced, and
 elimination with its loop that inverted every pivot and cleared whole rows,
 and the stability tests on generators (core, subspace_stable, the H-ideal,
 ideal and stability-scan lattices, certify_h_prime, reformulation_check)
@@ -46,17 +45,15 @@ from hopfact import linalg
 from hopfact.hopf import (FiniteAlgebra, HopfAlgebra, group_algebra,
                           cyclic_group_table, dual_hopf,
                           dual_number_plane_algebra, is_cocommutative,
-                          is_group_basis, is_grouplike, matrix_algebra,
-                          primitives, product_field_algebra,
+                          is_group_basis, matrix_algebra, product_field_algebra,
                           restricted_line_hopf, sweedler_hopf,
                           symmetric_group_table, tensor_hopf,
                           truncated_poly_algebra, upper_triangular_algebra,
                           verify_algebra, verify_hopf)
 from hopfact.workspace import Workspace, load_bundled, load_hopf
 from hopfact.action import (ModuleAlgebraAction, Representation,
-                            coefficient_comul_report, coefficient_subalgebra,
-                            hit_action, invariants, matrix_coefficients,
-                            verify_action, verify_sub_hopf)
+                            coefficient_subalgebra, hit_action, invariants_of,
+                            matrix_coefficients, verify_action, verify_sub_hopf)
 from hopfact import convolution
 from hopfact.convolution import ConvElement, ConvolutionAlgebra
 from hopfact.ideals import (Ideal, UnsupportedComputation, _build_stratum_pieces,
@@ -426,7 +423,8 @@ def test_del_matrix_is_comodule_map(ws):
 
 def test_invariants_match_direct_systems(ws):
     for name, act in all_actions(ws):
-        assert invariants(act) == action_invariants_oracle(act), name
+        assert (invariants_of(act.operator_matrices, act.hopf.counit)
+                == action_invariants_oracle(act)), name
         conv = ConvolutionAlgebra(act)
         for ops in (conv.rh_operators, conv.dot_operators):
             assert conv.invariants_of(ops) == operator_invariants_oracle(conv, ops), name
@@ -866,100 +864,6 @@ def test_stratum_pieces_match_index_loops(ws):
     assert built == 13
 
 
-def primitives_oracle(h):
-    """Kernel of delta - (x (x) 1 + 1 (x) x), row by row."""
-    F = h.field
-    n = h.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            row = []
-            for j in range(n):
-                c = h.comul.data[i * n + k][j]
-                if i == j:
-                    c = F.sub(c, h.alg.unit[k])
-                if k == j:
-                    c = F.sub(c, h.alg.unit[i])
-                row.append(c)
-            rows.append(row)
-    return kernel(Matrix.from_rows(F, rows, n))
-
-
-def is_grouplike_oracle(h, x):
-    F = h.field
-    n = h.dim
-    if h.eps(x) != F.one:
-        return False
-    dx = h.delta(x)
-    return all(dx[i * n + k] == F.mul(x[i], x[k]) for i in range(n) for k in range(n))
-
-
-def hopfs_under_test(ws):
-    return (sorted(ws.hopfs.items())
-            + [(f"line{p}", restricted_line_hopf(p)) for p in (2, 3, 5)]
-            + [("kC3-rebased", c3_on_three_points_rebased().hopf)])
-
-
-def test_primitives_and_grouplikes_match_index_loops(ws):
-    for name, h in hopfs_under_test(ws):
-        assert primitives(h) == primitives_oracle(h), name
-        F = h.field
-        p = F.characteristic()
-        if p and p ** h.dim <= 256:
-            vecs = [[F.from_int(c) for c in coords]
-                    for coords in itertools.product(range(p), repeat=h.dim)]
-        else:
-            rng = random.Random(f"grouplike/{name}")
-            vecs = [h.basis_vector(i) for i in range(h.dim)] + [list(h.alg.unit)]
-            vecs += [[F.parse(rng.choice([-1, 0, 0, 1])) for _ in range(h.dim)]
-                     for _ in range(20)]
-        for x in vecs:
-            assert is_grouplike(h, x) == is_grouplike_oracle(h, x), (name, x)
-
-
-def coefficient_comul_oracle(rep):
-    """The (i, j) whose coproduct differs from sum_k rho_ik (x) rho_kj, with
-    the right-hand side by the index loop."""
-    h = rep.hopf
-    F = h.field
-    n, nv = h.dim, rep.dim_v
-    dual = dual_hopf(h)
-    coeffs = matrix_coefficients(rep)
-    failures = []
-    for i in range(nv):
-        for j in range(nv):
-            rhs = [F.zero] * (n * n)
-            for k in range(nv):
-                a = coeffs[i * nv + k]
-                b = coeffs[k * nv + j]
-                for s in range(n):
-                    if F.is_zero(a[s]):
-                        continue
-                    for t in range(n):
-                        if not F.is_zero(b[t]):
-                            rhs[s * n + t] = F.add(rhs[s * n + t], F.mul(a[s], b[t]))
-            if dual.delta(coeffs[i * nv + j]) != rhs:
-                failures.append({"coefficient": [i, j]})
-    return failures
-
-
-def test_coefficient_comultiplication_matches_index_loop(ws):
-    reps = sorted(ws.representations.items())
-    rng = random.Random("coefficient-comul")
-    for name, h in sorted(ws.hopfs.items()):
-        # matrices that are not a representation: some coefficients fail
-        nv = rng.randint(1, 2)
-        rho = [[[rng.choice([-1, 0, 0, 1]) for _ in range(nv)] for _ in range(nv)]
-               for _ in range(h.dim)]
-        reps.append((f"random/{name}", Representation(h, rho, name=name)))
-    failing = 0
-    for name, rep in reps:
-        want = coefficient_comul_oracle(rep)
-        assert coefficient_comul_report(rep).witnesses == want, name
-        failing += bool(want)
-    assert failing >= 5
-
-
 def sub_hopf_oracle(h, sub):
     """verify_sub_hopf's failures, with the pair span f (x) g by the index loop."""
     F = h.field
@@ -1362,7 +1266,7 @@ def fraction_workspace():
         rows = tuple(tuple(frac(r)) for r in sp.rows)
         return once(i, sp.field, lambda: Ideal(
             alg(i.alg), Subspace(sp.field, sp.ambient_dim, rows, sp.pivots, _canonical=True),
-            check=False, h_stable=i.h_stable, name=i.name))
+            check=False, name=i.name))
 
     def representation(r):
         def build():

@@ -107,10 +107,10 @@ def test_induced_action_requires_stability(ws):
 def test_stratum_algebra_base_field_hopf(ws):
     # H = k: the stratum algebra is just the center and the reachable
     # H-primes are the primes themselves
-    from hopfact.hopf import trivial_hopf
+    from hopfact.hopf import cyclic_group_table, group_algebra
     from hopfact.action import trivial_action
     from hopfact.linalg import QQ
-    k = trivial_hopf(QQ)
+    k = group_algebra(cyclic_group_table(1), QQ)
     act = trivial_action(k, ws.algebras["m2q"])
     sa = stratum_algebra(act, Ideal.zero(ws.algebras["m2q"]))
     assert sa.algebra.dim == 1

@@ -409,9 +409,9 @@ def test_cli_stability_scan_refuses_a_join_past_the_cap(tmp_path, capsys):
     # the trivial Hopf algebra on F_2^7: every one of its 29k subspaces is
     # stable, so the lattice join passes JOIN_CAP and refuses (exit 2)
     from hopfact.action import trivial_action
-    from hopfact.hopf import product_field_algebra, trivial_hopf
+    from hopfact.hopf import cyclic_group_table, group_algebra, product_field_algebra
     from hopfact.linalg import GF, JOIN_CAP
-    hopf = trivial_hopf(GF(2), name="k")
+    hopf = group_algebra(cyclic_group_table(1), GF(2), name="k")
     alg = product_field_algebra(GF(2), 7, name="k7")
     act = trivial_action(hopf, alg, name="triv7")
     for name, obj in (("k", hopf), ("k7", alg), ("triv7", act)):
