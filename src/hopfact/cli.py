@@ -152,11 +152,10 @@ def cmd_transport(ws, args):
     act = _action(ws, args.action)
     ideal = _ideal(ws, args.ideal, act.alg)
     conv = ConvolutionAlgebra(act)
-    rep = check_transport(conv, ideal.space)
+    t = transport_subspace(conv, ideal.space)
+    rep = check_transport(conv, ideal.space, t)
     F = act.field
-    rep.details["transported-basis"] = [
-        [F.render(c) for c in row]
-        for row in transport_subspace(conv, ideal.space).rows]
+    rep.details["transported-basis"] = [[F.render(c) for c in row] for row in t.rows]
     return rep
 
 

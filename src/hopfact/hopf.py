@@ -157,7 +157,8 @@ class FiniteAlgebra:
 
     @cached_property
     def generator_operators(self):
-        """Left and right multiplication by each of :attr:`generators`.
+        """Left multiplication L_g by each of :attr:`generators`, and right
+        multiplication R_g where it differs from L_g.
 
         In an associative unital algebra the x with x W in W form a unital
         subalgebra, and so do the x with W x in W, so these operators keep
@@ -165,8 +166,8 @@ class FiniteAlgebra:
         ops = []
         for i in self.generators:
             e = self.basis_vector(i)
-            ops.append(self.left_mult_matrix(e))
-            ops.append(self.right_mult_matrix(e))
+            left, right = self.left_mult_matrix(e), self.right_mult_matrix(e)
+            ops += [left] if left == right else [left, right]
         return ops
 
     def is_commutative(self):

@@ -534,21 +534,37 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def annihilator(u: Subspace) -> Subspace:
-    """Vectors killed by every basis functional row of u (dot pairing)."""
-    if u.dim == 0:
-        return Subspace.full(u.field, u.ambient_dim)
-    return kernel(u.to_matrix())
+    """Vectors killed by every basis functional row of u (dot pairing): read
+    off u's RREF rows, e_j minus row[j] e_pc over the pivots pc, for each
+    non-pivot column j."""
+    basis = []
+    for j in u.nonpivot_columns():
+        v = [0] * u.ambient_dim
+        v[j] = 1
+        for row, pc in zip(u.rows, u.pivots):
+            v[pc] = -row[j]
+        basis.append(u.field.reduce(v))
+    return Subspace.from_vectors(u.field, u.ambient_dim, basis)
+
+
+def _right_block(field, n, data, width):
+    """The subspace spanned by the right halves (past column ``n``) of the
+    rows of the RREF of ``data`` whose pivots lie past column ``n``: they
+    vanish on the left block, and their right halves are already RREF."""
+    rows, pivots = _rref_data(field, data, n + width)
+    k = bisect.bisect_left(pivots, n)
+    return Subspace(field, width, tuple(tuple(r[n:]) for r in rows[k:len(pivots)]),
+                    tuple(pc - n for pc in pivots[k:]), _canonical=True)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked annihilator system."""
+    """u meet v by Zassenhaus's elimination: the row space of [u | u ; v | 0]
+    meets the zero left block in 0 (x) (u meet v)."""
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspace intersect: ambient mismatch")
-    au, av = annihilator(u), annihilator(v)
-    rows = list(au.rows) + list(av.rows)
-    if not rows:
-        return Subspace.full(u.field, u.ambient_dim)
-    return kernel(Matrix.from_rows(u.field, rows, u.ambient_dim))
+    zero = (0,) * u.ambient_dim
+    return _right_block(u.field, u.ambient_dim,
+                        [r + r for r in u.rows] + [r + zero for r in v.rows], u.ambient_dim)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -621,14 +637,17 @@ def largest_stable_inside(space: Subspace, ops) -> Subspace:
 
 def pull_back(embed: Matrix, image: Subspace, sub: Subspace) -> Subspace:
     """Coordinates, through the injective ``embed``, of ``sub`` intersected
-    with ``image`` (the column span of ``embed``)."""
-    pulled = []
-    for r in subspace_intersect(sub, image).rows:
-        x = solve(embed, list(r))
-        if x is None:
-            raise RuntimeError("intersection escaped the image of the embedding")
-        pulled.append(x)
-    return Subspace.from_vectors(embed.field, embed.ncols, pulled)
+    with ``image`` (the column span of ``embed``): {x : embed x in sub}, as
+    the row space of [embed^T | I ; sub | 0] meets the zero left block.
+    Raises RuntimeError when ``image`` is not the span of the columns."""
+    k = embed.ncols
+    cols = embed.transpose().data
+    if image.dim != k or not all(map(image.contains, cols)):
+        raise RuntimeError("the image is not the column span of the embedding")
+    eye = Matrix.identity(embed.field, k).data
+    return _right_block(embed.field, embed.nrows,
+                        [c + e for c, e in zip(cols, eye)]
+                        + [list(r) + [0] * k for r in sub.rows], k)
 
 
 def gaussian_binomial(n, k, p):

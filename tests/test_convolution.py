@@ -139,8 +139,8 @@ def test_transport_trivial_ideals(ws):
     assert transport_subspace(conv, zero).dim == 0
     full = Subspace.full(QQ, 2)
     assert transport_subspace(conv, full).dim == conv.dim
-    assert check_transport(conv, zero).status == "pass"
-    assert check_transport(conv, full).status == "pass"
+    assert check_transport(conv, zero, transport_subspace(conv, zero)).status == "pass"
+    assert check_transport(conv, full, transport_subspace(conv, full)).status == "pass"
 
 
 def test_transport_roundtrip_named_ideals(ws):
@@ -149,14 +149,14 @@ def test_transport_roundtrip_named_ideals(ws):
     for aname, iname in cases:
         conv = conv_of(ws, aname)
         ideal = ws.ideals[iname]
-        rep = check_transport(conv, ideal.space)
+        rep = check_transport(conv, ideal.space, transport_subspace(conv, ideal.space))
         assert rep.status == "pass", (aname, iname, rep.witnesses)
 
 
 def test_transport_rejects_non_ideal(ws):
     conv = conv_of(ws, "swap")
     not_ideal = Subspace.from_vectors(QQ, 2, [[1, 2]])
-    rep = check_transport(conv, not_ideal)
+    rep = check_transport(conv, not_ideal, transport_subspace(conv, not_ideal))
     assert rep.status == "error"
 
 

@@ -20,8 +20,10 @@ closures on algebra generators) with the dense loops it replaced, and
 elimination with its loop that inverted every pivot and cleared whole rows,
 and the stability tests on generators (core, subspace_stable, the H-ideal,
 ideal and stability-scan lattices, certify_h_prime, reformulation_check)
-with the joint-kernel core and the all-basis operator lists they replaced;
-the subspace helpers are compared with brute force over small prime fields.
+with the joint-kernel core and the all-basis operator lists they replaced,
+and the one-elimination subspace moves (annihilator, intersection,
+pull-back, H* (x) W) with the routes that eliminated again; the subspace
+helpers are compared with brute force over small prime fields.
 """
 
 import bisect
@@ -71,12 +73,14 @@ _spec.loader.exec_module(goldens)
 # -- the direct loops, as oracles ------------------------------------------------
 
 def ideal_operators_oracle(alg):
-    """Left and right multiplication by every basis element, L_b and R_b in
-    basis order: the all-basis ideal test that the generators replaced."""
+    """Left multiplication L_b by every basis element b, followed by R_b
+    where R_b differs from L_b, in basis order: the all-basis ideal test
+    that the generators replaced."""
     ops = []
     for b in range(alg.dim):
         e = alg.basis_vector(b)
-        ops += [alg.left_mult_matrix(e), alg.right_mult_matrix(e)]
+        left, right = alg.left_mult_matrix(e), alg.right_mult_matrix(e)
+        ops += [left] + ([right] if right != left else [])
     return ops
 
 
@@ -1317,7 +1321,7 @@ def trace_form_kernel_oracle(alg):
     """_trace_form_kernel with a Field call per scalar."""
     F = alg.field
     n = alg.dim
-    L = ideal_operators_oracle(alg)[0::2]
+    L = [alg.left_mult_matrix(alg.basis_vector(b)) for b in range(n)]
     gram = [[F.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -1584,6 +1588,112 @@ def test_operator_sums_and_elimination_match_field_method_loops(field):
             assert sub.coords_in_basis(v) == coords_in_basis_oracle(sub, v)
         assert sub.contains(member)
     check()
+
+
+# -- one elimination per subspace move against the routes it replaced -------------
+#
+# annihilator eliminated u's RREF rows again, subspace_intersect took the kernel
+# of the stacked annihilators, pull_back solved embed x = r for each row r of
+# sub meet image, and tensor_with_dual eliminated the Kronecker rows of I (x) W.
+
+def annihilator_oracle(u):
+    if u.dim == 0:
+        return Subspace.full(u.field, u.ambient_dim)
+    return kernel(u.to_matrix())
+
+
+def subspace_intersect_oracle(u, v):
+    au, av = annihilator_oracle(u), annihilator_oracle(v)
+    rows = list(au.rows) + list(av.rows)
+    if not rows:
+        return Subspace.full(u.field, u.ambient_dim)
+    return kernel(Matrix.from_rows(u.field, rows, u.ambient_dim))
+
+
+def pull_back_oracle(embed, image, sub):
+    pulled = []
+    for r in subspace_intersect_oracle(sub, image).rows:
+        x = solve(embed, list(r))
+        if x is None:
+            raise RuntimeError("intersection escaped the image of the embedding")
+        pulled.append(x)
+    return Subspace.from_vectors(embed.field, embed.ncols, pulled)
+
+
+def tensor_with_dual_kron_oracle(conv, sub_a):
+    F = conv.field
+    rows = kron_sum([(F.one, Matrix.identity(F, conv.hopf.dim), sub_a.to_matrix())])
+    return Subspace.from_vectors(F, conv.dim, rows.data)
+
+
+def same_subspace(got, want):
+    return got == want and got.pivots == want.pivots
+
+
+def move_subspaces(rng, field, n):
+    """Zero, full, random and rank-deficient subspaces of field**n (the last
+    spanned by a, b and a + b)."""
+    def vec():
+        return [field.parse(rng.choice([-2, -1, 0, 0, 1, 3])) for _ in range(n)]
+    out = [Subspace.zero(field, n), Subspace.full(field, n)]
+    for _ in range(3):
+        a, b = vec(), vec()
+        deficient = [a, b, field.reduce([x + y for x, y in zip(a, b)])]
+        out += [Subspace.from_vectors(field, n, [vec() for _ in range(rng.randint(1, n + 1))]),
+                Subspace.from_vectors(field, n, deficient)]
+    return out
+
+
+def injective_matrix(rng, field, n, k):
+    while True:
+        m = Matrix.from_rows(field, [[field.parse(rng.randint(-2, 2)) for _ in range(k)]
+                                     for _ in range(n)], k)
+        if Subspace.from_vectors(field, n, m.transpose().data).dim == k:
+            return m
+
+
+def outcome_or_refusal(move, *args):
+    try:
+        return move(*args)
+    except RuntimeError:
+        return "refused"
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS, ids=repr)
+def test_subspace_moves_match_old_routes(field):
+    rng = random.Random(f"subspace-moves/{field!r}")
+    refusals = 0
+    for n in range(6):
+        subs = move_subspaces(rng, field, n)
+        for u in subs:
+            assert same_subspace(linalg.annihilator(u), annihilator_oracle(u))
+            for v in subs:
+                assert same_subspace(subspace_intersect(u, v), subspace_intersect_oracle(u, v))
+        for k in range(n + 1):
+            embed = injective_matrix(rng, field, n, k)
+            span = Subspace.from_vectors(field, n, embed.transpose().data)
+            for sub in subs:
+                assert same_subspace(pull_back(embed, span, sub),
+                                     pull_back_oracle(embed, span, sub))
+                # any other image is refused, and so is every image the old
+                # route refused
+                for image in subs:
+                    if image != span:
+                        assert outcome_or_refusal(pull_back, embed, image, sub) == "refused"
+                        refusals += outcome_or_refusal(
+                            pull_back_oracle, embed, image, sub) == "refused"
+    assert refusals > 0
+
+
+@pytest.mark.parametrize("field", PLAIN_LOOP_FIELDS, ids=repr)
+def test_tensor_with_dual_matches_kronecker_route(ws, field):
+    rng = random.Random(f"dual-tensor-rref/{field!r}")
+    actions = [a for _, a in sorted(ws.actions.items()) if a.field == field]
+    for act in actions + stock_actions(field):
+        conv = ConvolutionAlgebra(act)
+        for sub in move_subspaces(rng, field, act.alg.dim):
+            assert same_subspace(conv.tensor_with_dual(sub),
+                                 tensor_with_dual_kron_oracle(conv, sub)), act.name
 
 
 # -- the generator fast paths against full basis scans ---------------------------
@@ -2787,9 +2897,10 @@ def center_oracle(alg):
     """Solutions of x e_i = e_i x for every basis element: n^2 rows of the
     ideal operators."""
     F, n = alg.field, alg.dim
-    ops = ideal_operators_oracle(alg)
+    basis = [alg.basis_vector(b) for b in range(n)]
     rows = [[F.sub(L.data[r][c], R.data[r][c]) for c in range(n)]
-            for L, R in zip(ops[0::2], ops[1::2]) for r in range(n)]
+            for L, R in zip(map(alg.left_mult_matrix, basis), map(alg.right_mult_matrix, basis))
+            for r in range(n)]
     return kernel(Matrix.from_rows(F, rows, n))
 
 
@@ -2884,14 +2995,30 @@ def test_structure_layer_matches_dense_loops(ws, field):
     assert verdicts.count(False) >= len(algebras) + len(short)
 
 
+def test_generator_operators_list_right_multiplication_where_it_differs():
+    for n in range(1, 5):
+        kx = product_field_algebra(QQ, n)
+        assert len(kx.generators) == n - 1
+        assert kx.generator_operators == [kx.left_mult_matrix(kx.basis_vector(g))
+                                          for g in kx.generators]
+        assert len(ideal_operators_oracle(kx)) == n
+    for alg in (matrix_algebra(QQ, 2), group_algebra(symmetric_group_table(3), QQ).alg):
+        basis = [alg.basis_vector(g) for g in alg.generators]
+        assert basis
+        assert alg.generator_operators == [m for e in basis for m in
+                                           (alg.left_mult_matrix(e), alg.right_mult_matrix(e))]
+
+
 # -- stability on generators against the all-basis operator lists ----------------
 #
 # core solved one joint kernel over every Hopf basis operator (core_oracle);
 # subspace_stable, certify_h_prime, reformulation_check and the lattices of
 # enumerate_h_ideals, check_dotinv_lattice and stability_scan took L_b and R_b
-# for every basis element b (ideal_operators_oracle) and one operator per
-# basis element of H and of H*.  With every basis index as the generators
-# (old_route), the same code runs on exactly those lists.
+# for every basis element b and one operator per basis element of H and of
+# H*.  A repeated operator keeps the same subspaces, so ideal_operators_oracle
+# lists R_b only where it differs from L_b, as generator_operators does.  With
+# every basis index as the generators (old_route), the same code runs on
+# exactly those lists.
 
 LATTICE_VECTORS = 3 ** 8    # p ** dim B up to which the lattices are compared
 
