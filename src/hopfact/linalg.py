@@ -558,8 +558,8 @@ def _right_block(field, n, data, width):
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """u meet v by Zassenhaus's elimination: the row space of [u | u ; v | 0]
-    meets the zero left block in 0 (x) (u meet v)."""
+    """u meet v by Zassenhaus's elimination: the vectors of the row space of
+    [u | u ; v | 0] that vanish on the left block are (0, w), w in u meet v."""
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise ValueError("subspace intersect: ambient mismatch")
     zero = (0,) * u.ambient_dim
@@ -637,8 +637,8 @@ def largest_stable_inside(space: Subspace, ops) -> Subspace:
 
 def pull_back(embed: Matrix, image: Subspace, sub: Subspace) -> Subspace:
     """Coordinates, through the injective ``embed``, of ``sub`` intersected
-    with ``image`` (the column span of ``embed``): {x : embed x in sub}, as
-    the row space of [embed^T | I ; sub | 0] meets the zero left block.
+    with ``image`` (the column span of ``embed``): {x : embed x in sub}, read
+    off the vectors (0, x) of the row space of [embed^T | I ; sub | 0].
     Raises RuntimeError when ``image`` is not the span of the columns."""
     k = embed.ncols
     cols = embed.transpose().data
