@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .linalg import GF, QQ, EnumerationBound
 from .report import Report, FAIL, ERROR
@@ -27,7 +26,6 @@ from .ideals import (core, core_via_psi, radical, spectrum, strata,
 from .lie import (lie_core, lie_semiprime_transfer_check, charp_grouplike_demo,
                   phi_multiplicativity_report, algebra_map_functional,
                   indices_up_to)
-from .suites import run_suite, SUITES
 
 
 class InputError(Exception):
@@ -234,6 +232,7 @@ def cmd_semiprime_core(ws, args):
 
 
 def cmd_suite(ws, args):
+    from .suites import run_suite, SUITES    # only this command needs them
     if args.name not in SUITES:
         raise InputError(f"unknown suite {args.name!r}; "
                         f"available: {sorted(SUITES)}")
@@ -307,6 +306,7 @@ def main(argv=None):
     try:
         return _run(args)
     except Exception as exc:    # not one of the mapped errors: a fault here
+        import traceback
         traceback.print_exc()
         _emit(args.json, [{"check": args.command, "status": "internal-error",
                            "reason": f"{type(exc).__name__}: {exc}"}])

@@ -6,11 +6,14 @@ come from splitting the center of the semisimple quotient into primitive
 idempotents.  A splitting element x whose minimal polynomial is t^2 - t is
 itself an idempotent and splits u into x and u - x with no polynomial
 arithmetic; this covers every center of k^X.  Any other minimal polynomial
-m goes to sympy, imported on the first factorization only: it factors m,
-and for each factor f it gives s with s (m / f) = 1 mod f, so that the
-block idempotent is ((s m / f) rem m)(x).  Center factors that are
-irreducible over the base field are kept as entries flagged inert (their
-heart is a proper field extension that is never constructed).
+m is factored exactly: its roots in the base field are peeled off by
+division (rational root theorem over Q, every residue over F_p), a
+root-free remainder of degree 2 or 3 is irreducible, and only a root-free
+remainder of degree >= 4 goes to sympy, imported then.  For each factor f
+the extended gcd gives s with s (m / f) = 1 mod f, so that the block
+idempotent is ((s m / f) rem m)(x).  Center factors irreducible over the
+base field are kept as entries flagged inert (their heart is a proper field
+extension that is never constructed).
 
 The radical is computed by one of two exact routes and refuses anything
 else: the trace-form kernel (characteristic zero, or p > dim), or the
@@ -25,7 +28,7 @@ distinct cores of the primes, each with its fiber of the spectrum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 from .linalg import (Field, Matrix, Subspace, kernel, kron_sum, solve,
@@ -196,18 +199,16 @@ def _kept(obj, key, compute):
     return kept
 
 
-# -- polynomials through sympy ---------------------------------------------------
+# -- polynomials: roots peeled exactly, sympy for the rest -------------------------
 
-def _sympy():
-    """sympy and the polynomial variable t, imported on first use: the import
-    costs more than most commands, and only a factorization needs it."""
-    import sympy
-    return sympy, sympy.Symbol("t")
+ROOT_SEARCH_MAX = 10_000    # largest p, or cleared |a_0|, |a_n| over Q, searched
 
 
 def _to_poly(F, coeffs):
-    """sympy polynomial in t over F from ascending coefficients."""
-    sympy, t = _sympy()
+    """sympy polynomial in t over F from ascending coefficients.  sympy is
+    imported here, on first use: the import costs more than most commands."""
+    import sympy
+    t = sympy.Symbol("t")
     if F.p is None:
         return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                            for c in reversed(coeffs)], t, domain="QQ")
@@ -215,30 +216,96 @@ def _to_poly(F, coeffs):
 
 
 def _from_poly(F, poly):
-    """Ascending coefficients over F of a sympy polynomial."""
+    """Ascending canonical coefficients over F of a sympy polynomial."""
     cs = reversed(poly.all_coeffs())
     if F.p is None:
-        return [sympy_rat_to_fraction(c) for c in cs]
+        return [rational(Fraction(int(c.p), int(c.q))) for c in cs]
     return [int(c) % F.p for c in cs]
 
 
-def factor_irreducible(field: Field, coeffs):
-    """Monic irreducible factors with multiplicities, exactly, via sympy."""
-    F = field
-    poly = _to_poly(F, coeffs)
-    if poly.degree() < 1:
-        raise ValueError("factoring a constant polynomial")
-    out = [(_from_poly(F, fac.monic()), int(mult))
-           for fac, mult in poly.factor_list()[1]]
-    out.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
+def _poly(F, coeffs):
+    """Ascending canonical coefficients, leading zeros dropped: [] is 0."""
+    out = [F.parse(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
-def sympy_rat_to_fraction(c):
-    """The canonical rational scalar of a sympy rational: an int when integral."""
-    sympy, _ = _sympy()
-    r = sympy.Rational(c)
-    return rational(Fraction(int(r.p), int(r.q)))
+def _poly_mul(F, a, b):
+    out = [F.zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly(F, F.reduce(out))
+
+
+def _poly_divmod(F, a, b):
+    """(q, r) with a = q b + r and deg r < deg b, for b != 0."""
+    r, n, inv = list(a), len(b) - 1, F.inv(b[-1])
+    q = [F.zero] * max(len(a) - n, 0)
+    for k in reversed(range(len(q))):
+        q[k] = c = F.mul(r[k + n], inv)
+        for j, y in enumerate(b):
+            r[k + j] = F.sub(r[k + j], F.mul(c, y))
+    return _poly(F, q), _poly(F, r[:n])
+
+
+def _poly_gcdex(F, a, b):
+    """(s, g): g = gcd(a, b) monic and s a = g mod b, deg s least (as sympy)."""
+    r0, r1, s0, s1 = a, b, [F.one], []
+    while r1:
+        q, rem = _poly_divmod(F, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly(F, [F.sub(x, y) for x, y in itertools.zip_longest(
+            s0, _poly_mul(F, q, s1), fillvalue=F.zero)])
+    inv = F.inv(r0[-1])
+    return [F.mul(c, inv) for c in s0], [F.mul(c, inv) for c in r0]
+
+
+def _root_candidates(F, m):
+    """A list holding every root of m in the base field, or None when the
+    search would pass ROOT_SEARCH_MAX: every residue over F_p, and over Q
+    0 and the +-r/s with r | a_0, s | a_n (rational root theorem, a_0 the
+    lowest nonzero coefficient of the integer-cleared m)."""
+    if F.p is not None:
+        return range(F.p) if F.p <= ROOT_SEARCH_MAX else None
+    scale = math.lcm(*(Fraction(c).denominator for c in m))
+    low, high = (abs(int(c * scale)) for c in (next(c for c in m if c), m[-1]))
+    if max(low, high) > ROOT_SEARCH_MAX:
+        return None
+    tops, bottoms = ([d for d in range(1, n + 1) if n % d == 0] for n in (low, high))
+    return list(dict.fromkeys([0] + [rational(Fraction(sign * r, s)) for r in tops
+                                     for s in bottoms for sign in (1, -1)]))
+
+
+def factor_irreducible(field: Field, coeffs):
+    """Monic irreducible factors with multiplicities, exactly.
+
+    Every root in the base field is peeled off by division by t - r, as
+    often as it divides.  A root-free remainder of degree 2 or 3 has no
+    factor of degree 1, so it is irreducible.  Only a root-free remainder
+    of degree >= 4, or an m whose root search would pass ROOT_SEARCH_MAX,
+    goes to sympy's ``factor_list``."""
+    F = field
+    m = _poly(F, coeffs)
+    if len(m) < 2:
+        raise ValueError("factoring a constant polynomial")
+    m = _poly_divmod(F, m, m[-1:])[0]       # monic
+    out = []
+    candidates = _root_candidates(F, m)
+    for r in candidates or ():
+        k, linear = 0, [F.neg(r), F.one]
+        while len(m) > 1 and not (qr := _poly_divmod(F, m, linear))[1]:
+            m, k = qr[0], k + 1
+        if k:
+            out.append((linear, k))
+    if 1 < len(m) <= 4 and candidates is not None:
+        out.append((m, 1))
+    elif len(m) > 1:
+        out += [(_from_poly(F, fac.monic()), int(mult))
+                for fac, mult in _to_poly(F, m).factor_list()[1]]
+    out.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
+    return out
 
 
 def minimal_polynomial(alg: FiniteAlgebra, x, unit=None):
@@ -404,16 +471,14 @@ def _try_split(Z: FiniteAlgebra, u):
             if len(mp) - 1 == d:
                 return None        # irreducible of full degree: a field
             continue
-        modulus = _to_poly(F, mp)
         pieces = []
         for fac, _ in factors:
-            f = _to_poly(F, fac)
-            n_i = modulus.quo(f)
-            s, _, g = n_i.gcdex(f)
-            if g.degree() != 0:
+            n_i = _poly_divmod(F, mp, fac)[0]
+            s, g = _poly_gcdex(F, n_i, fac)
+            if len(g) != 1:
                 raise RuntimeError("factors of a squarefree polynomial not coprime")
             # s * n_i = 1 mod fac; the idempotent is (s n_i)(x)
-            e_red = _from_poly(F, (s * n_i).rem(modulus))
+            e_red = _poly_divmod(F, _poly_mul(F, s, n_i), mp)[1]
             pieces.append(poly_eval_in_algebra(Z, e_red, x, unit=u))
         return pieces
     raise UnsupportedComputation(
@@ -444,12 +509,30 @@ def split_primitive_idempotents(Z: FiniteAlgebra):
     return done
 
 
-@dataclass(frozen=True)
 class SpectrumEntry:
-    prime: Ideal
-    simple_quotient_dim: int
-    heart_dim: int
-    inert: bool = False
+    """A prime with its block data: immutable, equal and hashed by value.  A
+    plain class, as ``report.Report``, so that no load imports ``dataclasses``."""
+
+    __slots__ = ("prime", "simple_quotient_dim", "heart_dim", "inert")
+
+    def __init__(self, prime, simple_quotient_dim, heart_dim, inert=False):
+        for name, value in zip(self.__slots__, (prime, simple_quotient_dim,
+                                                heart_dim, inert)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SpectrumEntry is immutable ({name!r})")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def to_json(self):
         return {"prime": self.prime.to_json(),
@@ -726,19 +809,15 @@ def induced_action(act: ModuleAlgebraAction, sub: Subspace, name=None,
     return bar, q, proj, lift
 
 
-@dataclass
 class StratumAlgebra:
-    """The commutative coefficient algebra attached to one stratum base."""
-    base_action: ModuleAlgebraAction      # induced action on A/I
-    quotient: FiniteAlgebra               # A/I
-    center_alg: FiniteAlgebra             # Z(A/I)
-    algebra: FiniteAlgebra                # Z(A/I) (x) H*
-    action: ModuleAlgebraAction           # combined H-action on it
-    conv: ConvolutionAlgebra              # B over A/I
-    embed: Matrix                         # C coordinates -> B coordinates
-    entries: list                         # spectrum of the stratum algebra
-    h_primes: list                        # distinct cores of its primes
-    stable_primes: list                   # primes literally action-stable
+    """The commutative coefficient algebra C = Z(A/I) (x) H* of one stratum
+    base, with its parts by keyword: ``base_action`` (on A/I), ``quotient``
+    (A/I), ``center_alg`` (Z(A/I)), ``algebra`` (C), ``action`` (on C),
+    ``conv`` (B over A/I), ``embed`` (C coordinates -> B coordinates), and
+    ``entries`` (the spectrum of C), ``h_primes`` and ``stable_primes``."""
+
+    def __init__(self, **parts):
+        self.__dict__.update(parts)
 
 
 def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal, quotient=None):

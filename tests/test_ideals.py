@@ -22,7 +22,7 @@ from hopfact.ideals import (Ideal, quotient_algebra, center_subspace,
 from hopfact import ideals
 from hopfact.convolution import DEFAULT_DIM_CAP
 
-from test_merged_helpers import ideal_operators_oracle
+from test_merged_helpers import ideal_operators_oracle, sympy_calls
 
 
 def poly_quotient_algebra(field, minpoly, name=None):
@@ -157,8 +157,7 @@ def spectrum_key(entries):
 
 def test_kept_spectrum_is_not_shared_with_callers(ws):
     """The spectrum is computed once per algebra; callers get new lists of
-    frozen entries, so nothing they do reaches the kept one."""
-    import dataclasses
+    immutable entries, so nothing they do reaches the kept one."""
     from hopfact.workspace import load_bundled
     alg = ws.algebras["qs3"]
     first, second = spectrum(alg), spectrum(alg)
@@ -168,8 +167,11 @@ def test_kept_spectrum_is_not_shared_with_callers(ws):
     second.reverse()
     second.append(None)
     assert spectrum_key(spectrum(alg)) == want
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="immutable"):
         spectrum(alg)[0].heart_dim = 7
+    with pytest.raises(AttributeError, match="immutable"):
+        del spectrum(alg)[0].inert
+    assert len({*spectrum(alg), *spectrum(alg)}) == len(want)
     # strata do not depend on whether the spectrum was kept before them
     warm, cold = (load_bundled(verify=False).actions["swap"] for _ in range(2))
     spectrum(warm.alg)
@@ -451,6 +453,145 @@ def test_splitter_grid_switch_is_named(monkeypatch, cap, grid):
         want = [[a % 3, b % 3] for r in (2, 3, 5)
                 for a in range(-r, r + 1) for b in range(-r, r + 1) if (a, b) != (0, 0)]
     assert got == want
+
+
+# -- factoring and the polynomial helpers against sympy -------------------------------
+
+def factor_oracle(F, coeffs):
+    """sympy's factor_list on the whole polynomial, monic factors in the
+    program's order: the route factor_irreducible took for every input."""
+    out = [(ideals._from_poly(F, fac.monic()), int(k))
+           for fac, k in ideals._to_poly(F, coeffs).factor_list()[1]]
+    out.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
+    return out
+
+
+def poly_product(F, factors):
+    out = [F.one]
+    for f in factors:
+        out = ideals._poly_mul(F, out, f)
+    return out
+
+
+PHI5, T4_PLUS_1 = [1, 1, 1, 1, 1], [1, 0, 0, 0, 1]
+# monic irreducibles over Q past the linear ones: t^2 + 1, t^2 + t + 1,
+# t^2 - 2, t^3 - 2, Phi_5 and t^4 + 1 (which splits mod every p)
+Q_IRREDUCIBLES = [[1, 0, 1], [1, 1, 1], [-2, 0, 1], [-2, 0, 0, 1], PHI5, T4_PLUS_1]
+FACTOR_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+@st.composite
+def factored_products(draw, F):
+    """(scalar, factors): a product of chosen monic factors, each repeated
+    1-3 times, times a nonzero scalar.  The factors are linear with roots
+    of small height (denominators over Q, 0 included), the irreducibles
+    above or random monic quadratics over F_p, Phi_5 and t^4 + 1."""
+    if F.p is None:
+        root = st.builds(lambda a, b: Fraction(a, b), st.integers(-6, 6), st.integers(1, 4))
+        pool = st.one_of(root.map(lambda r: [-r, 1]), st.sampled_from(Q_IRREDUCIBLES))
+        scalar = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+    else:
+        coeff = st.integers(0, F.p - 1)
+        pool = st.one_of(coeff.map(lambda r: [-r, 1]),
+                         st.tuples(coeff, coeff).map(lambda ab: [*ab, 1]),
+                         st.sampled_from([PHI5, T4_PLUS_1]))
+        scalar = st.integers(1, F.p - 1)
+    pieces = draw(st.lists(st.tuples(pool, st.integers(1, 3)), min_size=1, max_size=4))
+    return draw(scalar), [f for f, k in pieces for _ in range(k)]
+
+
+@pytest.mark.parametrize("field", FACTOR_FIELDS)
+def test_factoring_matches_sympy(field):
+    F = field
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(factored_products(F))
+    def check(drawn):
+        scalar, factors = drawn
+        m = [F.mul(F.parse(scalar), c) for c in poly_product(F, [[F.parse(c) for c in f]
+                                                                 for f in factors])]
+        got = factor_irreducible(F, m)
+        assert got == factor_oracle(F, m)
+        # canonical scalars: ints when integral, monic factors
+        assert all(type(c) is int or c.denominator > 1 for f, _ in got for c in f)
+        assert all(f[-1] == 1 for f, _ in got)
+    check()
+
+
+@pytest.mark.parametrize("field,m", [
+    (QQ, [1, 0, 1]), (QQ, [-2, 0, 0, 1]), (QQ, [0, 0, -2, 0, 0, 1]),
+    (GF(2), [1, 1, 1]), (GF(3), [1, 0, 1]), (GF(5), [2, 0, 0, 1])])
+def test_root_free_cubics_and_quadratics_need_no_sympy(monkeypatch, field, m):
+    want = factor_oracle(field, m)
+    calls = sympy_calls(monkeypatch)
+    assert factor_irreducible(field, m) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("field,m", [
+    (QQ, PHI5), (QQ, T4_PLUS_1), (GF(3), T4_PLUS_1), (GF(2), PHI5),
+    # (t^2 + 1)^2 and (t^2 + 1)(t^2 + 2): root-free, reducible quartics
+    (QQ, [1, 0, 2, 0, 1]), (QQ, [2, 0, 3, 0, 1]), (GF(3), [1, 0, 2, 0, 1])])
+def test_root_free_quartics_go_to_sympy(monkeypatch, field, m):
+    # a root on top: only the root-free part goes to sympy
+    m1 = ideals._poly_mul(field, m, [field.neg(field.one), field.one])
+    want = factor_oracle(field, m1)
+    calls = sympy_calls(monkeypatch)
+    assert factor_irreducible(field, m1) == want
+    assert calls == [m]
+
+
+@pytest.mark.parametrize("field,m,bound", [
+    (QQ, [-10**6, 1], None), (QQ, [1, 0, 0, 10**5 + 3], None),
+    (QQ, [-3, 0, 1], 2), (GF(7), [6, 0, 0, 1], 6), (GF(3), [1, 0, 1], 2)])
+def test_past_the_root_search_bound_sympy_factors(monkeypatch, field, m, bound):
+    if bound is not None:
+        monkeypatch.setattr(ideals, "ROOT_SEARCH_MAX", bound)
+    want = factor_oracle(field, m)
+    calls = sympy_calls(monkeypatch)
+    assert factor_irreducible(field, m) == want
+    # the whole (monic) polynomial: no root was peeled off first
+    assert len(calls) == 1 and len(calls[0]) == len(m) and calls[0][-1] == 1
+
+
+def test_factoring_refuses_a_constant():
+    for F, m in ((QQ, [3]), (QQ, [2, 0, 0]), (GF(3), [1, 3, 6])):
+        with pytest.raises(ValueError, match="constant"):
+            factor_irreducible(F, m)
+
+
+def small_polys(F, max_degree):
+    low, high = (-6, 6) if F.p is None else (0, F.p - 1)
+    return st.lists(st.integers(low, high), min_size=1, max_size=max_degree + 1).map(
+        lambda cs: ideals._poly(F, cs))
+
+
+@pytest.mark.parametrize("field", FACTOR_FIELDS)
+def test_divmod_and_gcdex_match_sympy(field):
+    F = field
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(small_polys(F, 6), small_polys(F, 4))
+    def check(a, b):
+        assume(b)
+        q, r = ideals._poly_divmod(F, a, b)
+        pa, pb = ideals._to_poly(F, a or [0]), ideals._to_poly(F, b)
+        assert q == ideals._poly(F, ideals._from_poly(F, pa.quo(pb)))
+        assert r == ideals._poly(F, ideals._from_poly(F, pa.rem(pb)))
+        if a:
+            s, g = ideals._poly_gcdex(F, a, b)
+            ps, _, ph = pa.gcdex(pb)
+            assert (s, g) == (ideals._poly(F, ideals._from_poly(F, ps)),
+                              ideals._from_poly(F, ph))
+    check()
+
+
+def test_repeated_factor_in_a_semisimple_center_is_refused():
+    # Q[t]/(t^2 (t - 1)) is not semisimple: t has minimal polynomial
+    # t^2 (t - 1), and splitting it must not pass the square off as a block
+    alg = poly_quotient_algebra(QQ, [0, 0, -1, 1])
+    with pytest.raises(RuntimeError, match="repeated factor inside a semisimple center"):
+        split_primitive_idempotents(alg)
 
 
 @st.composite

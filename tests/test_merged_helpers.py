@@ -1394,6 +1394,19 @@ def try_split_oracle(Z, u):
         "could not certify a center factor as a field within the search budget")
 
 
+def sympy_calls(monkeypatch):
+    """The polynomials ``ideals`` hands to sympy from now on."""
+    calls = []
+    to_poly = ideals._to_poly
+
+    def counted(F, coeffs):
+        calls.append(list(coeffs))
+        return to_poly(F, coeffs)
+
+    monkeypatch.setattr(ideals, "_to_poly", counted)
+    return calls
+
+
 def split_oracle(Z):
     """split_primitive_idempotents on try_split_oracle."""
     pieces = [list(Z.unit)]
@@ -1420,8 +1433,11 @@ def direct_product(a, b):
     return FiniteAlgebra.from_terms(a.field, n + m, terms, list(a.unit) + list(b.unit))
 
 
+# C5 and C8 give root-free quartics (Phi_5, t^4 + 1): the sympy branch of
+# factor_irreducible over every field of PLAIN_LOOP_FIELDS
 SPLIT_GROUPS = {"C2": cyclic_group_table(2), "C3": cyclic_group_table(3),
-                "C4": cyclic_group_table(4),
+                "C4": cyclic_group_table(4), "C5": cyclic_group_table(5),
+                "C8": cyclic_group_table(8),
                 "C2xC2": [[i ^ j for j in range(4)] for i in range(4)],
                 "S3": symmetric_group_table(3)}
 
@@ -1461,7 +1477,8 @@ def test_idempotent_shortcut_matches_factoring(field, monkeypatch):
         return factor(F, coeffs)
 
     monkeypatch.setattr(ideals, "factor_irreducible", counted_factor)
-    saved, kept = [], []
+    to_sympy = sympy_calls(monkeypatch)
+    saved, kept, reached_sympy = [], [], []
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(st.lists(st.sampled_from(sorted(centers)), min_size=1, max_size=3))
@@ -1474,17 +1491,21 @@ def test_idempotent_shortcut_matches_factoring(field, monkeypatch):
         want = split_oracle(Z)
         calls = len(factored)
         factored.clear()
+        to_sympy.clear()
         assert ideals.split_primitive_idempotents(Z) == want, names
         saved.append(calls - len(factored))
         kept.append(len(factored))
+        reached_sympy.append(len(to_sympy))
         # each route on its own copy: the spectrum is kept on the algebra
         with monkeypatch.context() as m:
             m.setattr(ideals, "_try_split", try_split_oracle)
             old = spectrum(algebra_copy(alg))
         assert spectrum_key(spectrum(algebra_copy(alg))) == spectrum_key(old), names
     check()
-    # the shortcut took over some factorizations, and sympy still did others
+    # the shortcut took over some factorizations, the program factored
+    # others, and some of those reached sympy (a root-free quartic)
     assert min(saved) >= 0 and sum(saved) > 0 and sum(kept) > 0
+    assert sum(reached_sympy) > 0
 
 
 RADICAL_FIELDS = [QQ, GF(7)]    # p > dim for every algebra drawn: the trace-form route

@@ -97,6 +97,7 @@ def test_each_step_imports_only_what_it_needs():
     assert set(steps["lattice-fp"]["modules"]) == LOAD_MODULES
     assert not steps["lattice-fp"]["dataclasses"]
     assert set(steps["ideal"]["modules"]) == LOAD_MODULES | {"ideals"}
+    assert not steps["ideal"]["dataclasses"]
     assert set(steps["lie"]["modules"]) == LOAD_MODULES | {"ideals", "lie"}
     assert TRACED_MODULES <= set(steps["import hopfact.cli"]["modules"])
 

@@ -330,14 +330,17 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 # Runs each argv (a JSON list in argv[1]) through cli.main in one fresh
 # interpreter and prints, per step, the exit code, the reports without
-# timing and whether sympy has been imported by then.
+# timing and whether sympy has been imported by then.  With block_sympy,
+# sys.modules["sympy"] = None first, so that any import of sympy fails.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 steps = []
 import hopfact
-steps.append({"step": "import hopfact", "sympy": "sympy" in sys.modules})
+def loaded():
+    return sys.modules.get("sympy") is not None
+steps.append({"step": "import hopfact", "sympy": loaded()})
 from hopfact import cli
-steps.append({"step": "import hopfact.cli", "sympy": "sympy" in sys.modules})
+steps.append({"step": "import hopfact.cli", "sympy": loaded()})
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -346,22 +349,24 @@ for argv in json.loads(sys.argv[1]):
     for rep in reports:
         rep.pop("timing_ms", None)
     steps.append({"step": argv, "exit": code, "reports": reports,
-                  "sympy": "sympy" in sys.modules})
+                  "sympy": loaded()})
 print(json.dumps(steps))
 """
 
 
-def _import_probe(argvs):
+def _import_probe(argvs, block_sympy=False):
     env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+    prelude = 'import sys; sys.modules["sympy"] = None\n' if block_sympy else ""
+    done = subprocess.run([sys.executable, "-c", prelude + _IMPORT_PROBE,
+                           json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
 def test_sympy_is_imported_only_to_factor():
-    # sympy is a large import: only splitting a block whose minimal
-    # polynomial is not t^2 - t may load it, never the package or the CLI
+    # sympy is a large import: only factoring a root-free factor of degree
+    # >= 4 may load it, never the package, the CLI or these commands
     steps = _import_probe([
         ["verify"],
         ["core", "--action", "grading2", "--ideal", "aug2"],
@@ -381,15 +386,53 @@ def test_sympy_is_imported_only_to_factor():
         "qxq": 2, "f2xf2": 2}
 
 
-def test_group_algebra_spectrum_imports_sympy():
-    # QC_3 = Q x Q(w): its center needs a real factorization of t^3 - 1
+def _golden(command, argv):
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden", f"{command}.json")) as fh:
+        case = next(case for case in json.load(fh) if case["argv"] == argv)
+    return case["exit"], case["reports"]
+
+
+def test_group_algebra_spectrum_imports_no_sympy():
+    # QC_3 = Q x Q(w): t^3 - 1 has the root 1, and the root-free remainder
+    # t^2 + t + 1 has degree 2, so it is irreducible with no sympy
     argv = ["spectrum", "--algebra", "qc3"]
     step = _import_probe([argv])[-1]
-    assert step["sympy"]
-    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "golden", "spectrum.json")) as fh:
-        golden = next(case for case in json.load(fh) if case["argv"] == argv)
-    assert (step["exit"], step["reports"]) == (golden["exit"], golden["reports"])
+    assert not step["sympy"]
+    assert (step["exit"], step["reports"]) == _golden("spectrum", argv)
+
+
+def test_suite_all_runs_with_sympy_blocked():
+    argvs = [["suite", "all"], ["spectrum", "--algebra", "qc3"]]
+    steps = _import_probe(argvs, block_sympy=True)[2:]
+    assert [(s["exit"], s["reports"]) for s in steps] == [
+        _golden("suite", argvs[0]), _golden("spectrum", argvs[1])]
+
+
+def test_cyclic_five_spectrum_imports_sympy(tmp_path, monkeypatch):
+    # k[C5] = k x k[t]/(Phi_5) over Q and F_2: Phi_5 is a root-free quartic,
+    # so its irreducibility comes from sympy
+    from hopfact import ideals
+    from hopfact.hopf import cyclic_group_table, group_algebra
+    from hopfact.linalg import GF, QQ
+    from test_merged_helpers import try_split_oracle
+    for name, field in (("qc5", QQ), ("f2c5", GF(2))):
+        with open(tmp_path / f"{name}.json", "w") as fh:
+            json.dump(group_algebra(cyclic_group_table(5), field, name=name).to_json(), fh)
+    argvs = [["spectrum", "--algebra", name, "--fixtures", str(tmp_path)]
+             for name in ("qc5", "f2c5")]
+    ws = Workspace.load([str(tmp_path)])
+    monkeypatch.setattr(ideals, "_try_split", try_split_oracle)
+    for step in _import_probe(argvs)[2:]:
+        assert step["sympy"] and step["exit"] == 0
+        alg = ws.algebras[step["step"][2]]
+        want = [([[alg.field.render(c) for c in row] for row in e.prime.space.rows],
+                 e.inert) for e in ideals.spectrum(alg)]
+        got = [(e["prime"]["basis"], e["inert"])
+               for e in step["reports"][0]["details"]["entries"]]
+        assert got == want and [inert for _, inert in got] == [False, True]
+    # with sympy blocked, the quartic cannot be factored: an internal error
+    assert [s["exit"] for s in _import_probe(argvs, block_sympy=True)[2:]] == [3, 3]
 
 
 @pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
