@@ -464,6 +464,8 @@ def _try_split(Z: FiniteAlgebra, u):
             # t^2 - t: x is an idempotent other than 0 and u, and x, u - x
             # are the CRT idempotents of the factors t - 1 and t
             return [x, [F.sub(a, b) for a, b in zip(u, x)]]
+        if len(mp) == 2:
+            continue       # linear: x is a multiple of u, of degree 1 < d
         factors = factor_irreducible(F, mp)
         if any(m > 1 for _, m in factors):
             raise RuntimeError("repeated factor inside a semisimple center")

@@ -32,24 +32,26 @@ import itertools
 import math
 import os
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfact.linalg import (GF, JOIN_CAP, QQ, EnumerationBound, Matrix, Subspace,
-                            apply_combination, closure, combine, kernel, kron_sum,
+                            apply_combination, closure, combine, is_stable, kernel, kron_sum,
                             largest_stable_inside, projection_matrix, pull_back,
-                            solve, stable_subspaces, subspace_intersect,
+                            solve, spin, stable_subspaces, subspace_intersect,
                             subspace_sum, support, _echelon_insert,
                             _enumerable_prime, _refuse_joins, _residual, _rref_data)
 from hopfact import linalg
 from hopfact.hopf import (FiniteAlgebra, HopfAlgebra, group_algebra,
-                          cyclic_group_table, dual_hopf,
+                          cyclic_group_table, dual_hopf, ideal_closure,
                           dual_number_plane_algebra, is_cocommutative,
                           is_group_basis, matrix_algebra, product_field_algebra,
-                          restricted_line_hopf, sweedler_hopf,
-                          symmetric_group_table, tensor_hopf,
+                          restricted_line_hopf, subspace_is_ideal, sweedler_hopf,
+                          symmetric_group_table, tensor_algebra_prod, tensor_hopf,
                           truncated_poly_algebra, upper_triangular_algebra,
                           verify_algebra, verify_hopf)
 from hopfact.workspace import Workspace, load_bundled, load_hopf
@@ -2402,10 +2404,15 @@ def dense_lattice(field, n, cyclics):
                                        key=lambda kv: (len(kv[0]), kv[1], kv[0]))]
 
 
-def packed_cyclics(field, n, ops):
+def packer(p, n):
+    """The packing that stable_subspaces uses: bit rows over F_2."""
+    return linalg._Bits(n) if p == 2 else linalg._Packed(p, n)
+
+
+def packed_cyclics(field, n, ops, pk=None):
     """The packed route's cyclics as (rows, generator) and its kept
     join-irreducible cyclics and containment tests, unpacked."""
-    pk = linalg._Packed(field.p, n)
+    pk = pk or packer(field.p, n)
     cyclics = linalg._spin_cyclics(pk, pk.tables(ops))
     kept, tests = linalg._join_irreducibles(pk, cyclics)
     rows = lambda packed: tuple(map(pk.unpack, packed))  # noqa: E731
@@ -2561,43 +2568,40 @@ def kleinswap_operator_sets(ws, monkeypatch):
 
 
 def packed_route_on(field, n, ops, monkeypatch):
-    """(lattice, distinct tables, packed applications) of stable_subspaces
+    """(lattice, distinct tables, packed operator images) of stable_subspaces
     on ``ops``, checked against the old, the dense and the sifting routes."""
-    distinct = len(linalg._Packed(2, n).tables(ops))
+    tables = packer(2, n).tables(ops)
     counts = {"new": 0, "old": 0}
+    extend = linalg._Bits.extend
 
-    class CountingTable(list):
-        """An operator table of the packed route: each iteration is one
-        operator application."""
-
-        def __iter__(self):
-            counts["new"] += 1
-            return super().__iter__()
+    def counting_extend(pk, us, m):
+        counts["new"] += 0 if m is None else len(us)
+        return extend(pk, us, m)
 
     def counting(cols, w, p, apply=apply_columns):
         counts["old"] += 1
         return apply(cols, w, p)
 
-    tables = linalg._Packed.tables
     with monkeypatch.context() as m:
-        m.setattr(linalg._Packed, "tables",
-                  lambda pk, mats: [CountingTable(t) for t in tables(pk, mats)])
+        m.setattr(linalg._Bits, "extend", counting_extend)
         m.setitem(globals(), "apply_columns", counting)
         got = [(s.rows, s.pivots) for s in stable_subspaces(field, n, ops)]
         want = stable_subspaces_oracle(field, n, ops)
     assert got == [(s.rows, s.pivots) for s in want]
-    # each distinct operator is applied once to each line, where the old
-    # route applied every operator to every vector of every line's spin
-    assert counts["new"] == (2 ** n - 1) * distinct
-    assert 0 < counts["new"] < counts["old"]
+    # each vector's image under a distinct operator is one XOR with a
+    # nonzero column, op(e_j) added to 2 ** (n - 1 - j) images, where the
+    # old route applied every operator to every vector of every line's spin
+    assert counts["new"] == sum(1 << sh for table in tables for sh, _ in table)
+    assert 0 < counts["new"] <= (2 ** n - 1) * len(tables)
+    assert counts["new"] < counts["old"]
     assert lattice_or_refusal(dense_stable_subspaces, field, n, ops) == got
     cyclics, kept = assert_cyclics_sifted(field, n, ops)
     assert len(kept) < len(cyclics)
-    return got, distinct, counts["new"]
+    return got, len(tables), counts["new"]
 
 
 # distinct tables of the all-basis lists and of the generator sets
-KLEINSWAP_TABLES = {"h-ideals": (10, 6), "stability-scan": (4, 2)}
+KLEINSWAP_TABLES = {"h-ideals": (10, 4), "stability-scan": (4, 2)}
 
 
 @pytest.mark.parametrize("which", ["h-ideals", "stability-scan"])
@@ -2643,38 +2647,89 @@ def test_packed_route_matches_dense_route(case):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(st.data())
 def test_packed_primitives_match_list_arithmetic(data):
-    """Packing, scaling, operator images, residuals, inserts and the line
-    order of the packed rows against plain lists mod p, with the vector
-    and the matrix whose every entry is p - 1 (every digit sum then sets
-    its guard bit) always among the cases."""
+    """Packing, scaling, operator tables, image extension, residuals,
+    inserts and the line order of both packings (the k-bit digits over
+    every prime, the bit rows over F_2) against plain lists mod p, with the
+    vector and the matrix whose every entry is p - 1 (every digit sum then
+    sets its guard bit) always among the cases."""
     p = data.draw(st.sampled_from([2, 3, 5, 7, 251]))
     n = 1 if p == 251 else data.draw(st.integers(1, TOP[p]))
-    F, pk = GF(p), linalg._Packed(p, n)
+    F = GF(p)
     entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
     vectors = data.draw(st.lists(entries, min_size=1, max_size=6)) + [[p - 1] * n]
     mats = [data.draw(st.lists(entries, min_size=n, max_size=n)), [[p - 1] * n] * n]
-    for u in vectors:
-        w = pk.pack(u)
-        assert pk.unpack(w) == tuple(u)
-        assert [pk.pack(v) < w for v in vectors] == [v < u for v in vectors]
-        assert pk.multiples(w) == [pk.pack([c * x % p for x in u]) for c in range(p)]
-        assert pk.negated(w) == [pk.pack([-c * x % p for x in u]) for c in range(p)]
-    # entries outside 0..p - 1 are read mod p, as the dense route read them
-    assert pk.tables([Matrix(F, n, n, [[x - p for x in row] for row in mats[1]])]) == \
-        pk.tables([Matrix(F, n, n, mats[1])])
-    for m, table in zip(mats, pk.tables([Matrix(F, n, n, m) for m in mats])):
-        for u in vectors:
-            assert pk.combine(table, pk.pack(u)) == pk.pack(Matrix(F, n, n, m).vec_mul(u))
-    basis, rows, pivots = {}, [], []
-    for u in vectors + [list(r) for r in reversed(mats[0])]:
-        w = pk.pack(u)
-        assert pk.combine(basis.items(), w, w) == pk.pack(_residual(F, rows, pivots, u))
-        assert pk.insert(basis, w) == _echelon_insert(F, rows, pivots, u)
-        assert (sorted([neg[-1] for neg in basis.values()], reverse=True)
-                == [pk.pack(r) for r in rows])
     lines = [tuple([0] * lead + [1, *tail]) for lead in range(n)
              for tail in itertools.product(range(p), repeat=n - lead - 1)]
-    assert [pk.unpack(v) for _, v, _ in linalg._spin_cyclics(pk, [])] == lines
+    for pk in [linalg._Packed(p, n)] + ([linalg._Bits(n)] if p == 2 else []):
+        packed = [pk.pack(u) for u in vectors]
+        for u, w in zip(vectors, packed):
+            assert pk.unpack(w) == tuple(u)
+            assert [v < w for v in packed] == [v < u for v in vectors]
+            assert pk.multiples(w) == [pk.pack([c * x % p for x in u]) for c in range(p)]
+            if type(pk) is linalg._Packed:
+                assert pk.negated(w) == [pk.pack([-c * x % p for x in u]) for c in range(p)]
+        # entries outside 0..p - 1 are read mod p, as the dense route read them
+        assert pk.tables([Matrix(F, n, n, [[x - p for x in row] for row in mats[1]])]) == \
+            pk.tables([Matrix(F, n, n, mats[1])])
+        for m, table in zip(mats, pk.tables([Matrix(F, n, n, m) for m in mats])):
+            cols = [[row[j] for row in m] for j in range(n)]
+            assert table == [(sh, pk.multiples(pk.pack(col)))
+                             for sh, col in zip(pk.shifts, cols) if any(col)]
+            for sh, col in zip(pk.shifts, cols):
+                got = pk.extend(packed, dict(table).get(sh))
+                assert got == [pk.pack([(x + c * y) % p for x, y in zip(u, col)])
+                               for c in range(p) for u in vectors]
+        basis, rows, pivots = {}, [], []
+        for u in vectors + [list(r) for r in reversed(mats[0])]:
+            w = pk.pack(u)
+            assert pk.reduce(basis, w) == pk.pack(_residual(F, rows, pivots, u))
+            assert pk.insert(basis, w) == _echelon_insert(F, rows, pivots, u)
+            assert pk.key(basis) == tuple(pk.pack(r) for r in rows)
+        assert [pk.unpack(v) for _, v, _ in linalg._spin_cyclics(pk, [])] == lines
+
+
+def swar_route(m):
+    """stable_subspaces packs F_2 vectors into 2-bit digits, as it did
+    before the bit rows."""
+    m.setattr(linalg, "_Bits", lambda n: linalg._Packed(2, n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(operator_sets(primes=(2,)))
+def test_bit_rows_match_swar_digits(case):
+    """Over F_2 the bit rows give the k-bit digits' cyclics with their
+    generators, join-irreducibles and containment tests, and lattice or
+    JOIN_CAP refusal."""
+    field, n, ops = case
+    swar = linalg._Packed(2, n)
+    try:
+        want = packed_cyclics(field, n, ops, swar)
+    except EnumerationBound as exc:
+        with pytest.raises(EnumerationBound, match=re.escape(str(exc))):
+            packed_cyclics(field, n, ops)
+    else:
+        assert packed_cyclics(field, n, ops) == want
+    got = lattice_or_message(stable_subspaces, field, n, ops)
+    with pytest.MonkeyPatch.context() as m:
+        swar_route(m)
+        assert lattice_or_message(stable_subspaces, field, n, ops) == got
+
+
+def test_bit_rows_refuse_as_swar_digits(monkeypatch):
+    """On each side of the JOIN_CAP edge of an all-line lattice (67
+    subspaces x 15 lines) and of a Jordan block's chain (its sift and joins)
+    both packings refuse, or give the same lattice."""
+    field = GF(2)
+    shift = Matrix(field, 6, 6, [[int(j == i + 1) for j in range(6)] for i in range(6)])
+    for n, ops, edge in ((4, [Matrix.identity(field, 4)], 1005), (6, [shift], 57)):
+        for cap in (edge - 1, edge):
+            monkeypatch.setattr(linalg, "JOIN_CAP", cap)
+            got = lattice_or_message(stable_subspaces, field, n, ops)
+            assert isinstance(got, str) == (cap < edge)
+            with monkeypatch.context() as m:
+                swar_route(m)
+                assert lattice_or_message(stable_subspaces, field, n, ops) == got
+        monkeypatch.undo()
 
 
 # -- the echelon spinner against the routes it replaced ----------------------------
@@ -3020,14 +3075,63 @@ def test_generator_operators_list_right_multiplication_where_it_differs():
     for n in range(1, 5):
         kx = product_field_algebra(QQ, n)
         assert len(kx.generators) == n - 1
-        assert kx.generator_operators == [kx.left_mult_matrix(kx.basis_vector(g))
-                                          for g in kx.generators]
+        assert kx.generator_elements == [kx.basis_vector(g) for g in kx.generators]
+        assert kx.generator_operators == [kx.left_mult_matrix(g)
+                                          for g in kx.generator_elements]
         assert len(ideal_operators_oracle(kx)) == n
     for alg in (matrix_algebra(QQ, 2), group_algebra(symmetric_group_table(3), QQ).alg):
         basis = [alg.basis_vector(g) for g in alg.generators]
-        assert basis
+        assert basis and alg.generator_elements == basis
         assert alg.generator_operators == [m for e in basis for m in
                                            (alg.left_mult_matrix(e), alg.right_mult_matrix(e))]
+
+
+def element_algebras(ws, field):
+    """k^X for |X| = 1..9 (past p for every prime drawn), tensor products
+    with an orthogonal-idempotent product basis, with one factor that is
+    not (kS3, M_2, k[t]/(t^3), the dual of kC4) and with neither, and the
+    bundled algebras over ``field``."""
+    s3 = group_algebra(symmetric_group_table(3), field)
+    c4 = group_algebra(cyclic_group_table(4), field)
+    out = [product_field_algebra(field, n) for n in range(1, 10)]
+    out += [tensor_algebra_prod(product_field_algebra(field, 2), product_field_algebra(field, 3)),
+            tensor_algebra_prod(s3.alg, product_field_algebra(field, 3)),
+            tensor_algebra_prod(product_field_algebra(field, 5), matrix_algebra(field, 2)),
+            tensor_algebra_prod(dual_hopf(c4).alg, truncated_poly_algebra(field, 3)),
+            tensor_algebra_prod(truncated_poly_algebra(field, 2), s3.alg),
+            tensor_hopf(s3, c4).alg]
+    return out + [a for _, a in sorted(ws.algebras.items()) if a.field == field]
+
+
+@pytest.mark.parametrize("field", SPIN_FIELDS, ids=repr)
+def test_generator_elements_generate(ws, field):
+    """The unit spun under left multiplication by the generator elements
+    reaches every element; k^X over F_p needs ceil(log_p |X|) of them (Q
+    keeps its |X| - 1 basis generators), and its closed-form generators
+    are those of the basis walk."""
+    rng = random.Random(f"elements/{field!r}")
+    for alg in element_algebras(ws, field):
+        F, n, elements = alg.field, alg.dim, alg.generator_elements
+        rows, pivots = [], []
+        _echelon_insert(F, rows, pivots, alg.unit)
+        spin(F, rows, pivots, [alg.unit], [partial(alg.multiply, g) for g in elements])
+        assert len(rows) == n, alg.name
+        if alg._idempotent_basis:
+            assert alg.generators == alg._generator_walk() == list(range(n - 1))
+            assert len(elements) == (n - 1 if field is QQ else
+                                     next(t for t in range(n) if field.p ** t >= n))
+        elif alg.factors and field is not QQ:
+            a1, a2 = alg.factors
+            assert len(elements) == len(a1.generator_elements) + len(a2.generator_elements)
+        # ideal tests and ideal closures on the elements against every basis operator
+        every = ideal_operators_oracle(alg)
+        for k in (1, 2):
+            vectors = [[F.from_int(rng.randint(-1, 1)) for _ in range(n)] for _ in range(k)]
+            sub = Subspace.from_vectors(F, n, vectors)
+            ideal = closure(sub, every)
+            assert ideal_closure(alg, vectors) == ideal, alg.name
+            assert subspace_is_ideal(alg, sub) == is_stable(sub, every), alg.name
+            assert subspace_is_ideal(alg, ideal)
 
 
 # -- stability on generators against the all-basis operator lists ----------------
@@ -3052,9 +3156,12 @@ def lattice_bound(act):
 
 
 def old_route(monkeypatch):
-    """Every basis index as the generators of every algebra."""
+    """Every basis index as the generators of every algebra, and every
+    basis element as its generator elements."""
     monkeypatch.setattr(FiniteAlgebra, "generators",
                         property(lambda alg: list(range(alg.dim))))
+    monkeypatch.setattr(FiniteAlgebra, "generator_elements",
+                        property(lambda alg: list(map(alg.basis_vector, range(alg.dim)))))
 
 
 def fresh_action(act):
