@@ -179,23 +179,21 @@ class FiniteAlgebra:
     @cached_property
     def generator_elements(self):
         """Generating elements, read by :attr:`generator_operators`.  Over
-        F_p, k^X has the ceil(log_p n) sums of d_t(i) e_i, d_t(i) the base-p
-        digits of i (each e_i is a product of Lagrange polynomials in
-        them), and A1 (x) A2 with two-sided units the g (x) 1 and 1 (x) a
-        of its factors' elements.  Otherwise, and over Q (where closures
-        under such sums eliminate growing fractions, 1.4 to 12 times
-        slower), the basis elements of :attr:`generators`."""
-        F = self.field
+        F_p: on k^X the ceil(log_p n) sums of d_t(i) e_i, d_t(i) the base-p
+        digits of i (e_i is a product of Lagrange polynomials in them); on
+        A1 (x) A2 with two-sided units the g (x) 1 and 1 (x) a of its
+        factors' elements.  Otherwise, and over Q (where closures under such
+        sums eliminate growing fractions), the basis elements of
+        :attr:`generators`."""
+        F, n = self.field, self.dim
         if F.p is not None and self._idempotent_basis:
-            out, scale = [], 1
-            while scale < self.dim:
-                out.append([i // scale % F.p for i in range(self.dim)])
-                scale *= F.p
-            return out
-        if F.p is not None and self.factors and all(map(_has_unit, self.factors)):
-            a1, a2 = self.factors
-            return ([F.reduce([x * y for x in g for y in a2.unit]) for g in a1.generator_elements]
-                    + [F.reduce([x * y for x in a1.unit for y in a]) for a in a2.generator_elements])
+            return [[i // F.p ** t % F.p for i in range(n)] for t in range(n) if F.p ** t < n]
+        if F.p is not None and self.factors and all(
+                a.multiply(a.unit, e) == e == a.multiply(e, a.unit)
+                for a in self.factors for e in map(a.basis_vector, range(a.dim))):
+            (g1, u1), (g2, u2) = ((a.generator_elements, a.unit) for a in self.factors)
+            return ([F.reduce([x * y for x in g for y in u2]) for g in g1]
+                    + [F.reduce([x * y for x in u1 for y in g]) for g in g2])
         return [self.basis_vector(b) for b in self.generators]
 
     @cached_property
@@ -319,12 +317,6 @@ class HopfAlgebra:
 
     def __repr__(self):
         return f"HopfAlgebra({self.name or '?'}, dim={self.dim}, {self.field!r})"
-
-
-def _has_unit(alg: FiniteAlgebra) -> bool:
-    """Whether the unit of ``alg`` is a two-sided unit."""
-    return all(alg.multiply(alg.unit, e) == e == alg.multiply(e, alg.unit)
-               for e in map(alg.basis_vector, range(alg.dim)))
 
 
 def _matrix_of_columns(F, nrows, columns) -> Matrix:
@@ -767,8 +759,7 @@ def dual_number_plane_algebra(field: Field, name="plane-jet") -> FiniteAlgebra:
 
 def ideal_closure(alg: FiniteAlgebra, vectors) -> Subspace:
     """The two-sided ideal generated by the vectors: their span closed under
-    multiplication by the generator elements
-    (:attr:`FiniteAlgebra.generator_operators`)."""
+    multiplication by :attr:`FiniteAlgebra.generator_operators`."""
     return closure(Subspace.from_vectors(alg.field, alg.dim, vectors),
                    alg.generator_operators)
 
