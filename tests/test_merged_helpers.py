@@ -1480,7 +1480,7 @@ def test_idempotent_shortcut_matches_factoring(field, monkeypatch):
 
     monkeypatch.setattr(ideals, "factor_irreducible", counted_factor)
     to_sympy = sympy_calls(monkeypatch)
-    saved, kept, reached_sympy = [], [], []
+    saved, kept, reached_sympy, oracle_linear = [], [], [], []
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(st.lists(st.sampled_from(sorted(centers)), min_size=1, max_size=3))
@@ -1492,9 +1492,12 @@ def test_idempotent_shortcut_matches_factoring(field, monkeypatch):
         factored.clear()
         want = split_oracle(Z)
         calls = len(factored)
+        oracle_linear.append(sum(len(m) == 2 for m in factored))
         factored.clear()
         to_sympy.clear()
         assert ideals.split_primitive_idempotents(Z) == want, names
+        # a linear m neither splits the corner nor certifies it a field
+        assert all(len(m) > 2 for m in factored), names
         saved.append(calls - len(factored))
         kept.append(len(factored))
         reached_sympy.append(len(to_sympy))
@@ -1507,7 +1510,7 @@ def test_idempotent_shortcut_matches_factoring(field, monkeypatch):
     # the shortcut took over some factorizations, the program factored
     # others, and some of those reached sympy (a root-free quartic)
     assert min(saved) >= 0 and sum(saved) > 0 and sum(kept) > 0
-    assert sum(reached_sympy) > 0
+    assert sum(reached_sympy) > 0 and sum(oracle_linear) > 0
 
 
 RADICAL_FIELDS = [QQ, GF(7)]    # p > dim for every algebra drawn: the trace-form route
