@@ -35,10 +35,7 @@ class FiniteAlgebra:
     """Associative unital algebra by structure constants over a Field.
 
     :attr:`generators` (basis indices) feeds the generator-lemma scans,
-    :attr:`generator_elements` the ideal tests and closures.  ``factors``
-    is (A1, A2) for a :func:`tensor_algebra_prod`."""
-
-    factors = None
+    :attr:`generator_elements` the ideal tests and closures."""
 
     def __init__(self, field: Field, dim: int, mult, unit, name=None):
         """Parse dense data: e_i e_j = sum_k mult[i][j][k] e_k."""
@@ -180,20 +177,12 @@ class FiniteAlgebra:
     def generator_elements(self):
         """Generating elements, read by :attr:`generator_operators`.  Over
         F_p: on k^X the ceil(log_p n) sums of d_t(i) e_i, d_t(i) the base-p
-        digits of i (e_i is a product of Lagrange polynomials in them); on
-        A1 (x) A2 with two-sided units the g (x) 1 and 1 (x) a of its
-        factors' elements.  Otherwise, and over Q (where closures under such
-        sums eliminate growing fractions), the basis elements of
-        :attr:`generators`."""
+        digits of i (e_i is a product of Lagrange polynomials in them).
+        Otherwise, and over Q (where closures under such sums eliminate
+        growing fractions), the basis elements of :attr:`generators`."""
         F, n = self.field, self.dim
         if F.p is not None and self._idempotent_basis:
             return [[i // F.p ** t % F.p for i in range(n)] for t in range(n) if F.p ** t < n]
-        if F.p is not None and self.factors and all(
-                a.multiply(a.unit, e) == e == a.multiply(e, a.unit)
-                for a in self.factors for e in map(a.basis_vector, range(a.dim))):
-            (g1, u1), (g2, u2) = ((a.generator_elements, a.unit) for a in self.factors)
-            return ([F.reduce([x * y for x in g for y in u2]) for g in g1]
-                    + [F.reduce([x * y for x in u1 for y in g]) for g in g2])
         return [self.basis_vector(b) for b in self.generators]
 
     @cached_property
@@ -638,9 +627,7 @@ def tensor_algebra_prod(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> Fini
               for sp1 in row1 for sp2 in row2]
              for row1 in a1.mult_sparse for row2 in a2.mult_sparse]
     unit = [F.mul(u1, u2) for u1 in a1.unit for u2 in a2.unit]
-    alg = FiniteAlgebra.from_terms(F, a1.dim * n2, terms, unit, name=name)
-    alg.factors = (a1, a2)
-    return alg
+    return FiniteAlgebra.from_terms(F, a1.dim * n2, terms, unit, name=name)
 
 
 def tensor_hopf(h1: HopfAlgebra, h2: HopfAlgebra, name=None) -> HopfAlgebra:

@@ -348,9 +348,7 @@ def apply_combination(coeffs, mats, v):
 def _rref_data(field, data, ncols):
     """RREF of a copy of ``data``; returns (rows, pivot_columns).  A pivot
     of 1 is not inverted, and a row is cleared only on the columns where
-    the pivot row is nonzero (the others do not change).  Over Q the
-    returned scalars are canonical: an integral ``Fraction`` becomes its
-    int."""
+    the pivot row is nonzero (the others do not change)."""
     F = field
     rows = [list(r) for r in data]
     nrows = len(rows)
@@ -375,9 +373,6 @@ def _rref_data(field, data, ncols):
         r += 1
         if r == nrows:
             break
-    if F.p is None:
-        rows = [[x.numerator if type(x) is Fraction and x.denominator == 1 else x
-                 for x in row] for row in rows]
     return rows, pivots
 
 
@@ -751,14 +746,14 @@ class _Packed:
                     tuple(self.pack([row[j] % self.p for row in m.data]) for j in range(self.n))
                     for m in operators)]
 
-    def extend(self, us, m):
-        """[u + c w for c in range(p) for u in us], ``m`` the multiples of w
-        (None for w = 0)."""
+    def extend(self, us, m, top):
+        """[u + c w for c in range(top) for u in us], ``m`` the multiples of
+        w (None for w = 0)."""
         if m is None:
-            return us * self.p
+            return us * top
         p, k1, guard, offset = self.p, self.k - 1, self.guard, self.offset
         return us + [s - ((s + offset & guard) >> k1) * p
-                     for w in m[1:] for s in [u + w for u in us]]
+                     for w in m[1:top] for s in [u + w for u in us]]
 
     def key(self, basis):
         """The rows of ``basis`` by ascending pivot: equal iff the spans are."""
@@ -805,7 +800,7 @@ class _Bits(_Packed):
     def multiples(self, w):
         return [0, w]
 
-    def extend(self, us, m):
+    def extend(self, us, m, top):
         return us * 2 if m is None else us + [u ^ m[1] for u in us]
 
     def key(self, basis):
@@ -871,8 +866,10 @@ def _spin_cyclics(pk, ops):
     p, n, cols = pk.p, pk.n, [dict(t) for t in ops]
     vecs, imgs = [0], [[0] for _ in ops]
     for sh in reversed(pk.shifts):
-        vecs = [d << sh | t for d in range(p) for t in vecs]
-        imgs = [pk.extend(us, c.get(sh)) for us, c in zip(imgs, cols)]
+        # a leading coordinate d >= 2 starts neither a line nor a tail
+        top = 2 if sh == pk.shifts[0] else p
+        vecs = [d << sh | t for d in range(top) for t in vecs]
+        imgs = [pk.extend(us, c.get(sh), top) for us, c in zip(imgs, cols)]
     # the lines with leading coordinate j sit at [p**l, 2 p**l), l = n - 1 - j
     order = [i for l in reversed(range(n)) for i in range(p ** l, 2 * p ** l)]
     lines = [vecs[i] for i in order]

@@ -53,29 +53,6 @@ def test_rref_idempotent_random():
         assert rref(r) == r
 
 
-def test_rref_over_q_has_canonical_scalars():
-    s = Subspace.from_vectors(QQ, 3, [[2, 1, 0], [1, 1, 1]])
-    assert s.rows == ((1, 0, -1), (0, 1, 2))
-    assert all(type(x) is int for row in s.rows for x in row)
-
-
-Q_ENTRIES = st.sampled_from([0, 1, -1, 2, -3, Fraction(0), Fraction(4), Fraction(-6, 3),
-                             Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(Q_ENTRIES, min_size=n, max_size=n), max_size=5)))
-def test_rref_over_q_entries_are_ints_or_proper_fractions(rows):
-    """Every entry of an RREF over Q, and so of every subspace basis, is an
-    int or a Fraction that is not integral."""
-    if not rows:
-        return
-    for row in rref(Matrix.from_rows(QQ, rows)).data:
-        for x in row:
-            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
-
-
 def test_kernel_examples():
     assert kernel(Matrix.zeros(QQ, 3, 3)).dim == 3
     assert kernel(Matrix.identity(QQ, 3)).dim == 0
