@@ -22,7 +22,10 @@ over F_p).  A wrong radical in small characteristic would silently corrupt
 the characteristic-2 counterexamples, so there is no fallback heuristic.
 
 The H-primes reached by the core map are the bases of the strata: the
-distinct cores of the primes, each with its fiber of the spectrum.
+distinct cores of the primes, each with its fiber of the spectrum.  Stratum
+checks read A's kept radical and spectrum, not A/I: rad(A/I) = (rad A + I)/I,
+and an action-stable prime is its own core.  :func:`is_prime` is the one
+primality route that builds a quotient.
 """
 
 from __future__ import annotations
@@ -575,18 +578,17 @@ def _spectrum(alg: FiniteAlgebra):
     return tuple(entries)
 
 
-def _simple_center(q: FiniteAlgebra):
-    """The center of the quotient q = A/I when q is simple (nonzero,
-    semisimple, one block), else None; q keeps its radical and center."""
+def _is_simple(q: FiniteAlgebra) -> bool:
+    """Is q nonzero, semisimple and of one block?"""
     if q.dim == 0 or radical_subspace(q).dim != 0:
-        return None
+        return False
     Z, _ = subalgebra_structure(q, center_subspace(q))
-    return Z if len(split_primitive_idempotents(Z)) == 1 else None
+    return len(split_primitive_idempotents(Z)) == 1
 
 
 def is_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
     """Finite-dimensional prime = simple quotient: semiprime with one block."""
-    return _simple_center(quotient_algebra(alg, ideal.space)[0]) is not None
+    return _is_simple(quotient_algebra(alg, ideal.space)[0])
 
 
 def is_completely_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
@@ -595,7 +597,7 @@ def is_completely_prime(alg: FiniteAlgebra, ideal: Ideal) -> bool:
     if not q.is_commutative():
         raise UnsupportedComputation(
             "complete primeness is decided only for commutative quotients")
-    return is_prime(alg, ideal)
+    return _is_simple(q)
 
 
 # -- H-cores ---------------------------------------------------------------------
@@ -646,7 +648,7 @@ def group_core_by_intersection(act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
 def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Report:
     """Certify H-primeness of an action-stable ideal.
 
-    Route (a): the ideal is the core of a computed prime and is itself prime.
+    Route (a): the ideal is a computed prime and its own core.
     Route (b): pairwise product check over the lattice of action-stable
     ideals (prime fields within the enumeration cap), enumerated as the
     subspaces kept by multiplication by A's generators and by the operators
@@ -654,11 +656,9 @@ def certify_h_prime(act: ModuleAlgebraAction, ideal: Ideal, bound=None) -> Repor
     """
     rep = Report("h-prime-certificate", details={"dim": ideal.dim})
     try:
-        if is_prime(act.alg, ideal):
-            for _, c in _prime_cores(act):
-                if c.space == ideal.space:
-                    rep.details["route"] = "core-of-prime"
-                    return rep
+        if any(e.prime.space == c.space == ideal.space for e, c in _prime_cores(act)):
+            rep.details["route"] = "core-of-prime"
+            return rep
     except UnsupportedComputation:
         pass
     try:
@@ -795,13 +795,11 @@ def composite_core(lie_act, act: ModuleAlgebraAction, ideal: Ideal) -> Ideal:
 
 # -- strata ----------------------------------------------------------------------
 
-def induced_action(act: ModuleAlgebraAction, sub: Subspace, name=None,
-                   quotient=None):
-    """Action on the quotient modulo an action-stable ideal subspace;
-    ``quotient`` is :func:`quotient_algebra` of ``sub`` when already built."""
+def induced_action(act: ModuleAlgebraAction, sub: Subspace, name=None):
+    """Action on the quotient modulo an action-stable ideal subspace."""
     if not act.subspace_stable(sub):
         raise ValueError("subspace is not action-stable; no induced action")
-    q, proj, lift = quotient or quotient_algebra(act.alg, sub)
+    q, proj, lift = quotient_algebra(act.alg, sub)
     tbar = []
     for i in range(act.hopf.dim):
         comp = proj.mat_mul(act.operator_matrices[i].mat_mul(lift))
@@ -813,23 +811,24 @@ def induced_action(act: ModuleAlgebraAction, sub: Subspace, name=None,
 
 class StratumAlgebra:
     """The commutative coefficient algebra C = Z(A/I) (x) H* of one stratum
-    base, with its parts by keyword: ``base_action`` (on A/I), ``quotient``
-    (A/I), ``center_alg`` (Z(A/I)), ``algebra`` (C), ``action`` (on C),
-    ``conv`` (B over A/I), ``embed`` (C coordinates -> B coordinates), and
+    base I, with its parts by keyword: ``base_action`` (on A/I),
+    ``quotient`` (A/I), ``proj`` (A -> A/I), ``center`` (Z(A/I) in A/I),
+    ``center_alg`` (Z(A/I)), ``center_embed`` (its coordinates -> A/I),
+    ``algebra`` (C), ``action`` (on C), ``conv`` (B = H* (x) A/I), ``embed``
+    (C coordinates -> B coordinates), and, set by :func:`stratum_algebra`,
     ``entries`` (the spectrum of C), ``h_primes`` and ``stable_primes``."""
 
     def __init__(self, **parts):
         self.__dict__.update(parts)
 
 
-def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal, quotient=None):
-    """Everything the stratum checks need; raises on structural failures.
-    ``quotient`` is :func:`quotient_algebra` of the base when the caller has
-    built it."""
+def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal) -> StratumAlgebra:
+    """The stratum algebra's parts without its spectra; raises on
+    structural failures."""
     from .convolution import ConvolutionAlgebra
     if not act.subspace_stable(ideal.space):
         raise ValueError("stratum base must be an action-stable ideal")
-    bar, q, proj, lift = induced_action(act, ideal.space, quotient=quotient)
+    bar, q, proj, _ = induced_action(act, ideal.space)
     zsub = center_subspace(q)
     if not bar.subspace_stable(zsub):
         raise ValueError("induced action does not stabilize the center")
@@ -855,11 +854,9 @@ def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal, quotient=None)
     cols = [conv.mul(conv.ustar(f), conv.iota(z)).coords
             for z in zsub.basis_vectors() for f in Matrix.identity(F, nH).data]
     embed = Matrix(F, len(cols), conv.dim, cols).transpose()
-    return {
-        "bar": bar, "quotient": q, "proj": proj, "lift": lift,
-        "zsub": zsub, "zalg": zalg, "zembed": zembed,
-        "c_alg": c_alg, "c_act": c_act, "conv": conv, "embed": embed,
-    }
+    return StratumAlgebra(
+        base_action=bar, quotient=q, proj=proj, center=zsub, center_alg=zalg,
+        center_embed=zembed, algebra=c_alg, action=c_act, conv=conv, embed=embed)
 
 
 def stratum_algebra(act: ModuleAlgebraAction, ideal: Ideal) -> StratumAlgebra:
@@ -869,25 +866,20 @@ def stratum_algebra(act: ModuleAlgebraAction, ideal: Ideal) -> StratumAlgebra:
     collapse identifies the heart with the center of a simple quotient, and
     cores of primes are prime only under that hypothesis.
     """
-    quotient = quotient_algebra(act.alg, ideal.space)
-    if _simple_center(quotient[0]) is None:
+    if not is_prime(act.alg, ideal):
         raise ValueError(
             "stratum base does not have a prime quotient; the heart-center "
             "identification needs a simple quotient")
-    pieces = _build_stratum_pieces(act, ideal, quotient)
-    check = verify_action(pieces["c_act"])
+    sa = _build_stratum_pieces(act, ideal)
+    check = verify_action(sa.action)
     if not check.ok:
         raise ValueError(
             "combined stratum action fails measuring; tensor actions need a "
             f"cocommutative Hopf algebra (witnesses {check.witnesses[:2]})")
-    entries = spectrum(pieces["c_alg"])
-    h_primes = h_spectrum(pieces["c_act"])
-    stable = [e for e in entries if pieces["c_act"].subspace_stable(e.prime.space)]
-    return StratumAlgebra(
-        base_action=pieces["bar"], quotient=pieces["quotient"],
-        center_alg=pieces["zalg"], algebra=pieces["c_alg"],
-        action=pieces["c_act"], conv=pieces["conv"], embed=pieces["embed"],
-        entries=entries, h_primes=h_primes, stable_primes=stable)
+    sa.entries = spectrum(sa.algebra)
+    sa.h_primes = h_spectrum(sa.action)
+    sa.stable_primes = [e for e in sa.entries if sa.action.subspace_stable(e.prime.space)]
+    return sa
 
 
 def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
@@ -924,43 +916,33 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
         rep.details["verdict"] = "empty-stratum"
         return rep
 
-    # the base quotient, built once: its radical and center are kept on it
-    quotient = quotient_algebra(act.alg, ideal.space)
-    q = quotient[0]
-    try:
-        base_semiprime = radical_subspace(q).dim == 0
-    except UnsupportedComputation:
-        base_semiprime = False
-        notes.append("base semiprimeness undecidable (radical refusal)")
-    if not base_semiprime:
+    # the spectrum kept rad A: rad(A/I) = (rad A + I)/I, and an
+    # action-stable prime is its own core, so in its own stratum
+    if not radical_subspace(act.alg).le(ideal.space):
         notes.append("base quotient not semiprime: center collapse unavailable")
         rep.details["verdict"] = "undefined-base"
         return rep
-    base_prime = _simple_center(q) is not None
+    base_prime = any(e.prime.space == ideal.space for e in stratum)
     rep.details["base-prime"] = base_prime
     if not base_prime:
         notes.append("base quotient not prime: using the center of a "
                      "semiprime quotient")
 
     try:
-        pieces = _build_stratum_pieces(act, ideal, quotient)
+        sa = _build_stratum_pieces(act, ideal)
     except ValueError as exc:
         notes.append(str(exc))
         rep.details["verdict"] = "undefined-structure"
         return rep
-    c_act, c_alg, conv, embed = (pieces["c_act"], pieces["c_alg"],
-                                 pieces["conv"], pieces["embed"])
-    action_ok = verify_action(c_act).ok
-    if not action_ok:
+    c_act, c_alg, conv, bar = sa.action, sa.algebra, sa.conv, sa.base_action
+    if not verify_action(c_act).ok:
         notes.append("combined stratum action fails measuring "
                      "(Hopf algebra not cocommutative): map undefined")
         rep.details["verdict"] = "undefined-action"
         return rep
 
-    proj = pieces["proj"]
-    bar = pieces["bar"]
     c_embed_space = Subspace.from_vectors(act.field, conv.dim,
-                                          embed.transpose().data)
+                                          sa.embed.transpose().data)
 
     c_map = []
     hearts_ok = True
@@ -968,17 +950,16 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
     for e in stratum:
         pbar_space = Subspace.from_vectors(
             act.field, bar.alg.dim,
-            [proj.vec_mul(list(r)) for r in e.prime.space.rows])
+            [sa.proj.vec_mul(list(r)) for r in e.prime.space.rows])
         pbar = Ideal(bar.alg, pbar_space, check=True)
-        # the two core routes on the quotient must coincide and vanish
+        tens = conv.tensor_with_dual(pbar_space)
+        transported = transport_subspace(conv, pbar_space)
+        # the core and the twisted core on the quotient must coincide and vanish
         c_direct = core(bar, pbar)
-        c_psi = core_via_psi(bar, pbar)
-        if c_direct.space != c_psi.space:
+        if c_direct.space != pull_back(conv.iota_matrix, conv.iota_image, transported):
             rep.fail({"check": "core-routes-disagree"})
         if c_direct.dim != 0:
             rep.fail({"check": "stratum-core-nonzero", "dim": c_direct.dim})
-        tens = conv.tensor_with_dual(pbar_space)
-        transported = transport_subspace(conv, pbar_space)
         # primality must transfer along the twist automorphism
         try:
             p1 = is_prime(conv.algebra, Ideal(conv.algebra, tens, check=True))
@@ -992,7 +973,7 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
             notes.append("primality of the transported ideal undecidable "
                          "(radical refusal)")
             transfer_gap = True
-        c_p = pull_back(embed, c_embed_space, transported)
+        c_p = pull_back(sa.embed, c_embed_space, transported)
         if not subspace_is_ideal(c_alg, c_p):
             rep.fail({"check": "image-not-ideal"})
         if not c_act.subspace_stable(c_p):

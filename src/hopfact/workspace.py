@@ -52,6 +52,10 @@ class Workspace:
 
     @classmethod
     def load(cls, paths, verify=True):
+        """Load the fixtures in a list of JSON files and directories of them."""
+        if isinstance(paths, (str, os.PathLike)):
+            raise TypeError("Workspace.load takes a list of paths, not one path: "
+                            f"pass [{paths!r}]")
         ws = cls()
         files = []
         for p in paths:

@@ -819,9 +819,9 @@ def stratum_oracle(act, pieces):
     """The stratum action tensor on Z (x) H* and the embedding into B, by
     the index loops."""
     F = act.field
-    bar, zsub, zalg, zembed = (pieces["bar"], pieces["zsub"], pieces["zalg"],
-                               pieces["zembed"])
-    nz, nH, nq = zalg.dim, act.hopf.dim, pieces["quotient"].dim
+    bar, zsub, zalg, zembed = (pieces.base_action, pieces.center, pieces.center_alg,
+                               pieces.center_embed)
+    nz, nH, nq = zalg.dim, act.hopf.dim, pieces.quotient.dim
     tz = [[zsub.coords_in_basis(bar.act_basis(i, zembed.vec_mul(zalg.basis_vector(a))))
            for a in range(nz)] for i in range(nH)]
     hit = hit_action(act.hopf)
@@ -841,7 +841,7 @@ def stratum_oracle(act, pieces):
                             if not F.is_zero(t2):
                                 tC[i][a * nH + b][c * nH + d] = F.add(
                                     tC[i][a * nH + b][c * nH + d], F.mul(ct1, t2))
-    conv = pieces["conv"]
+    conv = pieces.conv
     embed = [[F.zero] * dC for _ in range(conv.dim)]
     for a in range(nz):
         zvec = zembed.vec_mul(zalg.basis_vector(a))
@@ -864,8 +864,8 @@ def test_stratum_pieces_match_index_loops(ws):
             except ValueError:
                 continue
             tC, embed = stratum_oracle(act, pieces)
-            assert pieces["c_act"].tensor == tC, name
-            assert pieces["embed"] == embed, name
+            assert pieces.action.tensor == tC, name
+            assert pieces.embed == embed, name
             built += 1
     assert built == 13
 

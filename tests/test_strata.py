@@ -1,8 +1,27 @@
 import pytest
 
-from hopfact.ideals import (Ideal, spectrum, core, strata, stratum_algebra,
-                            verify_strat_bijection, induced_action)
-from hopfact.action import verify_action
+from hopfact import ideals
+from hopfact.ideals import (Ideal, UnsupportedComputation, spectrum, core,
+                            core_via_psi, certify_h_prime, is_prime,
+                            quotient_algebra, radical_subspace, strata,
+                            stratum_algebra, verify_strat_bijection, induced_action)
+from hopfact.action import ModuleAlgebraAction, trivial_action, verify_action
+from hopfact.convolution import transport_subspace
+from hopfact.hopf import (cyclic_group_table, group_algebra, symmetric_group_table,
+                          upper_triangular_algebra)
+from hopfact.linalg import GF, QQ, EnumerationBound, Subspace, pull_back, stable_subspaces
+
+
+def s4_adjoint():
+    """kS4 acting on kS4 by conjugation over Q (built here, not bundled)."""
+    table = symmetric_group_table(4)
+    n = len(table)
+    inverse = [row.index(0) for row in table]
+    tensor = [[[1 if k == table[table[g][x]][inverse[g]] else 0 for k in range(n)]
+               for x in range(n)] for g in range(n)]
+    return ModuleAlgebraAction(group_algebra(table, QQ, name="kS4"),
+                               group_algebra(table, QQ, name="kS4").alg, tensor,
+                               name="s4-adjoint")
 
 
 def test_stratum_algebra_flagship(ws):
@@ -107,9 +126,6 @@ def test_induced_action_requires_stability(ws):
 def test_stratum_algebra_base_field_hopf(ws):
     # H = k: the stratum algebra is just the center and the reachable
     # H-primes are the primes themselves
-    from hopfact.hopf import cyclic_group_table, group_algebra
-    from hopfact.action import trivial_action
-    from hopfact.linalg import QQ
     k = group_algebra(cyclic_group_table(1), QQ)
     act = trivial_action(k, ws.algebras["m2q"])
     sa = stratum_algebra(act, Ideal.zero(ws.algebras["m2q"]))
@@ -124,17 +140,7 @@ def test_s4_adjoint_strata_and_cap_refusals():
     """kS4 acting on kS4 by conjugation over Q (built here, not bundled):
     five strata; the two dim-23 bases verify, and the convolution
     algebras of the others (dim 96 and 216) pass DEFAULT_DIM_CAP."""
-    from hopfact.action import ModuleAlgebraAction
-    from hopfact.hopf import group_algebra, symmetric_group_table
-    from hopfact.linalg import QQ
-    table = symmetric_group_table(4)
-    n = len(table)
-    inverse = [row.index(0) for row in table]
-    tensor = [[[1 if k == table[table[g][x]][inverse[g]] else 0 for k in range(n)]
-               for x in range(n)] for g in range(n)]
-    act = ModuleAlgebraAction(group_algebra(table, QQ, name="kS4"),
-                              group_algebra(table, QQ, name="kS4").alg, tensor,
-                              name="s4-adjoint")
+    act = s4_adjoint()
     fibers = strata(act)
     assert [base.dim for base, _ in fibers] == [20, 23, 23, 15, 15]
     for base, _ in fibers:
@@ -145,3 +151,77 @@ def test_s4_adjoint_strata_and_cap_refusals():
         else:
             assert rep.details["verdict"] == "undefined-structure"
             assert any("cap 64" in note for note in rep.details["notes"])
+
+
+def stable_ideals(act):
+    """The stratum bases and every action-stable ideal that stable_subspaces
+    reaches within its bound (none over Q)."""
+    spaces = {base.space: None for base, _ in strata(act)}
+    try:
+        spaces.update(dict.fromkeys(stable_subspaces(
+            act.field, act.alg.dim,
+            act.alg.generator_operators + act.generator_operators)))
+    except EnumerationBound:
+        pass
+    return [Ideal(act.alg, space, check=False) for space in spaces]
+
+
+def test_stratum_routes_match_quotient_oracles(ws):
+    """The stratum checks read rad A and the kept spectrum; the quotient
+    routes they replaced (the radical of A/I, is_prime, the core of a prime
+    that is prime, core_via_psi on a second convolution algebra) are the
+    oracles."""
+    fields, ideals_seen, twisted_seen = set(), 0, 0
+    for name, act in sorted(ws.actions.items()) + [("s4-adjoint", s4_adjoint())]:
+        try:
+            prime_cores = ideals._prime_cores(act)
+        except UnsupportedComputation:
+            continue
+        fields.add(act.field.characteristic())
+        primes = {e.prime.space for e, _ in prime_cores}
+        cores = {c.space for _, c in prime_cores}
+        rad = radical_subspace(act.alg)
+        for ideal in stable_ideals(act):
+            q = quotient_algebra(act.alg, ideal.space)[0]
+            assert rad.le(ideal.space) == (radical_subspace(q).dim == 0), name
+            prime = is_prime(act.alg, ideal)
+            assert (ideal.space in primes) == prime, name
+            route_a = certify_h_prime(act, ideal).details.get("route") == "core-of-prime"
+            assert route_a == (prime and ideal.space in cores), name
+            ideals_seen += 1
+        for base, stratum in strata(act):
+            try:
+                sa = ideals._build_stratum_pieces(act, base)
+            except ValueError:
+                continue       # the convolution algebra passes its cap
+            bar = sa.base_action
+            for e in stratum:
+                pbar = Ideal(bar.alg, Subspace.from_vectors(
+                    act.field, bar.alg.dim,
+                    [sa.proj.vec_mul(list(r)) for r in e.prime.space.rows]))
+                twisted = pull_back(sa.conv.iota_matrix, sa.conv.iota_image,
+                                    transport_subspace(sa.conv, pbar.space))
+                assert twisted == core_via_psi(bar, pbar).space, name
+                twisted_seen += 1
+    assert fields == {0, 2, 3}
+    assert ideals_seen > 0 and twisted_seen > 0
+
+
+def test_stratum_algebra_where_the_spectrum_refuses():
+    """The trivial action of k = F_2 on the upper triangular 2x2 matrices:
+    spectrum(A) refuses (p = 2 <= dim 3, A not commutative), but A/I is F_2
+    for I = span(E12, E22), so stratum_algebra's own primality route still
+    answers, while verify_strat_bijection names the radical refusal."""
+    F2 = GF(2)
+    A = upper_triangular_algebra(F2)
+    act = trivial_action(group_algebra(cyclic_group_table(1), F2), A)
+    ideal = Ideal.generate(A, [[0, 1, 0], [0, 0, 1]])
+    assert ideal.dim == 2
+    with pytest.raises(UnsupportedComputation):
+        spectrum(A)
+    sa = stratum_algebra(act, ideal)
+    assert sa.algebra.dim == 1
+    assert [hp.dim for hp in sa.h_primes] == [0]
+    rep = verify_strat_bijection(act, ideal)
+    assert rep.status == "error"
+    assert "radical" in rep.details["reason"]

@@ -73,6 +73,16 @@ def test_load_rejects_unresolved_reference(tmp_path):
         Workspace.load([str(tmp_path)])
 
 
+def test_load_rejects_one_path(tmp_path):
+    # a str would be iterated character by character, and "/" loads the root
+    path = tmp_path / "qc2.json"
+    path.write_text(json.dumps(build_corpus()["hopfs"]["qc2"].to_json()))
+    for one in (str(path), path):
+        with pytest.raises(TypeError, match="list of paths"):
+            Workspace.load(one)
+    assert list(Workspace.load([str(path)]).hopfs) == ["qc2"]
+
+
 def test_cli_core_example(capsys):
     assert main(["core", "--action", "grading2", "--ideal", "aug2"]) == 0
     out = capsys.readouterr().out
