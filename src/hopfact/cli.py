@@ -198,7 +198,7 @@ def cmd_series_phi(ws, args):
     f = algebra_map_functional(field, args.nvars, trunc, gens[0])
     g = algebra_map_functional(field, args.nvars, trunc, gens[1])
     pairs.append((f, g))
-    for idx in indices_up_to(args.nvars, 2):
+    for idx in indices_up_to(args.nvars, min(2, trunc)):
         pairs.append(({idx: field.one}, f))
     return phi_multiplicativity_report(field, args.nvars, trunc, pairs)
 

@@ -4,8 +4,9 @@ For a finite-dimensional Hopf algebra every linear map H -> A has finite
 rank, so the convolution algebra is H* (x) A in its entirety, and it is
 built as that tensor product of algebras with the Hopf factor first: the
 basis E_{p,q} = (h_p -> a_q) is ordered by :func:`linalg.kron_sum`.
-Elements are stored on it, equivalently as the dim(A) x dim(H) matrix of
-values, and the embedding a -> (h -> h.a) is the coaction A -> A (x) H*.
+An element is its coordinate list, entry p * dim(A) + q being the q-th
+coordinate of its value at h_p; every map of B is a matrix applied with
+``vec_mul``, and the embedding a -> (h -> h.a) is the coaction A -> A (x) H*.
 
 The two H-module structures (right-translation and the twisted action that
 uses the given action on values) and the mutually inverse automorphisms
@@ -20,7 +21,7 @@ from functools import cached_property
 
 # ``kernel`` is unused here but stays bound: bench/tests/test_tracer.py checks
 # that the tracer patches this module's copy of it.
-from .linalg import (Matrix, Subspace, apply_combination, combine, is_stable,
+from .linalg import (EnumerationBound, Matrix, Subspace, combine, is_stable,
                      kernel, kron_sum, nonzero_terms, pull_back, sparse_apply,
                      support, enumerate_subspaces, stable_subspaces,
                      subspace_count)
@@ -33,34 +34,6 @@ from .report import Report
 DEFAULT_DIM_CAP = 64
 
 
-class ConvElement:
-    """An element of the convolution algebra: coordinates over E_{p,q}."""
-
-    __slots__ = ("conv", "coords")
-
-    def __init__(self, conv, coords):
-        if len(coords) != conv.dim:
-            raise ValueError("coordinate length mismatch")
-        self.conv = conv
-        self.coords = list(coords)
-
-    def value_matrix(self):
-        """dim(A) x dim(H) matrix: column p = value at the p-th Hopf basis."""
-        nA, nH = self.conv.alg.dim, self.conv.hopf.dim
-        return [[self.coords[p * nA + q] for p in range(nH)] for q in range(nA)]
-
-    def __eq__(self, other):
-        return (isinstance(other, ConvElement) and self.conv is other.conv
-                and self.coords == other.coords)
-
-    def to_json(self):
-        F = self.conv.field
-        return [[F.render(c) for c in row] for row in self.value_matrix()]
-
-    def __repr__(self):
-        return f"ConvElement({self.coords!r})"
-
-
 class ConvolutionAlgebra:
     """B = Hom(H, A) with (f*g)(h) = f(h_1) g(h_2), built from an action."""
 
@@ -70,8 +43,8 @@ class ConvolutionAlgebra:
         self.alg = act.alg
         self.dim = self.hopf.dim * self.alg.dim
         if self.dim > DEFAULT_DIM_CAP:
-            raise ValueError(f"convolution algebra dim {self.dim} exceeds cap "
-                             f"{DEFAULT_DIM_CAP}")
+            raise EnumerationBound(f"convolution algebra dim {self.dim} exceeds "
+                                   f"the cap {DEFAULT_DIM_CAP} (DEFAULT_DIM_CAP)")
         self.field = act.field
 
     def index(self, p, q):
@@ -104,21 +77,6 @@ class ConvolutionAlgebra:
         unit = Matrix.from_rows(F, [self.alg.unit]).transpose()
         return kron_sum([(F.one, Matrix.identity(F, self.hopf.dim), unit)])
 
-    def iota(self, avec) -> ConvElement:
-        return ConvElement(self, self.iota_matrix.vec_mul(avec))
-
-    def del_embed(self, avec) -> ConvElement:
-        return ConvElement(self, self.del_matrix.vec_mul(avec))
-
-    def ustar(self, fvec) -> ConvElement:
-        return ConvElement(self, self.ustar_matrix.vec_mul(fvec))
-
-    def one(self) -> ConvElement:
-        return ConvElement(self, self.algebra.unit)
-
-    def mul(self, b1: ConvElement, b2: ConvElement) -> ConvElement:
-        return ConvElement(self, self.algebra.multiply(b1.coords, b2.coords))
-
     # -- the twist automorphisms ------------------------------------------------
 
     def _twist(self, ops) -> Matrix:
@@ -149,12 +107,6 @@ class ConvolutionAlgebra:
         return self._twist([combine(s, ops)
                             for s in self.hopf.antipode.transpose().data])
 
-    def phi(self, b: ConvElement) -> ConvElement:
-        return ConvElement(self, self.phi_matrix.vec_mul(b.coords))
-
-    def psi(self, b: ConvElement) -> ConvElement:
-        return ConvElement(self, self.psi_matrix.vec_mul(b.coords))
-
     # -- the two H-actions on B -------------------------------------------------
 
     def _dot_operators_of(self, ops):
@@ -181,20 +133,10 @@ class ConvolutionAlgebra:
         """Twisted operators: (h . b)(k) = h_1 . b(k h_2), one per basis."""
         return self._dot_operators_of(self.action.operator_matrices)
 
-    def rh_act(self, hvec, b: ConvElement) -> ConvElement:
-        return ConvElement(self, apply_combination(hvec, self.rh_operators, b.coords))
-
-    def dot_act(self, hvec, b: ConvElement) -> ConvElement:
-        return ConvElement(self, apply_combination(hvec, self.dot_operators, b.coords))
-
-    def invariants_of(self, ops) -> Subspace:
-        """Joint eigenspace: op_i b = eps(h_i) b for all basis operators."""
-        return invariants_of(ops, self.hopf.counit)
-
     @cached_property
     def translation_invariants(self) -> Subspace:
         """The right-translation invariants, computed once for every battery."""
-        return self.invariants_of(self.rh_operators)
+        return invariants_of(self.rh_operators, self.hopf.counit)
 
     @cached_property
     def iota_image(self) -> Subspace:
@@ -238,12 +180,11 @@ def embedding_report(conv: ConvolutionAlgebra) -> Report:
     rep = Report("embeddings", details={"fixture": conv.action.name})
     A, H = conv.alg, conv.hopf
     B = conv.algebra
-    if conv.iota(A.unit).coords != B.unit:
+    if conv.iota_matrix.vec_mul(A.unit) != B.unit:
         rep.fail({"map": "iota", "identity": "unit"})
-    if conv.del_embed(A.unit).coords != B.unit:
+    if conv.del_matrix.vec_mul(A.unit) != B.unit:
         rep.fail({"map": "del", "identity": "unit"})
-    eps = list(H.counit)
-    if conv.ustar(eps).coords != B.unit:
+    if conv.ustar_matrix.vec_mul(H.counit) != B.unit:
         rep.fail({"map": "ustar", "identity": "unit"})
     mul = B.sparse_multiply
     iota = _basis_images(conv.iota_matrix)
@@ -352,12 +293,12 @@ def identity_report(conv: ConvolutionAlgebra) -> Report:
         rep.fail({"identity": "phi-psi-inverse"})
     if conv.psi_matrix.mat_mul(conv.phi_matrix) != ident:
         rep.fail({"identity": "psi-phi-inverse"})
-    if conv.phi(conv.one()).coords != conv.one().coords:
+    if conv.phi_matrix.vec_mul(conv.algebra.unit) != conv.algebra.unit:
         rep.fail({"identity": "phi-fixes-unit"})
     for j in range(nH):
         f = [F.one if t == j else F.zero for t in range(nH)]
-        uf = conv.ustar(f)
-        if conv.phi(uf).coords != uf.coords:
+        uf = conv.ustar_matrix.vec_mul(f)
+        if conv.phi_matrix.vec_mul(uf) != uf:
             rep.fail({"identity": "phi-fixes-dual", "f": j})
 
     # evaluation embedding factors through the twist
@@ -402,7 +343,7 @@ def check_dotinv(conv: ConvolutionAlgebra) -> Report:
     if cocomm and witness is not None:
         rep.status = "fail"
 
-    inv_dot = conv.invariants_of(conv.dot_operators)
+    inv_dot = invariants_of(conv.dot_operators, conv.hopf.counit)
     rep.details["twist-invariants-dim"] = inv_dot.dim
     rep.details["twist-invariants-match"] = (inv_dot == conv.psi_iota_image)
     if cocomm and not rep.details["twist-invariants-match"]:

@@ -851,7 +851,7 @@ def _build_stratum_pieces(act: ModuleAlgebraAction, ideal: Ideal) -> StratumAlge
     conv = ConvolutionAlgebra(bar)
     # z (x) f -> (f (x) 1)(eps (x) z) = f (x) z in B = H* (x) A/I
     F = act.field
-    cols = [conv.mul(conv.ustar(f), conv.iota(z)).coords
+    cols = [conv.algebra.multiply(conv.ustar_matrix.vec_mul(f), conv.iota_matrix.vec_mul(z))
             for z in zsub.basis_vectors() for f in Matrix.identity(F, nH).data]
     embed = Matrix(F, len(cols), conv.dim, cols).transpose()
     return StratumAlgebra(
@@ -930,6 +930,11 @@ def verify_strat_bijection(act: ModuleAlgebraAction, ideal: Ideal,
 
     try:
         sa = _build_stratum_pieces(act, ideal)
+    except EnumerationBound as exc:
+        rep.status = ERROR
+        rep.details["verdict"] = "refused"
+        rep.details["reason"] = str(exc)
+        return rep
     except ValueError as exc:
         notes.append(str(exc))
         rep.details["verdict"] = "undefined-structure"

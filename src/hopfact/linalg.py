@@ -216,11 +216,6 @@ class Matrix:
         return cls(field, len(rows), ncols, rows)
 
     @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, field, n):
         z, one = field.zero, field.one
         return cls(field, n, n, [[one if j == i else z for j in range(n)]

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfact.linalg import QQ, Matrix, Subspace, is_stable, subspace_count
+from hopfact.linalg import (QQ, EnumerationBound, Matrix, Subspace, apply_combination,
+                            is_stable, subspace_count)
 from hopfact import convolution
 from hopfact.hopf import cyclic_group_table, group_algebra, verify_algebra
 from hopfact.action import trivial_action
-from hopfact.convolution import (ConvolutionAlgebra, ConvElement, identity_report,
+from hopfact.convolution import (ConvolutionAlgebra, identity_report,
                                  embedding_report, check_intertwining,
                                  check_dotinv, check_transport,
                                  check_dotinv_lattice, stability_scan,
@@ -24,8 +25,8 @@ def test_dimensions_and_unit(ws):
     assert conv.dim == 4
     assert verify_algebra(conv.algebra).status == "pass"
     # unit is the constant-one map 1 (x) eps
-    assert conv.one().coords == conv.iota(ws.algebras["qxq"].unit).coords
-    assert conv.one().coords == conv.ustar(list(ws.hopfs["qc2"].counit)).coords
+    assert conv.algebra.unit == conv.iota_matrix.vec_mul(ws.algebras["qxq"].unit)
+    assert conv.algebra.unit == conv.ustar_matrix.vec_mul(list(ws.hopfs["qc2"].counit))
 
 
 def test_degenerate_factors():
@@ -49,9 +50,11 @@ def test_trivial_algebra_factor(ws):
 
 def test_value_matrix_view(ws):
     conv = conv_of(ws, "swap")
-    b = conv.del_embed([1, 0])
-    # value table: 1 -> (1,0), g -> (0,1)
-    vm = b.value_matrix()
+    b = conv.del_matrix.vec_mul([1, 0])
+    # value table: 1 -> (1,0), g -> (0,1); column p is the value at the
+    # p-th Hopf basis element, read off coordinates E_{p,q}
+    vm = [[b[conv.index(p, q)] for p in range(conv.hopf.dim)]
+          for q in range(conv.alg.dim)]
     assert [row[0] for row in vm] == [1, 0]
     assert [row[1] for row in vm] == [0, 1]
     assert vm == [[1, 0], [0, 1]]
@@ -66,15 +69,15 @@ def test_phi_psi_inverse_and_unit(ws):
     conv = conv_of(ws, "swap")
     ident = Matrix.identity(QQ, conv.dim)
     assert conv.phi_matrix.mat_mul(conv.psi_matrix) == ident
-    assert conv.phi(conv.one()).coords == conv.one().coords
+    assert conv.phi_matrix.vec_mul(conv.algebra.unit) == conv.algebra.unit
     # evaluation embedding factors through the twist
     assert conv.phi_matrix.mat_mul(conv.iota_matrix) == conv.del_matrix
 
 
 def test_phi_iota_is_del_pointwise(ws):
     conv = conv_of(ws, "swap")
-    b = conv.phi(conv.iota([1, 0]))
-    assert b.coords == conv.del_embed([1, 0]).coords
+    b = conv.phi_matrix.vec_mul(conv.iota_matrix.vec_mul([1, 0]))
+    assert b == conv.del_matrix.vec_mul([1, 0])
 
 
 def test_intertwining_all_fixtures(ws):
@@ -93,12 +96,12 @@ def test_dot_action_examples(ws):
     # 1 . b = b on every basis element
     one = [Fraction(1), Fraction(0)]
     for r in range(conv.dim):
-        b = ConvElement(conv, [1 if t == r else 0 for t in range(conv.dim)])
-        assert conv.dot_act(one, b).coords == b.coords
+        b = [1 if t == r else 0 for t in range(conv.dim)]
+        assert apply_combination(one, conv.dot_operators, b) == b
     # g . ((1,0) (x) eps) = (0,1) (x) eps
     g = [Fraction(0), Fraction(1)]
-    b = conv.iota([1, 0])
-    assert conv.dot_act(g, b).coords == conv.iota([0, 1]).coords
+    b = conv.iota_matrix.vec_mul([1, 0])
+    assert apply_combination(g, conv.dot_operators, b) == conv.iota_matrix.vec_mul([0, 1])
 
 
 def test_rh_action_on_dual_basis(ws):
@@ -106,9 +109,9 @@ def test_rh_action_on_dual_basis(ws):
     # translation by a dual idempotent: (p_i -> b)(p_j) = b(p_j p_i)
     F = conv.field
     p0 = [F.one, F.zero]
-    b = conv.ustar([F.zero, F.one])  # 1 (x) (second dual basis vector)
-    moved = conv.rh_act(p0, b)
-    assert all(F.is_zero(c) for c in moved.coords)
+    b = conv.ustar_matrix.vec_mul([F.zero, F.one])  # 1 (x) (second dual basis vector)
+    moved = apply_combination(p0, conv.rh_operators, b)
+    assert all(F.is_zero(c) for c in moved)
 
 
 def test_dotinv_multiplicativity_matches_cocommutativity(ws):
@@ -225,7 +228,7 @@ def test_stability_scan_degenerate_hopf(ws):
 
 def test_dim_cap(ws, monkeypatch):
     monkeypatch.setattr(convolution, "DEFAULT_DIM_CAP", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(EnumerationBound, match=r"exceeds the cap 4 \(DEFAULT_DIM_CAP\)"):
         ConvolutionAlgebra(ws.actions["conj"])
 
 

@@ -5,8 +5,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfact.linalg import (QQ, GF, Matrix, Subspace, closure, kernel,
-                            nonzero_terms, stable_subspaces)
+from hopfact.linalg import (QQ, GF, EnumerationBound, Matrix, Subspace, closure,
+                            kernel, nonzero_terms, stable_subspaces)
 from hopfact.action import action_from_operators, verify_action
 from hopfact.hopf import (FiniteAlgebra, matrix_algebra, truncated_poly_algebra,
                           product_field_algebra, upper_triangular_algebra,
@@ -642,7 +642,8 @@ def test_permutation_cores_follow_the_orbit_rule(group, field, data):
     if len(elements) * n <= DEFAULT_DIM_CAP:
         assert core_via_psi(act, ideal).space == want
     else:
-        with pytest.raises(ValueError, match="exceeds cap"):
+        with pytest.raises(EnumerationBound,
+                           match=rf"the cap {DEFAULT_DIM_CAP} \(DEFAULT_DIM_CAP\)"):
             core_via_psi(act, ideal)
     # k^X is a product of fields, so every ideal is semiprime, and so is its
     # core: in characteristic 0 this is the paper's second theorem for the

@@ -98,6 +98,28 @@ def test_indices_and_comul():
         pbw_comul((7,), 6)
 
 
+def compositions_oracle(nvars, total):
+    """The exponent tuples of one total degree, lexicographically
+    descending, by recursion on the number of variables."""
+    if nvars == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for rest in compositions_oracle(nvars - 1, total - head):
+            yield (head,) + rest
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_indices_follow_the_recursive_order(nvars):
+    for degree in range(7):
+        want = [n for total in range(degree + 1) for n in compositions_oracle(nvars, total)]
+        assert indices_up_to(nvars, degree) == want, degree
+    # more variables than the recursion limit allows frames
+    assert len(indices_up_to(1500, 1)) == 1501
+    with pytest.raises(ValueError):
+        indices_up_to(0, 2)
+
+
 def test_monomial_order_axioms():
     idx = indices_up_to(2, 3)
     zero = (0, 0)

@@ -54,7 +54,7 @@ def test_rref_idempotent_random():
 
 
 def test_kernel_examples():
-    assert kernel(Matrix.zeros(QQ, 3, 3)).dim == 3
+    assert kernel(Matrix(QQ, 3, 3, [[0] * 3 for _ in range(3)])).dim == 3
     assert kernel(Matrix.identity(QQ, 3)).dim == 0
     k = kernel(Matrix.from_rows(QQ, [[1, 1]]))
     assert k.rows == ((Fraction(1), Fraction(-1)),)
@@ -322,7 +322,7 @@ def test_vec_mul_is_the_dense_product_for_every_constructor(field):
     x = alg.basis_vector(1)
     built = {
         "from_rows": a,
-        "zeros": Matrix.zeros(field, 3, 4),
+        "zeros": Matrix(field, 3, 4, [[field.zero] * 4 for _ in range(3)]),
         "identity": Matrix.identity(field, 4),
         "transpose": a.transpose(),
         "mat_mul": a.mat_mul(b),

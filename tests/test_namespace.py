@@ -31,10 +31,9 @@ EXPORTS = {
              "restricted_line_hopf", "ideal_closure"],
     "action": ["ModuleAlgebraAction", "Representation", "verify_action", "comodule_map",
                "matrix_coefficients", "coefficient_subalgebra", "hit_action"],
-    "convolution": ["ConvolutionAlgebra", "ConvElement", "identity_report",
-                    "check_intertwining", "check_dotinv", "check_transport",
-                    "check_dotinv_lattice", "stability_scan", "transport_subspace",
-                    "restrict_subspace"],
+    "convolution": ["ConvolutionAlgebra", "identity_report", "check_intertwining",
+                    "check_dotinv", "check_transport", "check_dotinv_lattice",
+                    "stability_scan", "transport_subspace", "restrict_subspace"],
     "ideals": ["Ideal", "core", "core_via_psi", "group_core_by_intersection", "radical",
                "radical_of_ideal", "is_semiprime", "is_prime", "spectrum",
                "SpectrumEntry", "center_subspace", "h_spectrum", "strata",

@@ -4,7 +4,7 @@ dense routes.
 ``embedding_report``, ``check_intertwining``, ``identity_report`` and
 ``check_dotinv`` compare both sides of every identity column by column, as
 canonical sparse dicts.  The dense per-basis loops they replaced (whole
-``ConvElement`` products and dense ``vec_mul``s) are kept here as oracles,
+``algebra.multiply`` products and dense ``vec_mul``s) are kept here as oracles,
 and both routes must give the same reports, witnesses in the same order,
 on every bundled action read over QQ, GF(2), GF(3) and GF(5), and on
 inputs with one perturbed operator entry, where the identities fail.
@@ -15,10 +15,10 @@ import random
 import pytest
 
 from hopfact import convolution
-from hopfact.action import ModuleAlgebraAction, hit_action
-from hopfact.convolution import ConvElement, ConvolutionAlgebra
+from hopfact.action import ModuleAlgebraAction, hit_action, invariants_of
+from hopfact.convolution import ConvolutionAlgebra
 from hopfact.hopf import dual_hopf, is_cocommutative, verify_algebra
-from hopfact.linalg import GF, QQ, Matrix
+from hopfact.linalg import GF, QQ, Matrix, apply_combination
 from hopfact.report import Report
 from hopfact.workspace import load_algebra, load_hopf
 from test_merged_helpers import all_actions
@@ -32,19 +32,21 @@ def embedding_report_oracle(conv):
     rep = Report("embeddings", details={"fixture": conv.action.name})
     A, H = conv.alg, conv.hopf
     B = conv.algebra
-    if conv.iota(A.unit).coords != B.unit:
+    iota, dl = conv.iota_matrix.vec_mul, conv.del_matrix.vec_mul
+    ustar = conv.ustar_matrix.vec_mul
+    if iota(A.unit) != B.unit:
         rep.fail({"map": "iota", "identity": "unit"})
-    if conv.del_embed(A.unit).coords != B.unit:
+    if dl(A.unit) != B.unit:
         rep.fail({"map": "del", "identity": "unit"})
     eps = list(H.counit)
-    if conv.ustar(eps).coords != B.unit:
+    if ustar(eps) != B.unit:
         rep.fail({"map": "ustar", "identity": "unit"})
     for i in range(A.dim):
         for j in range(A.dim):
             prod = A.basis_product(i, j)
-            for tag, emb in (("iota", conv.iota), ("del", conv.del_embed)):
-                lhs = emb(prod).coords
-                rhs = conv.mul(emb(A.basis_vector(i)), emb(A.basis_vector(j))).coords
+            for tag, emb in (("iota", iota), ("del", dl)):
+                lhs = emb(prod)
+                rhs = B.multiply(emb(A.basis_vector(i)), emb(A.basis_vector(j)))
                 if lhs != rhs:
                     rep.fail({"map": tag, "pair": [i, j]})
     nH = H.dim
@@ -52,15 +54,15 @@ def embedding_report_oracle(conv):
     for i in range(nH):
         fi = dual.basis_vector(i)
         for j in range(nH):
-            lhs = conv.ustar(dual.basis_product(i, j)).coords
-            rhs = conv.mul(conv.ustar(fi), conv.ustar(dual.basis_vector(j))).coords
+            lhs = ustar(dual.basis_product(i, j))
+            rhs = B.multiply(ustar(fi), ustar(dual.basis_vector(j)))
             if lhs != rhs:
                 rep.fail({"map": "ustar", "pair": [i, j]})
     for i in range(A.dim):
-        a = conv.iota(A.basis_vector(i))
+        a = iota(A.basis_vector(i))
         for j in range(nH):
-            f = conv.ustar(dual.basis_vector(j))
-            if conv.mul(a, f).coords != conv.mul(f, a).coords:
+            f = ustar(dual.basis_vector(j))
+            if B.multiply(a, f) != B.multiply(f, a):
                 rep.fail({"identity": "iota-ustar-commute", "pair": [i, j]})
     return rep
 
@@ -70,29 +72,29 @@ def check_intertwining_oracle(conv):
     A, H = conv.alg, conv.hopf
     F = conv.field
     nB = conv.dim
-    basis = [ConvElement(conv, [F.one if t == r else F.zero for t in range(nB)])
-             for r in range(nB)]
+    mul, phi, psi = conv.algebra.multiply, conv.phi_matrix.vec_mul, conv.psi_matrix.vec_mul
+    basis = [[F.one if t == r else F.zero for t in range(nB)] for r in range(nB)]
     for i in range(A.dim):
         a = A.basis_vector(i)
-        ia, da = conv.iota(a), conv.del_embed(a)
+        ia, da = conv.iota_matrix.vec_mul(a), conv.del_matrix.vec_mul(a)
         for r, b in enumerate(basis):
-            lhs = conv.phi(conv.mul(ia, b)).coords
-            rhs = conv.mul(da, conv.phi(b)).coords
+            lhs = phi(mul(ia, b))
+            rhs = mul(da, phi(b))
             if lhs != rhs:
                 rep.fail({"identity": "phi-iota", "a": i, "b": r})
-            lhs2 = conv.psi(conv.mul(da, b)).coords
-            rhs2 = conv.mul(ia, conv.psi(b)).coords
+            lhs2 = psi(mul(da, b))
+            rhs2 = mul(ia, psi(b))
             if lhs2 != rhs2:
                 rep.fail({"identity": "psi-del", "a": i, "b": r})
     for hidx in range(H.dim):
         h = [F.one if t == hidx else F.zero for t in range(H.dim)]
         for r, b in enumerate(basis):
-            lhs = conv.phi(conv.dot_act(h, b)).coords
-            rhs = conv.rh_act(h, conv.phi(b)).coords
+            lhs = phi(apply_combination(h, conv.dot_operators, b))
+            rhs = apply_combination(h, conv.rh_operators, phi(b))
             if lhs != rhs:
                 rep.fail({"identity": "phi-exchanges-actions", "h": hidx, "b": r})
-            lhs2 = conv.dot_act(h, conv.psi(b)).coords
-            rhs2 = conv.psi(conv.rh_act(h, b)).coords
+            lhs2 = apply_combination(h, conv.dot_operators, psi(b))
+            rhs2 = psi(apply_combination(h, conv.rh_operators, b))
             if lhs2 != rhs2:
                 rep.fail({"identity": "psi-exchanges-actions", "h": hidx, "b": r})
     return rep
@@ -118,9 +120,8 @@ def identity_report_oracle(conv):
         h = [F.one if t == i else F.zero for t in range(nH)]
         for p in range(nH):
             for q in range(nA):
-                b = ConvElement(conv, [F.one if t == conv.index(p, q) else F.zero
-                                       for t in range(nB)])
-                lhs = conv.rh_act(h, b).coords
+                b = [F.one if t == conv.index(p, q) else F.zero for t in range(nB)]
+                lhs = apply_combination(h, conv.rh_operators, b)
                 rhs = [F.zero] * nB
                 for l in range(nH):
                     c = hit.tensor[i][p][l]
@@ -128,7 +129,7 @@ def identity_report_oracle(conv):
                         rhs[conv.index(l, q)] = c
                 if lhs != rhs:
                     rep.fail({"identity": "translation-splits", "h": i, "basis": [p, q]})
-                lhs = conv.dot_act(h, b).coords
+                lhs = apply_combination(h, conv.dot_operators, b)
                 rhs = [F.zero] * nB
                 for (u, v, c) in H.comul_sparse[i]:
                     for m in range(nA):
@@ -153,18 +154,19 @@ def identity_report_oracle(conv):
         rep.fail({"identity": "phi-psi-inverse"})
     if conv.psi_matrix.mat_mul(conv.phi_matrix) != ident:
         rep.fail({"identity": "psi-phi-inverse"})
-    if conv.phi(conv.one()).coords != conv.one().coords:
+    unit = conv.algebra.unit
+    if conv.phi_matrix.vec_mul(unit) != unit:
         rep.fail({"identity": "phi-fixes-unit"})
     for j in range(nH):
         f = [F.one if t == j else F.zero for t in range(nH)]
-        uf = conv.ustar(f)
-        if conv.phi(uf).coords != uf.coords:
+        uf = conv.ustar_matrix.vec_mul(f)
+        if conv.phi_matrix.vec_mul(uf) != uf:
             rep.fail({"identity": "phi-fixes-dual", "f": j})
 
     if conv.phi_matrix.mat_mul(conv.iota_matrix) != conv.del_matrix:
         rep.fail({"identity": "phi-iota-is-del"})
 
-    inv_rh = conv.invariants_of(conv.rh_operators)
+    inv_rh = invariants_of(conv.rh_operators, H.counit)
     if inv_rh != conv.iota_image:
         rep.fail({"identity": "translation-invariants",
                   "got-dim": inv_rh.dim, "want-dim": conv.iota_image.dim})
@@ -196,13 +198,13 @@ def check_dotinv_oracle(conv):
     if cocomm and witness is not None:
         rep.status = "fail"
 
-    inv_dot = conv.invariants_of(conv.dot_operators)
+    inv_dot = invariants_of(conv.dot_operators, conv.hopf.counit)
     rep.details["twist-invariants-dim"] = inv_dot.dim
     rep.details["twist-invariants-match"] = (inv_dot == conv.psi_iota_image)
     if cocomm and not rep.details["twist-invariants-match"]:
         rep.status = "fail"
         rep.witnesses.append({"identity": "twist-invariants"})
-    inv_rh = conv.invariants_of(conv.rh_operators)
+    inv_rh = invariants_of(conv.rh_operators, conv.hopf.counit)
     if inv_rh != conv.iota_image:
         rep.status = "fail"
         rep.witnesses.append({"identity": "translation-invariants"})
@@ -315,13 +317,13 @@ def test_batteries_match_dense_loops_on_perturbed_operators(ws, field):
 def test_translation_invariants_are_computed_once(ws, monkeypatch):
     conv = ConvolutionAlgebra(ws.actions["grading-s3"])
     calls = []
-    solve = ConvolutionAlgebra.invariants_of
+    solve = convolution.invariants_of
 
-    def counted(self, ops):
-        calls.append(ops is self.rh_operators)
-        return solve(self, ops)
+    def counted(ops, counit):
+        calls.append(ops is conv.rh_operators)
+        return solve(ops, counit)
 
-    monkeypatch.setattr(ConvolutionAlgebra, "invariants_of", counted)
+    monkeypatch.setattr(convolution, "invariants_of", counted)
     convolution.identity_report(conv)
     convolution.check_dotinv(conv)
     assert calls == [True, False]       # right translation once, then the twist

@@ -260,6 +260,21 @@ def test_cli_series_phi_refuses_above_the_monomial_cap(capsys):
     assert "SERIES_MONOMIAL_CAP" in report["reason"] and "43758" in report["reason"]
 
 
+@pytest.mark.parametrize("nvars,degree,cap", [
+    ("1", "0", None), ("1", "1", None), ("990", "0", None),
+    ("1500", "1", "SERIES_CHECK_CAP"), ("2000", "0", "SERIES_MONOMIAL_CAP")])
+def test_cli_series_phi_answers_or_names_its_cap(nvars, degree, cap, capsys):
+    # inside the monomial cap: delta functionals are paired up to the degree
+    # asked, and many variables refuse before the check walks them
+    code = main(["series-phi", "--nvars", nvars, "--degree", degree, "--json"])
+    report = json.loads(capsys.readouterr().out)[0]
+    if cap is None:
+        assert (code, report["status"]) == (0, "pass")
+    else:
+        assert (code, report["status"]) == (2, "error")
+        assert cap in report["reason"]
+
+
 def _k2_algebra():
     """k x k over F_2 in the dense fixture form."""
     return {"name": "k2", "field": {"kind": "prime-field", "p": 2}, "dim": 2,
